@@ -85,6 +85,9 @@ pub struct PostcardSolution {
     /// How many of those pivots were dual-simplex pivots (non-zero only on
     /// warm re-solves that resumed from a dual-feasible basis).
     pub dual_iterations: usize,
+    /// Whether a supplied warm basis actually seeded the solve (`false` when
+    /// none was supplied or the solver rejected it and ran cold).
+    pub warm_started: bool,
     /// The optimal basis of the underlying LP, exported so the next solve of
     /// a same-shaped problem can warm-start (`None` for trivial solves).
     pub basis: Option<Basis>,
@@ -127,6 +130,7 @@ pub fn solve_postcard_with(
                 .collect(),
             lp_iterations: 0,
             dual_iterations: 0,
+            warm_started: false,
             basis: None,
         });
     }
@@ -231,6 +235,7 @@ impl PostcardProblem {
                     charged,
                     lp_iterations: sol.iterations(),
                     dual_iterations: sol.dual_iterations(),
+                    warm_started: sol.warm_started(),
                     basis: sol.basis().cloned(),
                 })
             }

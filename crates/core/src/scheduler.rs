@@ -34,9 +34,10 @@ pub struct SolveStats {
     /// How many of those pivots were dual-simplex pivots (non-zero only on
     /// warm re-solves resuming from a dual-feasible basis).
     pub dual_iterations: usize,
-    /// Whether the solve was handed a previous basis to warm-start from.
-    /// `false` for cold solves, non-LP schedulers, and the first solve of a
-    /// warm-starting scheduler.
+    /// Whether a previous basis actually seeded the solve. A basis that was
+    /// offered but rejected by the solver (which then ran cold) does not
+    /// count. `false` for cold solves, non-LP schedulers, and the first
+    /// solve of a warm-starting scheduler.
     pub warm_started: bool,
     /// Whether the solve advanced a standing [`DeltaFormulation`] in place
     /// (the incremental fast path).
@@ -161,20 +162,18 @@ impl Scheduler for PostcardScheduler {
             self.last_stats = SolveStats {
                 lp_iterations: sol.lp_iterations,
                 dual_iterations: sol.dual_iterations,
-                // The delta path always resumes from the standing basis.
-                warm_started: delta_hit,
+                warm_started: sol.warm_started,
                 delta_hit,
                 rebuilt: !delta_hit && !files.is_empty(),
             };
             return Ok(Decision::Plan(sol.plan));
         }
         let warm = if self.config.warm_start { self.last_basis.as_ref() } else { None };
-        let warm_started = warm.is_some();
         let sol = solve_postcard_warm_with(network, files, ledger, &self.config, warm)?;
         self.last_stats = SolveStats {
             lp_iterations: sol.lp_iterations,
             dual_iterations: sol.dual_iterations,
-            warm_started,
+            warm_started: sol.warm_started,
             ..SolveStats::default()
         };
         if self.config.warm_start {
@@ -228,12 +227,11 @@ impl Scheduler for FlowLpScheduler {
         ledger: &TrafficLedger,
     ) -> Result<Decision, PostcardError> {
         let warm = if self.warm_start { self.last_basis.as_ref() } else { None };
-        let warm_started = warm.is_some();
         let out = unified_flow_lp_warm(network, files, ledger, warm).map_err(map_baseline)?;
         self.last_stats = SolveStats {
             lp_iterations: out.lp_iterations,
             dual_iterations: out.dual_iterations,
-            warm_started,
+            warm_started: out.warm_started,
             ..SolveStats::default()
         };
         if self.warm_start && out.basis.is_some() {

@@ -190,6 +190,9 @@ pub struct UnifiedFlowOutcome {
     /// How many of those pivots were dual-simplex pivots (non-zero only on
     /// warm solves resuming from a dual-feasible basis).
     pub dual_iterations: usize,
+    /// Whether `warm` actually seeded the solve (`false` when none was
+    /// supplied or the solver rejected it and ran cold).
+    pub warm_started: bool,
     /// The optimal basis, exportable into the next solve's `warm` argument
     /// (`None` for an empty batch).
     pub basis: Option<Basis>,
@@ -214,6 +217,7 @@ pub fn unified_flow_lp_warm(
             assignment: FlowAssignment::new(),
             lp_iterations: 0,
             dual_iterations: 0,
+            warm_started: false,
             basis: None,
         });
     }
@@ -308,6 +312,7 @@ pub fn unified_flow_lp_warm(
                 assignment: a,
                 lp_iterations: sol.iterations(),
                 dual_iterations: sol.dual_iterations(),
+                warm_started: sol.warm_started(),
                 basis: sol.basis().cloned(),
             })
         }

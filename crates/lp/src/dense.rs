@@ -1,9 +1,9 @@
 //! Dense matrices and LU factorization with partial pivoting.
 //!
 //! The simplex solver itself works with the sparse factorization in
-//! [`crate::factor`]; the dense routines here remain the reference
-//! implementation the sparse path is tested against, and are exported for
-//! standalone dense linear-system work.
+//! [`crate::factor`]; the dense routines here are only the reference
+//! implementation the sparse path is tested against, and are compiled for
+//! tests alone.
 
 use crate::LpError;
 
@@ -70,12 +70,6 @@ impl DenseMatrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutable borrow of row `r`.
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Mutable borrows of two distinct rows at once.
     ///
     /// # Panics
@@ -133,17 +127,11 @@ impl DenseMatrix {
         }
         out
     }
-
-    /// Maximum absolute entry (0 for an empty matrix).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-    }
 }
 
 /// LU factorization `P·A = L·U` of a square matrix with partial pivoting.
 ///
-/// Used by the simplex basis manager for periodic refactorization; also
-/// usable standalone to solve dense linear systems.
+/// The oracle the sparse [`crate::factor`] kernel is tested against.
 #[derive(Debug, Clone)]
 pub struct LuFactors {
     /// Combined L (strictly lower, unit diagonal implicit) and U (upper).

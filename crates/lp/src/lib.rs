@@ -43,6 +43,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+#[cfg(test)]
 mod dense;
 mod error;
 mod eta;
@@ -57,7 +58,6 @@ mod sparse;
 mod standard;
 pub mod validate;
 
-pub use dense::{DenseMatrix, LuFactors};
 pub use error::LpError;
 pub use expr::{LinExpr, Variable};
 pub use model::{Constraint, ConstraintId, Model, PreparedLp, Relation, Sense};

@@ -24,7 +24,7 @@
 
 use crate::error::LpError;
 use crate::model::{Model, Relation};
-use crate::solution::{Solution, Status};
+use crate::solution::{Solution, SolveCounts, Status};
 use crate::Variable;
 use std::collections::BTreeMap;
 
@@ -77,8 +77,7 @@ impl Presolved {
                 f64::NAN,
                 vec![0.0; self.reduced.num_vars()],
                 vec![0.0; self.num_original_rows],
-                0,
-                0,
+                SolveCounts::default(),
                 None,
             ));
         }
@@ -94,8 +93,7 @@ impl Presolved {
             sol.objective(),
             sol.values().to_vec(),
             duals,
-            sol.iterations(),
-            sol.dual_iterations(),
+            sol.counts(),
             None,
         ))
     }

@@ -30,15 +30,16 @@
 use crate::error::LpError;
 use crate::eta::EtaFile;
 use crate::factor::BasisFactor;
-use crate::solution::Status;
+use crate::solution::{SolveCounts, Status};
 use crate::standard::StandardForm;
 
 /// Reusable solver allocations that survive across solves.
 ///
 /// Every simplex iteration needs a handful of dense row-length scratch
 /// vectors (duals, pivot columns, rows of `B⁻¹`), refactorization gathers
-/// the basis columns into a per-row jagged buffer, and the product-form
-/// eta file grows to `refactor_every` update vectors between rebuilds.
+/// the basis columns into a per-row jagged buffer and rebuilds the flat L
+/// and U arrays of the sparse LU, and the product-form eta file grows to
+/// `refactor_every` update vectors between rebuilds.
 /// Allocating those per solve is invisible on one LP but dominates a slot
 /// loop that solves thousands of near-identical LPs; a `SolverWorkspace`
 /// owns them instead, so a persistent caller (one workspace per scheduler)
@@ -50,6 +51,9 @@ pub struct SolverWorkspace {
     dense_pool: Vec<Vec<f64>>,
     /// Basis-column gather buffer reused by refactorization.
     factor_cols: Vec<Vec<(usize, f64)>>,
+    /// Sparse LU of the basis as of the last refactorization; every solve
+    /// resets it and refactorizes into the same buffers.
+    factor: BasisFactor,
     /// Product-form eta file, cleared (capacity kept) between solves.
     etas: EtaFile,
 }
@@ -155,10 +159,8 @@ pub struct RawSolution {
     /// the model-space objective is recomputed during solution mapping.
     #[allow(dead_code)]
     pub objective: f64,
-    /// Total pivots performed.
-    pub iterations: usize,
-    /// Pivots performed by the dual simplex (a subset of `iterations`).
-    pub dual_iterations: usize,
+    /// Pivot, phase and refactorization counts of the solve.
+    pub counts: SolveCounts,
     /// The optimal basis, for warm-starting a subsequent solve. `None`
     /// unless the solve terminated optimal.
     pub basis: Option<Basis>,
@@ -205,8 +207,7 @@ impl SimplexSolver {
                 x: vec![0.0; sf.n_cols],
                 y: vec![0.0; sf.m],
                 objective: f64::NAN,
-                iterations: 0,
-                dual_iterations: 0,
+                counts: SolveCounts::default(),
                 basis: None,
             });
         }
@@ -217,7 +218,12 @@ impl SimplexSolver {
                         // The inherited basis degraded mid-flight; restart
                         // cold (which carries its own singularity retry).
                     }
-                    other => return other,
+                    other => {
+                        return other.map(|mut raw| {
+                            raw.counts.warm_started = true;
+                            raw
+                        })
+                    }
                 }
             }
         }
@@ -261,8 +267,9 @@ enum Pricing {
 struct State<'a> {
     sf: &'a StandardForm,
     opts: &'a SimplexOptions,
-    /// Reusable scratch allocations (dense vectors, factor gather buffers,
-    /// and the eta file live here so they survive across solves).
+    /// Reusable scratch allocations (dense vectors, the basis LU and its
+    /// gather buffers, and the eta file live here so they survive across
+    /// solves).
     ws: &'a mut SolverWorkspace,
     /// Number of real (structural + slack) columns.
     n: usize,
@@ -272,14 +279,16 @@ struct State<'a> {
     /// Basis column per row (may be ≥ n for artificials).
     basis: Vec<usize>,
     in_basis: Vec<bool>,
-    /// Sparse LU of the basis as of the last refactorization.
-    factor: BasisFactor,
     /// Current basic values `x_B = B⁻¹ b`.
     xb: Vec<f64>,
     /// Phase-dependent costs for all columns (real + artificial).
     cost: Vec<f64>,
     iterations: usize,
     dual_iterations: usize,
+    /// Pivots taken before phase 2 began (phase 1 plus artificial eviction).
+    phase1_iterations: usize,
+    /// Successful basis refactorizations.
+    refactorizations: usize,
     degenerate_run: usize,
     pricing: Pricing,
     /// Artificial columns are barred from entering in phase 2.
@@ -318,6 +327,7 @@ impl<'a> State<'a> {
         }
         let xb = sf.b.clone();
         ws.etas.clear();
+        ws.factor.reset_identity(m);
         State {
             sf,
             opts,
@@ -327,11 +337,12 @@ impl<'a> State<'a> {
             art_row,
             basis,
             in_basis,
-            factor: BasisFactor::identity(m),
             xb,
             cost: vec![0.0; n + n_art],
             iterations: 0,
             dual_iterations: 0,
+            phase1_iterations: 0,
+            refactorizations: 0,
             degenerate_run: 0,
             pricing: Pricing::Dantzig,
             allow_artificials: true,
@@ -390,6 +401,7 @@ impl<'a> State<'a> {
         let mut cost = sf.c.clone();
         cost.extend(std::iter::repeat_n(0.0, n_art));
         ws.etas.clear();
+        ws.factor.reset_identity(m);
         let mut st = State {
             sf,
             opts,
@@ -399,11 +411,12 @@ impl<'a> State<'a> {
             art_row,
             basis,
             in_basis,
-            factor: BasisFactor::identity(m),
             xb: vec![0.0; m],
             cost,
             iterations: 0,
             dual_iterations: 0,
+            phase1_iterations: 0,
+            refactorizations: 0,
             degenerate_run: 0,
             pricing: Pricing::Dantzig,
             allow_artificials: false,
@@ -580,7 +593,7 @@ impl<'a> State<'a> {
     /// Forward solve `B·z = v` through the LU factors and the eta file.
     /// Input is row-indexed; output is basis-position-indexed.
     fn ftran(&self, v: &mut [f64]) {
-        self.factor.ftran(v);
+        self.ws.factor.ftran(v);
         self.ws.etas.apply_ftran(v);
     }
 
@@ -588,7 +601,7 @@ impl<'a> State<'a> {
     /// factors. Input is basis-position-indexed; output is row-indexed.
     fn btran(&self, v: &mut [f64]) {
         self.ws.etas.apply_btran(v);
-        self.factor.btran(v);
+        self.ws.factor.btran(v);
     }
 
     /// `w = B⁻¹ · A_j`, scattered from the CSC column and solved sparsely.
@@ -625,17 +638,18 @@ impl<'a> State<'a> {
             let p1_obj: f64 =
                 self.basis.iter().zip(&self.xb).map(|(&j, &x)| self.cost[j] * x).sum();
             if p1_obj > self.opts.feas_tol {
+                self.phase1_iterations = self.iterations;
                 return Ok(RawSolution {
                     status: Status::Infeasible,
                     x: vec![0.0; self.n],
                     y: vec![0.0; self.m],
                     objective: f64::NAN,
-                    iterations: self.iterations,
-                    dual_iterations: self.dual_iterations,
+                    counts: self.counts(),
                     basis: None,
                 });
             }
             self.evict_artificials()?;
+            self.phase1_iterations = self.iterations;
             // Reset costs for phase 2 (artificials get cost 0 and are barred
             // from entering).
             for c in self.cost.iter_mut() {
@@ -672,8 +686,7 @@ impl<'a> State<'a> {
                 x: vec![0.0; self.n],
                 y: vec![0.0; self.m],
                 objective: f64::NEG_INFINITY,
-                iterations: self.iterations,
-                dual_iterations: self.dual_iterations,
+                counts: self.counts(),
                 basis: None,
             });
         }
@@ -694,10 +707,21 @@ impl<'a> State<'a> {
             x,
             y,
             objective,
-            iterations: self.iterations,
-            dual_iterations: self.dual_iterations,
+            counts: self.counts(),
             basis: Some(self.export_basis()),
         })
+    }
+
+    /// The effort counters so far. `warm_started` is stamped by
+    /// [`SimplexSolver::solve_warm`], which alone knows which path returned.
+    fn counts(&self) -> SolveCounts {
+        SolveCounts {
+            iterations: self.iterations,
+            dual_iterations: self.dual_iterations,
+            phase1_iterations: self.phase1_iterations,
+            refactorizations: self.refactorizations,
+            warm_started: false,
+        }
     }
 
     /// Canonical encoding of the current basis (artificials become
@@ -894,8 +918,9 @@ impl<'a> State<'a> {
     }
 
     /// Rebuilds the sparse LU from the basis columns, clears the eta file,
-    /// and recomputes `x_B`. The basis-column gather buffer lives in the
-    /// workspace so repeated refactorizations reuse its allocations.
+    /// and recomputes `x_B`. The gather buffer and the factor live in the
+    /// workspace, so repeated refactorizations reuse their allocations. On
+    /// error the factor is unusable, and every caller abandons the state.
     fn refactorize(&mut self) -> Result<(), LpError> {
         let mut cols = std::mem::take(&mut self.ws.factor_cols);
         cols.truncate(self.m);
@@ -905,14 +930,15 @@ impl<'a> State<'a> {
             col.clear();
             self.for_col(j, |r, v| col.push((r, v)));
         }
-        let factor = BasisFactor::factorize(&cols, 1e-12);
+        let factored = self.ws.factor.factorize(&cols, 1e-12);
         self.ws.factor_cols = cols;
-        self.factor = factor?;
+        factored?;
+        self.refactorizations += 1;
         self.ws.etas.clear();
         let mut xb = std::mem::take(&mut self.xb);
         xb.clear();
         xb.extend_from_slice(&self.sf.b);
-        self.factor.ftran(&mut xb);
+        self.ws.factor.ftran(&mut xb);
         for v in xb.iter_mut() {
             if *v < 0.0 && *v > -1e-9 {
                 *v = 0.0;
@@ -931,7 +957,7 @@ enum PhaseOutcome {
 
 #[cfg(test)]
 mod tests {
-    use crate::{LinExpr, Model, Sense, SimplexOptions, Status};
+    use crate::{LinExpr, Model, Sense, SimplexOptions, Status, Variable};
 
     #[test]
     fn equality_constraints_need_artificials() {
@@ -1088,12 +1114,12 @@ mod tests {
         assert!(matches!(m.solve_with(&opts), Err(crate::LpError::IterationLimit { limit: 0 })));
     }
 
-    #[test]
-    fn larger_transportation_problem() {
-        // 3 supplies × 4 demands balanced transportation problem with known
-        // optimum (computed by hand via the MODI method).
-        let supply = [20.0, 30.0, 25.0];
-        let demand = [10.0, 25.0, 15.0, 25.0];
+    const SUPPLY: [f64; 3] = [20.0, 30.0, 25.0];
+    const DEMAND: [f64; 4] = [10.0, 25.0, 15.0, 25.0];
+
+    /// A 3 supplies × 4 demands balanced transportation problem, stated
+    /// with equality rows so phase 1 has artificials to drive out.
+    fn transportation_model() -> (Model, Vec<Vec<Variable>>) {
         let cost = [[4.0, 6.0, 8.0, 8.0], [6.0, 8.0, 6.0, 7.0], [5.0, 7.0, 6.0, 8.0]];
         let mut m = Model::new(Sense::Minimize);
         let mut vars = Vec::new();
@@ -1113,12 +1139,20 @@ mod tests {
         m.set_objective(obj);
         for i in 0..3 {
             let e: LinExpr = (0..4).map(|j| LinExpr::from(vars[i][j])).sum();
-            m.eq(e, supply[i]);
+            m.eq(e, SUPPLY[i]);
         }
         for j in 0..4 {
             let e: LinExpr = (0..3).map(|i| LinExpr::from(vars[i][j])).sum();
-            m.eq(e, demand[j]);
+            m.eq(e, DEMAND[j]);
         }
+        (m, vars)
+    }
+
+    #[test]
+    fn larger_transportation_problem() {
+        // Known optimum computed by hand via the MODI method.
+        let (supply, demand) = (SUPPLY, DEMAND);
+        let (m, vars) = transportation_model();
         let s = m.solve().unwrap();
         assert_eq!(s.status(), Status::Optimal);
         // Verify against exhaustive LP relaxation optimum computed offline.
@@ -1138,6 +1172,23 @@ mod tests {
     }
 
     #[test]
+    fn solve_counts_phase1_pivots_and_refactorizations() {
+        // A refactorization every 3 pivots on the transportation problem:
+        // the counts are part of the pivot path, so any change to pivot
+        // selection or factorization cadence moves them.
+        let (m, _) = transportation_model();
+        let opts = SimplexOptions { refactor_every: 3, ..Default::default() };
+        let s = m.solve_with(&opts).unwrap();
+        assert_eq!(s.status(), Status::Optimal);
+        assert!((s.objective() - 470.0).abs() < 1e-6, "objective = {}", s.objective());
+        assert_eq!(s.iterations(), 13);
+        assert_eq!(s.phase1_iterations(), 10);
+        assert_eq!(s.refactorizations(), 5);
+        assert_eq!(s.dual_iterations(), 0);
+        assert!(!s.warm_started());
+    }
+
+    #[test]
     fn warm_restart_from_optimal_basis_takes_zero_pivots() {
         // Re-solving the same problem from its own exported basis must not
         // pivot at all: the basis prices out immediately.
@@ -1154,6 +1205,8 @@ mod tests {
         assert_eq!(warm.status(), Status::Optimal);
         assert!((warm.objective() - cold.objective()).abs() < 1e-9);
         assert_eq!(warm.iterations(), 0, "warm restart should not pivot");
+        assert!(warm.warm_started(), "the exported basis seeds the re-solve");
+        assert!(!cold.warm_started());
     }
 
     #[test]
@@ -1237,6 +1290,7 @@ mod tests {
         big.leq(a - b, 1.0);
         let s = big.solve_warm(&SimplexOptions::default(), Some(&basis)).unwrap();
         assert_eq!(s.status(), Status::Optimal);
+        assert!(!s.warm_started(), "an offered but rejected basis is not a warm start");
         assert!((s.objective() - 2.0).abs() < 1e-7);
     }
 

@@ -26,6 +26,22 @@ impl std::fmt::Display for Status {
     }
 }
 
+/// Solver effort counters of one solve, carried from the simplex into
+/// [`Solution`]. Counts only: the solver reads no clock.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SolveCounts {
+    /// Pivots across every phase.
+    pub(crate) iterations: usize,
+    /// Dual-simplex pivots (a subset of `iterations`).
+    pub(crate) dual_iterations: usize,
+    /// Primal pivots spent reaching feasibility (a subset of `iterations`).
+    pub(crate) phase1_iterations: usize,
+    /// Basis refactorizations.
+    pub(crate) refactorizations: usize,
+    /// Whether a supplied warm basis seeded the returned solve.
+    pub(crate) warm_started: bool,
+}
+
 /// The outcome of solving a [`crate::Model`].
 ///
 /// For non-[`Status::Optimal`] outcomes the primal/dual values are all zero
@@ -38,8 +54,7 @@ pub struct Solution {
     objective: f64,
     values: Vec<f64>,
     duals: Vec<f64>,
-    iterations: usize,
-    dual_iterations: usize,
+    counts: SolveCounts,
     basis: Option<Basis>,
 }
 
@@ -49,11 +64,15 @@ impl Solution {
         objective: f64,
         values: Vec<f64>,
         duals: Vec<f64>,
-        iterations: usize,
-        dual_iterations: usize,
+        counts: SolveCounts,
         basis: Option<Basis>,
     ) -> Self {
-        Self { status, objective, values, duals, iterations, dual_iterations, basis }
+        Self { status, objective, values, duals, counts, basis }
+    }
+
+    /// The effort counters, for re-wrapping a solution crate-internally.
+    pub(crate) fn counts(&self) -> SolveCounts {
+        self.counts
     }
 
     /// Termination status.
@@ -107,7 +126,7 @@ impl Solution {
 
     /// Number of simplex iterations across both phases.
     pub fn iterations(&self) -> usize {
-        self.iterations
+        self.counts.iterations
     }
 
     /// Number of dual-simplex pivots (a subset of [`Solution::iterations`]):
@@ -115,7 +134,27 @@ impl Solution {
     /// right-hand-side change was re-optimized in place by the dual simplex
     /// instead of a cold two-phase restart.
     pub fn dual_iterations(&self) -> usize {
-        self.dual_iterations
+        self.counts.dual_iterations
+    }
+
+    /// Number of phase-1 pivots (a subset of [`Solution::iterations`]):
+    /// the primal pivots spent driving the artificials out before the true
+    /// costs were priced. Zero for a warm-started solve.
+    pub fn phase1_iterations(&self) -> usize {
+        self.counts.phase1_iterations
+    }
+
+    /// Number of basis refactorizations the solve performed.
+    pub fn refactorizations(&self) -> usize {
+        self.counts.refactorizations
+    }
+
+    /// `true` when a supplied warm basis actually seeded the solve. A basis
+    /// that was offered but rejected (dimension mismatch, singular,
+    /// infeasible, or degraded mid-solve) leaves this `false`: the solve
+    /// then ran cold.
+    pub fn warm_started(&self) -> bool {
+        self.counts.warm_started
     }
 
     /// The optimal basis, for warm-starting a later solve of a same-shaped
@@ -139,13 +178,23 @@ mod tests {
 
     #[test]
     fn accessors() {
-        let s = Solution::new(Status::Optimal, 3.5, vec![1.0, 2.0], vec![0.5], 7, 2, None);
+        let counts = SolveCounts {
+            iterations: 7,
+            dual_iterations: 2,
+            phase1_iterations: 4,
+            refactorizations: 1,
+            warm_started: true,
+        };
+        let s = Solution::new(Status::Optimal, 3.5, vec![1.0, 2.0], vec![0.5], counts, None);
         assert!(s.is_optimal());
         assert_eq!(s.objective(), 3.5);
         assert_eq!(s.values(), &[1.0, 2.0]);
         assert_eq!(s.duals(), &[0.5]);
         assert_eq!(s.iterations(), 7);
         assert_eq!(s.dual_iterations(), 2);
+        assert_eq!(s.phase1_iterations(), 4);
+        assert_eq!(s.refactorizations(), 1);
+        assert!(s.warm_started());
         assert!(s.basis().is_none());
     }
 }

@@ -432,23 +432,14 @@ impl StandardForm {
                         duals[ci] = self.obj_sign * self.row_sign[r] * raw.y[r];
                     }
                 }
-                Solution::new(
-                    Status::Optimal,
-                    objective,
-                    values,
-                    duals,
-                    raw.iterations,
-                    raw.dual_iterations,
-                    raw.basis,
-                )
+                Solution::new(Status::Optimal, objective, values, duals, raw.counts, raw.basis)
             }
             Status::Infeasible => Solution::new(
                 Status::Infeasible,
                 f64::NAN,
                 vec![0.0; nv],
                 vec![0.0; model.num_constraints()],
-                raw.iterations,
-                raw.dual_iterations,
+                raw.counts,
                 None,
             ),
             Status::Unbounded => {
@@ -461,8 +452,7 @@ impl StandardForm {
                     obj,
                     vec![0.0; nv],
                     vec![0.0; model.num_constraints()],
-                    raw.iterations,
-                    raw.dual_iterations,
+                    raw.counts,
                     None,
                 )
             }

@@ -263,7 +263,7 @@ pub struct AttemptRecord {
     /// Dual-simplex pivots within `lp_iterations` (non-zero only on warm
     /// re-solves resuming from a dual-feasible basis).
     pub dual_iterations: usize,
-    /// Whether the attempt's solve was warm-started from a previous basis.
+    /// Whether a previous basis actually seeded the attempt's solve.
     pub warm_started: bool,
     /// Whether the attempt advanced a standing incremental model in place.
     pub delta_hit: bool,
