@@ -12,6 +12,9 @@
 //! must agree to 1e-6 on every preset, and the paper sweep must hold its
 //! ≤1e-9 delta/rebuild equivalence, ≥5× build speedup, and one rebuild per
 //! run. Pivot counts are deterministic; timings are informational only.
+//! The tables also print each figure preset's cold phase-1 pivots and each
+//! paper preset's slot-0 cold pivots; those stay out of the JSON report and
+//! are not gated.
 
 use postcard_bench::solver_baseline::{check, run_all, BenchReport};
 use std::process::ExitCode;
@@ -37,17 +40,25 @@ fn main() -> ExitCode {
         }
     }
 
-    let report = run_all(quick);
+    let (report, notes) = run_all(quick);
     println!(
-        "{:<22} {:>6} {:>12} {:>12} {:>10} {:>10} {:>12}",
-        "preset", "slots", "cold pivots", "warm pivots", "cold ms", "warm ms", "max obj diff"
+        "{:<22} {:>6} {:>12} {:>12} {:>12} {:>10} {:>10} {:>12}",
+        "preset",
+        "slots",
+        "cold pivots",
+        "cold phase1",
+        "warm pivots",
+        "cold ms",
+        "warm ms",
+        "max obj diff"
     );
-    for p in &report.presets {
+    for (p, phase1) in report.presets.iter().zip(&notes.cold_phase1_pivots) {
         println!(
-            "{:<22} {:>6} {:>12} {:>12} {:>10.3} {:>10.3} {:>12.2e}",
+            "{:<22} {:>6} {:>12} {:>12} {:>12} {:>10.3} {:>10.3} {:>12.2e}",
             p.name,
             p.num_slots,
             p.cold.total_pivots,
+            phase1,
             p.warm.total_pivots,
             p.cold.mean_ms,
             p.warm.mean_ms,
@@ -55,7 +66,7 @@ fn main() -> ExitCode {
         );
     }
     println!(
-        "\n{:<14} {:>4} {:>5} {:>6} {:>11} {:>13} {:>9} {:>11} {:>12}",
+        "\n{:<14} {:>4} {:>5} {:>6} {:>11} {:>13} {:>9} {:>14} {:>11} {:>12}",
         "paper preset",
         "dcs",
         "runs",
@@ -63,12 +74,13 @@ fn main() -> ExitCode {
         "delta build",
         "rebuild build",
         "speedup",
+        "slot-0 pivots",
         "dual pivots",
         "max obj diff"
     );
-    for p in &report.paper {
+    for (p, first_cold) in report.paper.iter().zip(&notes.paper_first_cold_pivots) {
         println!(
-            "{:<14} {:>4} {:>5} {:>6} {:>8.3} ms {:>10.3} ms {:>8.1}x {:>11} {:>12.2e}",
+            "{:<14} {:>4} {:>5} {:>6} {:>8.3} ms {:>10.3} ms {:>8.1}x {:>14} {:>11} {:>12.2e}",
             p.name,
             p.num_dcs,
             p.runs,
@@ -76,6 +88,7 @@ fn main() -> ExitCode {
             p.delta_build.mean_ms,
             p.rebuild_build.mean_ms,
             p.build_speedup,
+            first_cold,
             p.dual_simplex_iters,
             p.max_objective_diff
         );

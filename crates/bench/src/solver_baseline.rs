@@ -291,18 +291,20 @@ pub fn paper_presets(quick: bool) -> Vec<PaperSpec> {
 /// production rebuild-every-slot configuration since warm starts landed
 /// (PR 3). The delta plan is the one committed, so both paths always
 /// price the identical LP, and the two independently built models must
-/// agree to `max_objective_diff`.
+/// agree to `max_objective_diff`. Also returns the pivots of each run's
+/// first, cold solve (slot 0), which are printed but kept out of the JSON
+/// report.
 ///
 /// # Panics
 ///
 /// Panics if a slot fails to solve — the presets are sized so the
 /// recurring load is feasible.
-pub fn run_paper_preset(spec: &PaperSpec) -> PaperResult {
+pub fn run_paper_preset(spec: &PaperSpec) -> (PaperResult, u64) {
     let config = PostcardConfig { incremental: true, ..PostcardConfig::default() };
     let (mut delta_build_ms, mut delta_solve_ms) = (Vec::new(), Vec::new());
     let (mut rebuild_build_ms, mut rebuild_solve_ms) = (Vec::new(), Vec::new());
     let (mut delta_hits, mut rebuilds) = (0u64, 0u64);
-    let (mut dual_iters, mut rebuild_pivots) = (0u64, 0u64);
+    let (mut dual_iters, mut rebuild_pivots, mut first_cold_pivots) = (0u64, 0u64, 0u64);
     let mut max_objective_diff = 0.0f64;
 
     for run in 0..spec.runs {
@@ -366,6 +368,9 @@ pub fn run_paper_preset(spec: &PaperSpec) -> PaperResult {
             });
             let solve_ms = t0.elapsed().as_secs_f64() * 1e3;
             dual_iters += inc.dual_iterations as u64;
+            if slot == 0 {
+                first_cold_pivots += inc.lp_iterations as u64;
+            }
             if prep == SlotPrep::Delta {
                 // Only true advances feed the build-speedup phase columns;
                 // the first slot of a run is a from-scratch build by
@@ -407,7 +412,7 @@ pub fn run_paper_preset(spec: &PaperSpec) -> PaperResult {
     let rebuild_build = phase(&mut rebuild_build_ms);
     let build_speedup =
         if delta_build.mean_ms > 0.0 { rebuild_build.mean_ms / delta_build.mean_ms } else { 0.0 };
-    PaperResult {
+    let result = PaperResult {
         name: spec.name.to_string(),
         num_dcs: spec.num_dcs,
         links: spec.num_dcs * (spec.num_dcs - 1),
@@ -425,7 +430,8 @@ pub fn run_paper_preset(spec: &PaperSpec) -> PaperResult {
         dual_simplex_iters: dual_iters,
         rebuild_pivots,
         max_objective_diff,
-    }
+    };
+    (result, first_cold_pivots)
 }
 
 /// The whole benchmark report (`BENCH_solver.json`).
@@ -454,13 +460,15 @@ fn summarize(total_pivots: u64, times_ms: &mut [f64]) -> PathSummary {
     PathSummary { total_pivots, mean_ms: mean, p50_ms: pick(0.50), p95_ms: pick(0.95) }
 }
 
-/// Runs one preset's slot loop and summarizes both paths.
+/// Runs one preset's slot loop and summarizes both paths. Also returns the
+/// phase-1 pivots of the cold solves, which are printed but kept out of
+/// the JSON report.
 ///
 /// # Panics
 ///
 /// Panics if a slot's LP fails to solve — the presets are sized with ample
 /// capacity precisely so every batch is feasible.
-pub fn run_preset(spec: &PresetSpec) -> PresetResult {
+pub fn run_preset(spec: &PresetSpec) -> (PresetResult, u64) {
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let prices: Vec<f64> =
         (0..spec.num_dcs * spec.num_dcs).map(|_| rng.gen_range(1.0..=10.0)).collect();
@@ -485,7 +493,7 @@ pub fn run_preset(spec: &PresetSpec) -> PresetResult {
     let config = PostcardConfig::default();
     let mut ledger = TrafficLedger::new(spec.num_dcs);
     let mut warm_basis: Option<Basis> = None;
-    let (mut cold_pivots, mut warm_pivots) = (0u64, 0u64);
+    let (mut cold_pivots, mut warm_pivots, mut cold_phase1) = (0u64, 0u64, 0u64);
     let (mut cold_ms, mut warm_ms) = (Vec::new(), Vec::new());
     let mut max_objective_diff = 0.0f64;
 
@@ -515,6 +523,7 @@ pub fn run_preset(spec: &PresetSpec) -> PresetResult {
             .unwrap_or_else(|e| panic!("{}: cold solve failed at slot {slot}: {e}", spec.name));
         cold_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         cold_pivots += cold.lp_iterations as u64;
+        cold_phase1 += cold.phase1_iterations as u64;
 
         let t0 = Instant::now();
         let warm =
@@ -531,21 +540,35 @@ pub fn run_preset(spec: &PresetSpec) -> PresetResult {
         cold.plan.apply_to_ledger(&mut ledger);
     }
 
-    PresetResult {
+    let result = PresetResult {
         name: spec.name.to_string(),
         num_slots: spec.num_slots,
         cold: summarize(cold_pivots, &mut cold_ms),
         warm: summarize(warm_pivots, &mut warm_ms),
         max_objective_diff,
-    }
+    };
+    (result, cold_phase1)
+}
+
+/// Per-preset pivot counts that `solver-baseline` prints beside the
+/// report. They stay out of [`BenchReport`], so its JSON and [`check`] are
+/// unaffected.
+#[derive(Debug, Clone)]
+pub struct PivotNotes {
+    /// Per figure preset, in report order: phase-1 pivots of the cold
+    /// solves.
+    pub cold_phase1_pivots: Vec<u64>,
+    /// Per paper preset, in report order: pivots of each run's first, cold
+    /// solve (slot 0), summed over runs.
+    pub paper_first_cold_pivots: Vec<u64>,
 }
 
 /// Runs every preset, including the paper-scale sweep.
-pub fn run_all(quick: bool) -> BenchReport {
-    BenchReport {
-        presets: presets(quick).iter().map(run_preset).collect(),
-        paper: paper_presets(quick).iter().map(run_paper_preset).collect(),
-    }
+pub fn run_all(quick: bool) -> (BenchReport, PivotNotes) {
+    let (presets, cold_phase1_pivots) = presets(quick).iter().map(run_preset).unzip();
+    let (paper, paper_first_cold_pivots) =
+        paper_presets(quick).iter().map(run_paper_preset).unzip();
+    (BenchReport { presets, paper }, PivotNotes { cold_phase1_pivots, paper_first_cold_pivots })
 }
 
 /// Checks a fresh report against the committed baseline: cold pivots must
@@ -635,8 +658,9 @@ mod tests {
 
     #[test]
     fn preset_run_is_deterministic_in_pivots() {
-        let a = run_preset(&tiny());
-        let b = run_preset(&tiny());
+        let (a, a_phase1) = run_preset(&tiny());
+        let (b, b_phase1) = run_preset(&tiny());
+        assert_eq!(a_phase1, b_phase1);
         assert_eq!(a.cold.total_pivots, b.cold.total_pivots);
         assert_eq!(a.warm.total_pivots, b.warm.total_pivots);
         assert_eq!(a.max_objective_diff, b.max_objective_diff);
@@ -644,7 +668,8 @@ mod tests {
 
     #[test]
     fn warm_path_matches_cold_objectives_and_pivots_less() {
-        let r = run_preset(&tiny());
+        let (r, phase1) = run_preset(&tiny());
+        assert!(phase1 <= r.cold.total_pivots);
         assert!(r.max_objective_diff < 1e-6, "diff {}", r.max_objective_diff);
         assert!(
             r.warm.total_pivots < r.cold.total_pivots,
@@ -675,7 +700,7 @@ mod tests {
 
     #[test]
     fn check_catches_pivot_regressions() {
-        let good = run_preset(&tiny());
+        let (good, _) = run_preset(&tiny());
         let report = BenchReport { presets: vec![good.clone()], paper: Vec::new() };
         assert!(check(&report, &report).is_empty(), "{:?}", check(&report, &report));
         let mut regressed = report.clone();
@@ -691,7 +716,8 @@ mod tests {
 
     #[test]
     fn paper_preset_matches_rebuild_and_advances_every_later_slot() {
-        let r = run_paper_preset(&tiny_paper());
+        let (r, first_cold) = run_paper_preset(&tiny_paper());
+        assert!(first_cold > 0, "each run's first slot solves cold");
         assert!(r.max_objective_diff <= 1e-9, "diff {:.3e}", r.max_objective_diff);
         assert_eq!(r.rebuilds, 2, "one from-scratch build per run");
         assert_eq!(r.delta_hits, 2 * 3, "every later slot advances in place");
@@ -699,14 +725,14 @@ mod tests {
         // 4 slots at stride 2, slot 0 excluded: exactly slot 2 is sampled
         // per run, so the rebuild comparison actually ran.
         assert_eq!(r.rebuild_build.samples, 2, "one sampled rebuild per run");
-        let again = run_paper_preset(&tiny_paper());
+        let (again, _) = run_paper_preset(&tiny_paper());
         assert_eq!(r.dual_simplex_iters, again.dual_simplex_iters, "pivots are deterministic");
         assert_eq!(r.rebuild_pivots, again.rebuild_pivots);
     }
 
     #[test]
     fn check_gates_paper_equivalence_speedup_and_rebuilds() {
-        let good = run_paper_preset(&tiny_paper());
+        let (good, _) = run_paper_preset(&tiny_paper());
         let report = BenchReport { presets: Vec::new(), paper: vec![good.clone()] };
 
         let mut drifted = good.clone();
@@ -736,8 +762,8 @@ mod tests {
     #[test]
     fn report_json_round_trips() {
         let report = BenchReport {
-            presets: vec![run_preset(&tiny())],
-            paper: vec![run_paper_preset(&tiny_paper())],
+            presets: vec![run_preset(&tiny()).0],
+            paper: vec![run_paper_preset(&tiny_paper()).0],
         };
         let json = serde::json::to_string_pretty(&report);
         let back: BenchReport = serde::json::from_str(&json).unwrap();

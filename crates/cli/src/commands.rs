@@ -93,15 +93,18 @@ the tier fallback chain, checkpoints are written every --every slots, and
 With --strict every slot's LP is structurally checked before solving and
 batches with error-level findings are dropped (metric: analysis_rejections).
 With --warm-start the LP tiers carry the optimal simplex basis between slots
-(metrics: warm_start_hits / warm_start_misses); results are unchanged, solves
-are cheaper.
+(metrics: warm_start_hits / warm_start_misses). Each LP reaches the same
+optimal cost, but a warm solve may pick another optimal plan, and that can
+change later admissions and the bill.
 With --incremental the Postcard tier additionally keeps its LP *model*
 standing between slots: when the batch shape repeats, the time-expanded graph
 is advanced slot-over-slot (expired layer retired, new layer appended) and
 only right-hand sides and bounds are rewritten, then the dual simplex
 re-solves from the inherited basis. A shape change rebuilds from scratch
-(metrics: model_delta_hits / model_rebuilds / dual_simplex_iters); results
-are unchanged, model builds are much cheaper.
+(metrics: model_delta_hits / model_rebuilds / dual_simplex_iters). Model
+builds are much cheaper. As with --warm-start, each LP reaches the same
+optimal cost but may pick another optimal plan, so later admissions and the
+bill can differ from a cold run.
 With --alap each request is admitted or rejected instantly by As-Late-As-
 Possible placement against residual link capacity — no LP solve on the
 admission path (metrics: alap_admits / alap_rejects /

@@ -45,16 +45,19 @@ pub struct PostcardConfig {
     pub simplex: SimplexOptions,
     /// When `true`, stateful drivers ([`crate::PostcardScheduler`]) carry the
     /// optimal basis from one solve into the next as a warm start. Solves
-    /// whose dimensions changed fall back to a cold phase-1 automatically, so
-    /// this only ever trades time for nothing — it never changes results.
+    /// whose dimensions changed fall back to a cold phase-1 automatically.
+    /// A warm solve reaches the same optimal cost as a cold one, but it may
+    /// end at another optimal vertex, that is, another plan. The committed
+    /// plan feeds the ledger, so later admissions and the bill can differ.
     pub warm_start: bool,
     /// When `true`, stateful drivers keep a standing
     /// [`crate::DeltaFormulation`] alive across slots: same-shaped recurring
     /// batches advance the standing model in place (graph rebase + RHS/bound
     /// refresh) and re-solve with the dual simplex from the previous basis
     /// instead of rebuilding the LP from scratch. Shape changes fall back to
-    /// a full rebuild automatically, so results never differ from cold
-    /// solves beyond degenerate-optimum tie-breaking.
+    /// a full rebuild automatically. As with `warm_start`, each LP reaches
+    /// the cold optimum's cost but may commit another optimal plan, which
+    /// can change later admissions and the bill.
     pub incremental: bool,
 }
 
@@ -82,6 +85,9 @@ pub struct PostcardSolution {
     pub charged: BTreeMap<(usize, usize), f64>,
     /// Simplex pivots used.
     pub lp_iterations: usize,
+    /// How many of those pivots were phase-1 pivots (zero on a warm
+    /// start, which skips phase 1).
+    pub phase1_iterations: usize,
     /// How many of those pivots were dual-simplex pivots (non-zero only on
     /// warm re-solves that resumed from a dual-feasible basis).
     pub dual_iterations: usize,
@@ -129,6 +135,7 @@ pub fn solve_postcard_with(
                 .map(|l| ((l.from.0, l.to.0), ledger.peak(l.from, l.to)))
                 .collect(),
             lp_iterations: 0,
+            phase1_iterations: 0,
             dual_iterations: 0,
             warm_started: false,
             basis: None,
@@ -234,6 +241,7 @@ impl PostcardProblem {
                     cost_per_slot: sol.objective(),
                     charged,
                     lp_iterations: sol.iterations(),
+                    phase1_iterations: sol.phase1_iterations(),
                     dual_iterations: sol.dual_iterations(),
                     warm_started: sol.warm_started(),
                     basis: sol.basis().cloned(),

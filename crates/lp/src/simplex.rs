@@ -2,10 +2,20 @@
 //!
 //! The implementation follows the classic scheme:
 //!
-//! * **Phase 1** starts from an all-slack/artificial basis and minimizes the
+//! * **Phase 1** starts from a **triangular crash** basis and minimizes the
 //!   sum of artificial variables; a positive optimum means the problem is
-//!   infeasible. Artificials left in the basis at level zero are pivoted out
-//!   where possible; where a row is linearly dependent the artificial is kept
+//!   infeasible. A row starts on its slack where that slack has coefficient
+//!   +1. Each remaining zero-RHS row is covered, where possible, by a
+//!   structural or slack column that has exactly one entry among the rows
+//!   still open; only the rows left over start on an artificial. The chosen
+//!   columns form a triangular block with a nonzero diagonal, so the basis
+//!   is nonsingular, and as `b` is zero on every covered row, `x_B = B⁻¹b`
+//!   is zero there and `b` elsewhere: the start is primal feasible at the
+//!   same phase-1 objective as an all-slack/artificial start (see
+//!   `Crash::cover`). On the Postcard LP this leaves one artificial
+//!   per file's release row instead of one per conservation row.
+//!   Artificials left in the basis at level zero are pivoted out where
+//!   possible; where a row is linearly dependent the artificial is kept
 //!   (its row of `B⁻¹A` is identically zero for all real columns, so it can
 //!   never become positive again — see the proof sketch in the code).
 //! * **Phase 2** continues from the feasible basis with the true costs,
@@ -56,6 +66,8 @@ pub struct SolverWorkspace {
     factor: BasisFactor,
     /// Product-form eta file, cleared (capacity kept) between solves.
     etas: EtaFile,
+    /// Buffers of the cold start's triangular crash.
+    crash: Crash,
 }
 
 impl SolverWorkspace {
@@ -75,6 +87,122 @@ impl SolverWorkspace {
     /// Returns a scratch vector to the pool for reuse.
     fn stash(&mut self, v: Vec<f64>) {
         self.dense_pool.push(v);
+    }
+}
+
+/// Marks a start-basis row that has no basic column yet.
+const UNCOVERED: usize = usize::MAX;
+
+/// A crash column's entry must be at least this fraction of the column's
+/// largest entry, so the triangular start basis stays well conditioned.
+const CRASH_REL_PIVOT: f64 = 0.1;
+
+/// Working storage of the triangular crash, kept in [`SolverWorkspace`] so
+/// a warm workspace runs it without allocating.
+#[derive(Debug, Clone, Default)]
+struct Crash {
+    /// Columns with an entry in each open row, flat by row:
+    /// `row_cols[row_start[r]..row_start[r + 1]]`, ascending.
+    row_start: Vec<usize>,
+    row_cols: Vec<usize>,
+    /// Per column, its entries in still-open rows.
+    open_count: Vec<usize>,
+    /// FIFO of columns that had exactly one open entry when queued.
+    queue: Vec<usize>,
+}
+
+impl Crash {
+    /// Covers open rows with structural or slack columns. A row is *open*
+    /// when `basis[r]` is still [`UNCOVERED`] and `b_r = 0`. Repeatedly,
+    /// in ascending column index and then FIFO order, a non-basic column
+    /// with exactly one entry among the open rows, large enough relative
+    /// to its largest entry, becomes basic in that row and closes it.
+    /// Returns the number of rows covered.
+    ///
+    /// Each chosen column has no entry in the rows covered after it, so
+    /// the chosen columns form a triangular block with a nonzero diagonal
+    /// and the basis stays nonsingular. As `b` is zero on every covered
+    /// row, `B⁻¹b` is zero there and equals `b` on every other row: the
+    /// start stays primal feasible, at the same phase-1 objective.
+    fn cover(
+        &mut self,
+        sf: &StandardForm,
+        basis: &mut [usize],
+        in_basis: &mut [bool],
+        pivot_tol: f64,
+    ) -> usize {
+        let (m, n) = (sf.m, sf.n_cols);
+        // `b ≥ 0` in standard form, so `b_r ≤ 0` means `b_r = 0`.
+        let is_open = |basis: &[usize], r: usize| basis[r] == UNCOVERED && sf.b[r] <= 0.0;
+        if !(0..m).any(|r| is_open(basis, r)) {
+            return 0;
+        }
+        // Row→column index restricted to the open rows, O(nnz).
+        self.row_start.clear();
+        self.row_start.resize(m + 1, 0);
+        self.open_count.clear();
+        self.open_count.resize(n, 0);
+        for j in (0..n).filter(|&j| !in_basis[j]) {
+            for (r, _) in sf.a.column(j) {
+                if is_open(basis, r) {
+                    self.row_start[r + 1] += 1;
+                    self.open_count[j] += 1;
+                }
+            }
+        }
+        for r in 0..m {
+            self.row_start[r + 1] += self.row_start[r];
+        }
+        // Use the queue as per-row insertion cursors while filling.
+        self.queue.clear();
+        self.queue.extend_from_slice(&self.row_start[..m]);
+        self.row_cols.clear();
+        self.row_cols.resize(self.row_start[m], 0);
+        for j in (0..n).filter(|&j| self.open_count[j] > 0) {
+            for (r, _) in sf.a.column(j) {
+                if is_open(basis, r) {
+                    self.row_cols[self.queue[r]] = j;
+                    self.queue[r] += 1;
+                }
+            }
+        }
+        self.queue.clear();
+        self.queue.extend((0..n).filter(|&j| self.open_count[j] == 1));
+        let mut covered = 0;
+        let mut head = 0;
+        while head < self.queue.len() {
+            let j = self.queue[head];
+            head += 1;
+            if self.open_count[j] != 1 {
+                continue;
+            }
+            let mut largest = 0.0f64;
+            let mut entry = None;
+            for (r, v) in sf.a.column(j) {
+                largest = largest.max(v.abs());
+                if is_open(basis, r) {
+                    entry = Some((r, v));
+                }
+            }
+            let Some((r, v)) = entry else { continue };
+            // A rejected column never qualifies later: its only open entry
+            // stays the same until its row closes.
+            if v.abs() <= pivot_tol || v.abs() < CRASH_REL_PIVOT * largest {
+                continue;
+            }
+            basis[r] = j;
+            in_basis[j] = true;
+            covered += 1;
+            for &j2 in &self.row_cols[self.row_start[r]..self.row_start[r + 1]] {
+                if !in_basis[j2] {
+                    self.open_count[j2] -= 1;
+                    if self.open_count[j2] == 1 {
+                        self.queue.push(j2);
+                    }
+                }
+            }
+        }
+        covered
     }
 }
 
@@ -235,8 +363,7 @@ impl SimplexSolver {
         sf: &StandardForm,
         ws: &mut SolverWorkspace,
     ) -> Result<RawSolution, LpError> {
-        let mut state = State::new(sf, &self.options, ws);
-        match state.run() {
+        match State::new(sf, &self.options, ws).and_then(|mut state| state.run()) {
             Err(LpError::SingularBasis) => {
                 // A run of near-zero ratio-test pivots can assemble an
                 // ill-conditioned basis that refactorization rejects. Retry
@@ -248,7 +375,7 @@ impl SimplexSolver {
                     refactor_every: self.options.refactor_every.min(32),
                     ..self.options.clone()
                 };
-                let mut retry = State::new(sf, &opts, ws);
+                let mut retry = State::new(sf, &opts, ws)?;
                 retry.pricing = Pricing::Bland;
                 retry.run()
             }
@@ -296,39 +423,47 @@ struct State<'a> {
 }
 
 impl<'a> State<'a> {
-    fn new(sf: &'a StandardForm, opts: &'a SimplexOptions, ws: &'a mut SolverWorkspace) -> Self {
+    /// The cold start basis. A row whose slack has coefficient +1 starts on
+    /// that slack (its column is exactly `e_r`). Zero-RHS rows left over
+    /// are covered by the triangular crash ([`Crash::cover`]), and
+    /// only the rows it cannot cover, chiefly positive-RHS equality and `≥`
+    /// rows, start on an artificial. `x_B = b` stays feasible throughout.
+    ///
+    /// # Errors
+    ///
+    /// [`LpError::SingularBasis`] if the crashed basis fails to factorize,
+    /// which its triangular structure rules out up to the pivot tolerance.
+    fn new(
+        sf: &'a StandardForm,
+        opts: &'a SimplexOptions,
+        ws: &'a mut SolverWorkspace,
+    ) -> Result<Self, LpError> {
         let n = sf.n_cols;
         let m = sf.m;
         let mut basis = Vec::with_capacity(m);
         let mut in_basis = vec![false; n];
-        let mut art_row = Vec::new();
-        // Initial basis: slack column where it has coefficient +1 (then its
-        // basis column is exactly e_r and x_B = b ≥ 0 is feasible); otherwise
-        // an artificial.
         for r in 0..m {
             match sf.slack_of_row[r] {
                 Some(scol) if sf.slack_coeff[r] > 0.0 => {
                     basis.push(scol);
                     in_basis[scol] = true;
                 }
-                _ => {
-                    let art_col = n + art_row.len();
-                    art_row.push(r);
-                    basis.push(art_col);
-                }
+                _ => basis.push(UNCOVERED),
+            }
+        }
+        let crashed = ws.crash.cover(sf, &mut basis, &mut in_basis, opts.pivot_tol);
+        let mut art_row = Vec::new();
+        for (r, col) in basis.iter_mut().enumerate() {
+            if *col == UNCOVERED {
+                *col = n + art_row.len();
+                art_row.push(r);
             }
         }
         let n_art = art_row.len();
-        in_basis.extend(std::iter::repeat_n(false, n_art));
-        for &bcol in &basis {
-            if bcol >= n {
-                in_basis[bcol] = true;
-            }
-        }
-        let xb = sf.b.clone();
+        in_basis.extend(std::iter::repeat_n(true, n_art));
         ws.etas.clear();
         ws.factor.reset_identity(m);
-        State {
+        let mut st = State {
             sf,
             opts,
             ws,
@@ -337,7 +472,7 @@ impl<'a> State<'a> {
             art_row,
             basis,
             in_basis,
-            xb,
+            xb: sf.b.clone(),
             cost: vec![0.0; n + n_art],
             iterations: 0,
             dual_iterations: 0,
@@ -346,7 +481,11 @@ impl<'a> State<'a> {
             degenerate_run: 0,
             pricing: Pricing::Dantzig,
             allow_artificials: true,
+        };
+        if crashed > 0 {
+            st.refactorize()?;
         }
+        Ok(st)
     }
 
     /// Builds a phase-2-ready state from a previously exported basis, or
@@ -720,6 +859,7 @@ impl<'a> State<'a> {
             dual_iterations: self.dual_iterations,
             phase1_iterations: self.phase1_iterations,
             refactorizations: self.refactorizations,
+            artificials: self.art_row.len(),
             warm_started: false,
         }
     }
@@ -1017,6 +1157,44 @@ mod tests {
         assert_eq!(s.status(), Status::Optimal);
         assert!((s.objective() - 2.0).abs() < 1e-7);
         assert!((s.value(y) - 2.0).abs() < 1e-7);
+    }
+
+    #[test]
+    fn crash_covers_zero_rhs_conservation_rows() {
+        // Five units along a three-arc path. The release row has b = 5 and
+        // keeps its artificial; the crash covers both zero-RHS conservation
+        // rows with arc columns, so the cold start needs one artificial.
+        let mut m = Model::new(Sense::Minimize);
+        let a = m.add_var("a", 0.0, f64::INFINITY);
+        let b = m.add_var("b", 0.0, f64::INFINITY);
+        let c = m.add_var("c", 0.0, f64::INFINITY);
+        m.set_objective(a + 2.0 * b + 3.0 * c);
+        m.eq(LinExpr::from(a), 5.0);
+        m.eq(b - a, 0.0);
+        m.geq(c - b, 0.0);
+        let s = m.solve().unwrap();
+        assert_eq!(s.status(), Status::Optimal);
+        assert!((s.objective() - 30.0).abs() < 1e-9, "objective = {}", s.objective());
+        assert_eq!(s.artificials(), 1);
+    }
+
+    #[test]
+    fn crash_leaves_duplicate_rows_to_artificials() {
+        // Both copies of a zero-RHS row touch the same columns, so no
+        // column has exactly one entry among them and neither is covered.
+        // Phase 1 then runs from today's start and keeps the dependent
+        // copy's artificial at level zero.
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.add_var("x", 0.0, f64::INFINITY);
+        let y = m.add_var("y", 0.0, f64::INFINITY);
+        m.set_objective(3.0 * x + y);
+        m.eq(x - y, 0.0);
+        m.eq(x - y, 0.0);
+        m.eq(x + y, 2.0);
+        let s = m.solve().unwrap();
+        assert_eq!(s.status(), Status::Optimal);
+        assert!((s.objective() - 4.0).abs() < 1e-9, "objective = {}", s.objective());
+        assert_eq!(s.artificials(), 3);
     }
 
     #[test]

@@ -38,6 +38,8 @@ pub(crate) struct SolveCounts {
     pub(crate) phase1_iterations: usize,
     /// Basis refactorizations.
     pub(crate) refactorizations: usize,
+    /// Artificial columns in the start basis.
+    pub(crate) artificials: usize,
     /// Whether a supplied warm basis seeded the returned solve.
     pub(crate) warm_started: bool,
 }
@@ -149,6 +151,15 @@ impl Solution {
         self.counts.refactorizations
     }
 
+    /// Number of artificial columns the solve started with. For a cold
+    /// solve these are the rows neither a slack nor the triangular crash
+    /// could cover: on a Postcard LP, one release row per file. For a warm
+    /// solve they are the artificials the exported basis kept on linearly
+    /// dependent rows.
+    pub fn artificials(&self) -> usize {
+        self.counts.artificials
+    }
+
     /// `true` when a supplied warm basis actually seeded the solve. A basis
     /// that was offered but rejected (dimension mismatch, singular,
     /// infeasible, or degraded mid-solve) leaves this `false`: the solve
@@ -183,6 +194,7 @@ mod tests {
             dual_iterations: 2,
             phase1_iterations: 4,
             refactorizations: 1,
+            artificials: 3,
             warm_started: true,
         };
         let s = Solution::new(Status::Optimal, 3.5, vec![1.0, 2.0], vec![0.5], counts, None);
@@ -194,6 +206,7 @@ mod tests {
         assert_eq!(s.dual_iterations(), 2);
         assert_eq!(s.phase1_iterations(), 4);
         assert_eq!(s.refactorizations(), 1);
+        assert_eq!(s.artificials(), 3);
         assert!(s.warm_started());
         assert!(s.basis().is_none());
     }

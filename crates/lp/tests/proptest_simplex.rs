@@ -40,8 +40,120 @@ fn feasible_box_lp(
     (m, vars, mid)
 }
 
+/// How an intermediate node's conservation row is stated; every form has
+/// a zero right-hand side, so the cold start's crash may cover it.
+fn conservation_row(m: &mut Model, out_minus_in: LinExpr, kind: usize) {
+    match kind % 3 {
+        0 => {
+            m.eq(out_minus_in, 0.0);
+        }
+        // Flow may appear at the node.
+        1 => {
+            m.geq(out_minus_in, 0.0);
+        }
+        // Flow may vanish at the node.
+        _ => {
+            m.geq(-out_minus_in, 0.0);
+        }
+    }
+}
+
+/// A single-commodity flow LP on nodes `0..n` in topological order, in
+/// the shape of a time-expanded transfer LP: `supply` leaves node 0 and
+/// arrives at node `n − 1`, every other node has a zero right-hand-side
+/// conservation row (stated by `kinds`, and stated twice where `dups` is
+/// odd), and the extra arcs carry capacity rows. The chain arcs
+/// `(i, i + 1)` are uncapacitated, so routing the supply along the chain
+/// is feasible; its cost is returned as the witness. With `choke` the
+/// source may emit only half the supply, which makes the LP infeasible.
+fn flow_shaped_lp(
+    n: usize,
+    chain_costs: &[f64],
+    extra: &[(usize, usize, f64, f64)],
+    kinds: &[usize],
+    dups: &[usize],
+    supply: f64,
+    choke: bool,
+) -> (Model, f64) {
+    let mut m = Model::new(Sense::Minimize);
+    let mut arcs: Vec<(usize, usize, Variable)> = Vec::new();
+    let mut obj = LinExpr::new();
+    for (i, &cost) in chain_costs[..n - 1].iter().enumerate() {
+        let x = m.add_var(format!("c{i}"), 0.0, f64::INFINITY);
+        obj.add_term(x, cost);
+        arcs.push((i, i + 1, x));
+    }
+    for (k, &(a, b, cost, cap)) in extra.iter().enumerate() {
+        let (u, v) = (a % n, b % n);
+        if u >= v {
+            continue;
+        }
+        let x = m.add_var(format!("e{k}"), 0.0, f64::INFINITY);
+        obj.add_term(x, cost);
+        m.leq(LinExpr::from(x), cap);
+        arcs.push((u, v, x));
+    }
+    m.set_objective(obj);
+    let net_out = |node: usize| {
+        let mut e = LinExpr::new();
+        for &(u, v, x) in &arcs {
+            if u == node {
+                e.add_term(x, 1.0);
+            }
+            if v == node {
+                e.add_term(x, -1.0);
+            }
+        }
+        e
+    };
+    m.eq(net_out(0), supply);
+    if choke {
+        let out: LinExpr =
+            arcs.iter().filter(|a| a.0 == 0).map(|&(_, _, x)| LinExpr::from(x)).sum();
+        m.leq(out, 0.5 * supply);
+    }
+    for node in 1..n - 1 {
+        let kind = kinds[node % kinds.len()];
+        conservation_row(&mut m, net_out(node), kind);
+        if dups[node % dups.len()] % 2 == 1 {
+            conservation_row(&mut m, net_out(node), kind);
+        }
+    }
+    m.eq(-net_out(n - 1), supply);
+    let witness = supply * chain_costs[..n - 1].iter().sum::<f64>();
+    (m, witness)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random flow-shaped LPs, whose zero right-hand-side rows the crash
+    /// covers with structural and slack columns: a feasible one must come
+    /// back Optimal, feasible and no worse than the chain witness, and a
+    /// choked one must still be found infeasible.
+    #[test]
+    fn crashed_flow_lps_are_solved_or_proved_infeasible(
+        n in 3usize..9,
+        chain_costs in prop::collection::vec(0.0f64..10.0, 8..9),
+        extra in prop::collection::vec((0usize..9, 0usize..9, 0.0f64..10.0, 0.0f64..20.0), 0..16),
+        kinds in prop::collection::vec(0usize..3, 1..9),
+        dups in prop::collection::vec(0usize..4, 1..9),
+        supply in 1.0f64..30.0,
+        choke in 0usize..4,
+    ) {
+        let choke = choke == 0;
+        let (m, witness) = flow_shaped_lp(n, &chain_costs, &extra, &kinds, &dups, supply, choke);
+        let s = m.solve().unwrap();
+        if choke {
+            prop_assert_eq!(s.status(), Status::Infeasible);
+        } else {
+            prop_assert_eq!(s.status(), Status::Optimal);
+            prop_assert!(validate::is_feasible(&m, &s, 1e-6),
+                "violations: {:?}", validate::check_feasibility(&m, &s, 1e-6));
+            prop_assert!(validate::at_least_as_good(&m, &s, witness, 1e-6),
+                "objective {} above witness {witness}", s.objective());
+        }
+    }
 
     /// Box-only LPs have a closed-form optimum: each variable sits at the
     /// bound dictated by its cost sign.

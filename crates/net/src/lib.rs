@@ -62,7 +62,7 @@ pub use file::{FileId, TransferRequest, TENANT_BITS};
 pub use ledger::TrafficLedger;
 pub use plan::{PlanEntry, PlanViolation, TransferPlan};
 pub use timeexp::{Arc, ArcId, ArcKind, TimeExpandedGraph, TimeNode};
-pub use topology::{DcId, LinkView, Network, NetworkBuilder};
+pub use topology::{split_csv_fields, DcId, LinkView, Network, NetworkBuilder};
 
 /// Numeric tolerance for plan validation and conservation checks.
 pub const VOLUME_TOL: f64 = 1e-6;

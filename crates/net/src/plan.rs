@@ -13,7 +13,7 @@
 
 use crate::file::{FileId, TransferRequest};
 use crate::ledger::TrafficLedger;
-use crate::topology::{DcId, Network};
+use crate::topology::{split_csv_fields, DcId, Network};
 use crate::VOLUME_TOL;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -344,10 +344,9 @@ impl TransferPlan {
                 continue;
             }
             let err = |m: &str| format!("plan CSV line {}: {m}", i + 1);
-            let parts: Vec<&str> = line.split(',').collect();
-            if parts.len() != 5 {
+            let Some(parts) = split_csv_fields::<5>(line) else {
                 return Err(err("expected `file,slot,from,to,volume`"));
-            }
+            };
             let file: u64 = parts[0].trim().parse().map_err(|_| err("bad file id"))?;
             let slot: u64 = parts[1].trim().parse().map_err(|_| err("bad slot"))?;
             let from: usize = parts[2].trim().parse().map_err(|_| err("bad from"))?;

@@ -252,10 +252,9 @@ impl Network {
                 continue;
             }
             let err = |m: &str| format!("network CSV line {}: {m}", i + 1);
-            let parts: Vec<&str> = line.split(',').collect();
-            if parts.len() != 4 {
+            let Some(parts) = split_csv_fields::<4>(line) else {
                 return Err(err("expected `from,to,price,capacity`"));
-            }
+            };
             let from: usize = parts[0].trim().parse().map_err(|_| err("bad from"))?;
             let to: usize = parts[1].trim().parse().map_err(|_| err("bad to"))?;
             let price: f64 = parts[2].trim().parse().map_err(|_| err("bad price"))?;
@@ -281,6 +280,17 @@ impl Network {
         }
         Ok(b.build())
     }
+}
+
+/// Splits one CSV line into exactly `N` comma-separated fields without
+/// allocating. Returns `None` when the line has fewer or more fields.
+pub fn split_csv_fields<const N: usize>(line: &str) -> Option<[&str; N]> {
+    let mut fields = [""; N];
+    let mut parts = line.split(',');
+    for field in &mut fields {
+        *field = parts.next()?;
+    }
+    parts.next().is_none().then_some(fields)
 }
 
 /// Incremental construction of a [`Network`].
@@ -460,6 +470,22 @@ mod tests {
         assert_eq!(back.price(DcId(0), DcId(1)), Some(1.5));
         assert_eq!(back.capacity(DcId(2), DcId(0)), Some(f64::INFINITY));
         assert!(!back.has_link(DcId(1), DcId(0)));
+    }
+
+    #[test]
+    fn csv_field_count_errors_name_the_line() {
+        let text = "from,to,price,capacity\n0,1,1.0,5.0\n\n";
+        for (bad, expected) in [
+            ("1,0,1.0", "network CSV line 4: expected `from,to,price,capacity`"),
+            ("1,0,1.0,5.0,7", "network CSV line 4: expected `from,to,price,capacity`"),
+            ("1,x,1.0,5.0", "network CSV line 4: bad to"),
+            ("1,0,1.0,", "network CSV line 4: bad capacity"),
+        ] {
+            assert_eq!(Network::from_csv(&format!("{text}{bad}\n")).unwrap_err(), expected);
+        }
+        assert_eq!(split_csv_fields::<2>("a,b"), Some(["a", "b"]));
+        assert_eq!(split_csv_fields::<2>("a"), None);
+        assert_eq!(split_csv_fields::<2>("a,b,"), None);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! is implemented here because the dependency points the other way (sim
 //! builds on the runtime, not vice versa).
 
-use postcard_net::{DcId, FileId, TransferRequest};
+use postcard_net::{split_csv_fields, DcId, FileId, TransferRequest};
 use serde::{Deserialize, Serialize};
 
 /// All arrivals of a run, ordered by release slot.
@@ -75,10 +75,9 @@ impl ArrivalSchedule {
                 continue;
             }
             let err = |message: &str| format!("arrivals line {}: {message}", i + 1);
-            let parts: Vec<&str> = line.split(',').collect();
-            if parts.len() != 6 {
+            let Some(parts) = split_csv_fields::<6>(line) else {
                 return Err(err("expected 6 comma-separated fields"));
-            }
+            };
             let id: u64 = parts[0].trim().parse().map_err(|_| err("bad id"))?;
             let src: usize = parts[1].trim().parse().map_err(|_| err("bad src"))?;
             let dst: usize = parts[2].trim().parse().map_err(|_| err("bad dst"))?;
@@ -144,6 +143,22 @@ mod tests {
         assert!(e.contains("line 2"), "{e}");
         let e = ArrivalSchedule::from_csv("0,1,1,5.0,2,0\n").unwrap_err();
         assert!(e.contains("inconsistent"), "{e}");
+    }
+
+    #[test]
+    fn csv_malformed_lines_keep_their_line_and_message() {
+        let text = "id,src,dst,size_gb,deadline_slots,release_slot\n1,0,1,5.0,2,0\n\n";
+        for (bad, expected) in [
+            ("2,0,1,5.0,2", "arrivals line 4: expected 6 comma-separated fields"),
+            ("2,0,1,5.0,2,0,9", "arrivals line 4: expected 6 comma-separated fields"),
+            (",", "arrivals line 4: expected 6 comma-separated fields"),
+            ("x,0,1,5.0,2,0", "arrivals line 4: bad id"),
+            ("2,0,1,5.0,2,", "arrivals line 4: bad release slot"),
+            ("2,0,1,0.0,2,0", "arrivals line 4: inconsistent request fields"),
+        ] {
+            let e = ArrivalSchedule::from_csv(&format!("{text}{bad}\n")).unwrap_err();
+            assert_eq!(e, expected, "{bad}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! ablation benches (the diurnal pattern follows the Chen et al. observation
 //! the paper cites).
 
-use postcard_net::{DcId, FileId, TransferRequest};
+use postcard_net::{split_csv_fields, DcId, FileId, TransferRequest};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -288,10 +288,9 @@ impl Trace {
                 continue;
             }
             let err = |message: &str| TraceParseError { line: i + 1, message: message.into() };
-            let parts: Vec<&str> = line.split(',').collect();
-            if parts.len() != 6 {
+            let Some(parts) = split_csv_fields::<6>(line) else {
                 return Err(err("expected 6 comma-separated fields"));
-            }
+            };
             let id: u64 = parts[0].trim().parse().map_err(|_| err("bad id"))?;
             let src: usize = parts[1].trim().parse().map_err(|_| err("bad src"))?;
             let dst: usize = parts[2].trim().parse().map_err(|_| err("bad dst"))?;

@@ -1,46 +1,107 @@
-//! Pinned-bits regression for the simplex pivot path.
+//! Pinned regressions for one scaled Fig. 7 slot LP (seed 7, slot 6).
 //!
-//! A solver change that is meant to be a pure speed-up (a faster basis
-//! factorization, a cheaper `ftran`) must leave every pivot, and so every
-//! plan and bill, exactly as it was. This test solves a fixed slot LP of the
-//! scaled-down Fig. 7 scenario and pins its pivot counts and the bit pattern
-//! of its optimal objective. A change that moves any of them changes the
-//! pivot path, and with it possibly the chosen optimal vertex and the bill.
+//! Two pins, with different jobs:
+//!
+//! - The **objective pin** builds the slot-6 LP over a ledger filled by a
+//!   fixed rule that uses no LP, so the LP depends only on the traffic.
+//!   Any correct solver must reach the same optimum, to 1e-9 relative,
+//!   whatever vertex or pivot path it takes.
+//! - The **pivot-path pin** replays slots 0–5 through the solver itself,
+//!   committing each optimal plan, and pins the slot-6 pivot counts and
+//!   objective bits. A solver change meant as a pure speed-up (a faster
+//!   factorization, a cheaper `ftran`) must leave them exactly as they are.
+//!   A change to pivot selection or to the start basis moves them, and may
+//!   commit other optimal vertices in slots 0–5 and so change the bill.
+//!
+//! The crash test checks that the cold start's triangular crash covers
+//! every zero right-hand-side row of a Postcard LP.
 
-use postcard::core::{solve_postcard, PostcardSolution};
-use postcard::net::TrafficLedger;
+use postcard::core::{build_postcard_problem, solve_postcard, PostcardConfig, PostcardSolution};
+use postcard::net::{Network, TrafficLedger, TransferRequest};
 use postcard::sim::{Scenario, Workload};
 
-/// Replays slots `0..slot` of seed 7's scaled Fig. 7 traffic, committing
-/// each optimal plan (an infeasible batch is rejected whole, as the
-/// runtime would), and returns the solution of slot `slot`'s LP.
-fn solve_fig7_slot(slot: u64) -> PostcardSolution {
+/// Slot whose LP the pins solve: the largest LP of the first few slots.
+const SLOT: u64 = 6;
+
+/// Seed 7's scaled Fig. 7 network, the ledger after `commit` has recorded
+/// each of the slots `0..slot`, and slot `slot`'s batch.
+fn fig7_slot(
+    slot: u64,
+    mut commit: impl FnMut(&Network, &[TransferRequest], &mut TrafficLedger),
+) -> (Network, Vec<TransferRequest>, TrafficLedger) {
     let scenario = Scenario::fig7().scaled_down();
     let network = scenario.network(7);
     let mut workload = scenario.workload(7);
     let mut ledger = TrafficLedger::new(network.num_dcs());
     for s in 0..slot {
-        let batch = workload.batch(s);
-        if let Ok(sol) = solve_postcard(&network, &batch, &ledger) {
-            sol.plan.apply_to_ledger(&mut ledger);
-        }
+        commit(&network, &workload.batch(s), &mut ledger);
     }
     let batch = workload.batch(slot);
     assert!(!batch.is_empty(), "the pinned slot must carry files");
+    (network, batch, ledger)
+}
+
+/// Commits each optimal plan; an infeasible batch is rejected whole, as
+/// the runtime would.
+fn commit_lp_plan(network: &Network, batch: &[TransferRequest], ledger: &mut TrafficLedger) {
+    if let Ok(sol) = solve_postcard(network, batch, ledger) {
+        sol.plan.apply_to_ledger(ledger);
+    }
+}
+
+/// Records a quarter of each file on its direct link, spread evenly over
+/// its deadline window. Uses no LP, so the resulting ledger is the same
+/// for every solver.
+fn commit_fixed_share(_: &Network, batch: &[TransferRequest], ledger: &mut TrafficLedger) {
+    for f in batch {
+        let per_slot = 0.25 * f.size_gb / f.deadline_slots as f64;
+        for slot in f.first_slot()..=f.last_slot() {
+            ledger.record(f.src, f.dst, slot, per_slot);
+        }
+    }
+}
+
+fn solve(
+    slot: u64,
+    commit: fn(&Network, &[TransferRequest], &mut TrafficLedger),
+) -> PostcardSolution {
+    let (network, batch, ledger) = fig7_slot(slot, commit);
     solve_postcard(&network, &batch, &ledger).expect("pinned slot solves")
 }
 
 #[test]
+fn scaled_fig7_slot_lp_objective_is_solver_independent() {
+    // The optimum of an LP fixed by its inputs: checked on the commit
+    // before the triangular crash and after it.
+    const OPTIMUM: f64 = 214.726_659_938_299;
+    let sol = solve(SLOT, commit_fixed_share);
+    let rel = (sol.cost_per_slot - OPTIMUM).abs() / OPTIMUM.abs();
+    assert!(rel <= 1e-9, "objective {} is {rel:.3e} off the pinned {OPTIMUM}", sol.cost_per_slot);
+}
+
+#[test]
 fn scaled_fig7_slot_lp_keeps_its_pivot_path() {
-    // Slot 6 is the largest LP of the first few slots: about ten
-    // refactorizations' worth of pivots over a ledger with committed peaks.
-    let sol = solve_fig7_slot(6);
-    assert_eq!(sol.lp_iterations, 695);
+    let sol = solve(SLOT, commit_lp_plan);
+    assert_eq!(sol.lp_iterations, 413);
     assert_eq!(sol.dual_iterations, 0);
     assert_eq!(
         sol.cost_per_slot.to_bits(),
-        0x4082_b188_47d3_134f,
+        0x4082_9ed6_7bc9_d0d0,
         "objective {} moved off its pinned bits",
         sol.cost_per_slot
     );
+}
+
+#[test]
+fn crash_covers_every_zero_rhs_row_of_a_postcard_lp() {
+    // Against an empty ledger every capacity and envelope row starts on
+    // its slack, and every conservation row but the files' release rows
+    // has a zero right-hand side. The crash covers all of those, so only
+    // the release rows keep an artificial.
+    let (network, batch, ledger) = fig7_slot(SLOT, |_, _, _| {});
+    let problem = build_postcard_problem(&network, &batch, &ledger, &PostcardConfig::default())
+        .expect("builds");
+    let sol = problem.model.solve().expect("solves");
+    assert!(sol.is_optimal());
+    assert_eq!(sol.artificials(), batch.len());
 }
