@@ -147,7 +147,8 @@ pub fn solve_postcard_with(
 /// Solves the Postcard problem with explicit configuration, attempting to
 /// warm-start the simplex from `warm` (a basis exported by a previous
 /// [`PostcardSolution`]). A stale or mismatched basis silently degrades to a
-/// cold solve; results are identical either way.
+/// cold solve. Either way the optimal cost is the same, but a warm solve may
+/// end at another optimal vertex, that is, another plan.
 ///
 /// # Errors
 ///

@@ -196,7 +196,9 @@ impl Scheduler for PostcardScheduler {
 #[derive(Debug, Clone, Default)]
 pub struct FlowLpScheduler {
     /// When `true`, the optimal basis is carried between slots as a simplex
-    /// warm start (results are unaffected — stale bases degrade to cold).
+    /// warm start (stale bases degrade to cold). A warm solve reaches the
+    /// cold solve's optimal cost but may commit another optimal vertex, so
+    /// later admissions and the bill can differ.
     pub warm_start: bool,
     last_stats: SolveStats,
     last_basis: Option<Basis>,

@@ -200,8 +200,9 @@ pub struct UnifiedFlowOutcome {
 
 /// [`unified_flow_lp`], warm-started from a previously exported [`Basis`].
 ///
-/// A mismatched or stale basis silently degrades to a cold solve; the result
-/// is identical either way.
+/// A mismatched or stale basis silently degrades to a cold solve. Either way
+/// the optimal cost is the same, but a warm solve may end at another optimal
+/// vertex, that is, another assignment.
 ///
 /// # Errors
 ///
@@ -446,7 +447,7 @@ mod tests {
         };
         assert!((bill(&warm.assignment) - bill(&cold.assignment)).abs() < 1e-6);
         assert!(warm.assignment.is_valid(&net, &[f1], |i, j, s| ledger2.volume(i, j, s)));
-        assert!(warm.lp_iterations <= cold.lp_iterations);
+        assert!(warm.warm_started);
     }
 
     #[test]

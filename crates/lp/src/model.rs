@@ -306,11 +306,11 @@ impl Model {
     /// Solves with explicit options, warm-starting from a basis exported by
     /// a previous optimal solve ([`Solution::basis`]) when one is supplied.
     ///
-    /// The basis is only an accelerator: when its dimensions do not match
-    /// this model's standard form, or it is singular or infeasible for the
-    /// new data, the solver silently falls back to a cold two-phase solve,
-    /// so the result is identical (up to degenerate-optimum tie-breaking)
-    /// to [`Model::solve_with`].
+    /// When the basis's dimensions do not match this model's standard
+    /// form, or it is singular or infeasible for the new data, the solver
+    /// silently falls back to a cold two-phase solve. Either way the
+    /// optimal cost equals [`Model::solve_with`]'s, but a warm solve may end
+    /// at another optimal vertex, so the values can differ.
     ///
     /// # Errors
     ///

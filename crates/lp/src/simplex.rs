@@ -14,6 +14,17 @@
 //!   same phase-1 objective as an all-slack/artificial start (see
 //!   `Crash::cover`). On the Postcard LP this leaves one artificial
 //!   per file's release row instead of one per conservation row.
+//!   Candidates are taken **sink first**: a column whose open entry is
+//!   positive before one whose open entry is negative, then shorter
+//!   columns first, then FIFO. An arc has +1 in its tail's conservation
+//!   row and −1 in its head's, so each node is covered by an arc leaving
+//!   it, which qualifies only once its head has closed; rows close from
+//!   the deadline layer backward, and a free storage arc beats a transit
+//!   arc that also sits in a capacity and an envelope row. The start is
+//!   then an as-late-as-possible placement (hold, then cross to the
+//!   destination in the last slot), and phase 1 only moves each file's
+//!   release flow onto it. The order picks among candidates only, so the
+//!   feasibility argument above is unchanged.
 //!   Artificials left in the basis at level zero are pivoted out where
 //!   possible; where a row is linearly dependent the artificial is kept
 //!   (its row of `B⁻¹A` is identically zero for all real columns, so it can
@@ -97,6 +108,10 @@ const UNCOVERED: usize = usize::MAX;
 /// largest entry, so the triangular start basis stays well conditioned.
 const CRASH_REL_PIVOT: f64 = 0.1;
 
+/// Column lengths the crash tells apart; longer columns share the last
+/// length class.
+const CRASH_LEN_CLASSES: usize = 8;
+
 /// Working storage of the triangular crash, kept in [`SolverWorkspace`] so
 /// a warm workspace runs it without allocating.
 #[derive(Debug, Clone, Default)]
@@ -107,17 +122,22 @@ struct Crash {
     row_cols: Vec<usize>,
     /// Per column, its entries in still-open rows.
     open_count: Vec<usize>,
-    /// FIFO of columns that had exactly one open entry when queued.
-    queue: Vec<usize>,
+    /// Bucket queue of candidates as `(column, open row)`: one FIFO per
+    /// class of [`Crash::class`], consumed from `heads[c]`, with every
+    /// class below `lowest` empty.
+    buckets: Vec<Vec<(usize, usize)>>,
+    heads: Vec<usize>,
+    lowest: usize,
 }
 
 impl Crash {
     /// Covers open rows with structural or slack columns. A row is *open*
-    /// when `basis[r]` is still [`UNCOVERED`] and `b_r = 0`. Repeatedly,
-    /// in ascending column index and then FIFO order, a non-basic column
-    /// with exactly one entry among the open rows, large enough relative
-    /// to its largest entry, becomes basic in that row and closes it.
-    /// Returns the number of rows covered.
+    /// when `basis[r]` is still [`UNCOVERED`] and `b_r = 0`. A *candidate*
+    /// is a non-basic column with exactly one entry among the open rows,
+    /// large enough relative to its largest entry. Repeatedly, the first
+    /// candidate in [`Crash::class`] order, FIFO within a class, becomes
+    /// basic in its open row and closes it. Returns the number of rows
+    /// covered.
     ///
     /// Each chosen column has no entry in the rows covered after it, so
     /// the chosen columns form a triangular block with a nonzero diagonal
@@ -132,12 +152,13 @@ impl Crash {
         pivot_tol: f64,
     ) -> usize {
         let (m, n) = (sf.m, sf.n_cols);
-        // `b ≥ 0` in standard form, so `b_r ≤ 0` means `b_r = 0`.
-        let is_open = |basis: &[usize], r: usize| basis[r] == UNCOVERED && sf.b[r] <= 0.0;
+        let is_open = |basis: &[usize], r: usize| Self::is_open(sf, basis, r);
         if !(0..m).any(|r| is_open(basis, r)) {
             return 0;
         }
-        // Row→column index restricted to the open rows, O(nnz).
+        // Row→column index restricted to the open rows, O(nnz): count into
+        // `row_start[r]`, turn the counts into row ends, then fill each row
+        // back to front so it ends on its start, ascending.
         self.row_start.clear();
         self.row_start.resize(m + 1, 0);
         self.open_count.clear();
@@ -145,64 +166,106 @@ impl Crash {
         for j in (0..n).filter(|&j| !in_basis[j]) {
             for (r, _) in sf.a.column(j) {
                 if is_open(basis, r) {
-                    self.row_start[r + 1] += 1;
+                    self.row_start[r] += 1;
                     self.open_count[j] += 1;
                 }
             }
         }
-        for r in 0..m {
-            self.row_start[r + 1] += self.row_start[r];
+        for r in 1..=m {
+            self.row_start[r] += self.row_start[r - 1];
         }
-        // Use the queue as per-row insertion cursors while filling.
-        self.queue.clear();
-        self.queue.extend_from_slice(&self.row_start[..m]);
         self.row_cols.clear();
         self.row_cols.resize(self.row_start[m], 0);
-        for j in (0..n).filter(|&j| self.open_count[j] > 0) {
+        for j in (0..n).rev().filter(|&j| self.open_count[j] > 0) {
             for (r, _) in sf.a.column(j) {
                 if is_open(basis, r) {
-                    self.row_cols[self.queue[r]] = j;
-                    self.queue[r] += 1;
+                    self.row_start[r] -= 1;
+                    self.row_cols[self.row_start[r]] = j;
                 }
             }
         }
-        self.queue.clear();
-        self.queue.extend((0..n).filter(|&j| self.open_count[j] == 1));
+        self.buckets.resize_with(2 * CRASH_LEN_CLASSES, Vec::new);
+        self.buckets.iter_mut().for_each(Vec::clear);
+        self.heads.clear();
+        self.heads.resize(2 * CRASH_LEN_CLASSES, 0);
+        self.lowest = 0;
+        for j in 0..n {
+            if self.open_count[j] == 1 {
+                self.offer(sf, basis, j, pivot_tol);
+            }
+        }
         let mut covered = 0;
-        let mut head = 0;
-        while head < self.queue.len() {
-            let j = self.queue[head];
-            head += 1;
+        while let Some((j, r)) = self.pop() {
+            // The open entry stays the same until its row closes.
             if self.open_count[j] != 1 {
-                continue;
-            }
-            let mut largest = 0.0f64;
-            let mut entry = None;
-            for (r, v) in sf.a.column(j) {
-                largest = largest.max(v.abs());
-                if is_open(basis, r) {
-                    entry = Some((r, v));
-                }
-            }
-            let Some((r, v)) = entry else { continue };
-            // A rejected column never qualifies later: its only open entry
-            // stays the same until its row closes.
-            if v.abs() <= pivot_tol || v.abs() < CRASH_REL_PIVOT * largest {
                 continue;
             }
             basis[r] = j;
             in_basis[j] = true;
             covered += 1;
-            for &j2 in &self.row_cols[self.row_start[r]..self.row_start[r + 1]] {
+            for k in self.row_start[r]..self.row_start[r + 1] {
+                let j2 = self.row_cols[k];
                 if !in_basis[j2] {
                     self.open_count[j2] -= 1;
                     if self.open_count[j2] == 1 {
-                        self.queue.push(j2);
+                        self.offer(sf, basis, j2, pivot_tol);
                     }
                 }
             }
         }
         covered
+    }
+
+    /// Whether row `r` is still open.
+    fn is_open(sf: &StandardForm, basis: &[usize], r: usize) -> bool {
+        // `b ≥ 0` in standard form, so `b_r ≤ 0` means `b_r = 0`.
+        basis[r] == UNCOVERED && sf.b[r] <= 0.0
+    }
+
+    /// Queues column `j`, which has exactly one open entry, unless that
+    /// entry fails the magnitude tests. A rejected column never qualifies
+    /// later: its only open entry stays the same until its row closes.
+    fn offer(&mut self, sf: &StandardForm, basis: &[usize], j: usize, pivot_tol: f64) {
+        let mut largest = 0.0f64;
+        let mut len = 0;
+        let mut entry = None;
+        for (r, v) in sf.a.column(j) {
+            largest = largest.max(v.abs());
+            len += 1;
+            if Self::is_open(sf, basis, r) {
+                entry = Some((r, v));
+            }
+        }
+        let Some((r, v)) = entry else { return };
+        if v.abs() <= pivot_tol || v.abs() < CRASH_REL_PIVOT * largest {
+            return;
+        }
+        let c = Self::class(v, len);
+        self.buckets[c].push((j, r));
+        self.lowest = self.lowest.min(c);
+    }
+
+    /// The class of a candidate whose open entry is `v` and which has
+    /// `len ≥ 1` nonzeros, lowest first: positive entries before negative
+    /// ones, then shorter columns first. On the Postcard LP this covers
+    /// each node with an arc leaving it, storage before transit (see the
+    /// module docs).
+    fn class(v: f64, len: usize) -> usize {
+        let sign = usize::from(v < 0.0);
+        sign * CRASH_LEN_CLASSES + len.min(CRASH_LEN_CLASSES) - 1
+    }
+
+    /// The oldest candidate of the lowest non-empty class.
+    fn pop(&mut self) -> Option<(usize, usize)> {
+        while self.lowest < self.buckets.len() {
+            let c = self.lowest;
+            if let Some(&next) = self.buckets[c].get(self.heads[c]) {
+                self.heads[c] += 1;
+                return Some(next);
+            }
+            self.lowest += 1;
+        }
+        None
     }
 }
 
@@ -1097,6 +1160,8 @@ enum PhaseOutcome {
 
 #[cfg(test)]
 mod tests {
+    use super::{SolverWorkspace, State};
+    use crate::standard::StandardForm;
     use crate::{LinExpr, Model, Sense, SimplexOptions, Status, Variable};
 
     #[test]
@@ -1176,6 +1241,104 @@ mod tests {
         assert_eq!(s.status(), Status::Optimal);
         assert!((s.objective() - 30.0).abs() < 1e-9, "objective = {}", s.objective());
         assert_eq!(s.artificials(), 1);
+    }
+
+    /// The cold start basis of `model`'s standard form.
+    fn cold_start(model: &Model) -> (StandardForm, Vec<usize>) {
+        let sf = StandardForm::from_model(model);
+        let opts = SimplexOptions::default();
+        let mut ws = SolverWorkspace::new();
+        let basis = State::new(&sf, &opts, &mut ws).expect("the start factorizes").basis;
+        (sf, basis)
+    }
+
+    #[test]
+    fn crash_covers_each_node_with_an_arc_leaving_it() {
+        // One file of 5 units from DC 0 to DC 2 over a three-slot window of
+        // a three-DC time-expanded graph, laid out like the Postcard LP:
+        // storage and transit arcs between consecutive layers, final-slot
+        // arcs only into the destination, and per transit arc a capacity
+        // row and an envelope row against the link's charged volume.
+        let (dcs, slots, src, dst) = (3, 3, 0, 2);
+        let mut m = Model::new(Sense::Minimize);
+        let charged: Vec<Vec<Variable>> = (0..dcs)
+            .map(|u| (0..dcs).map(|v| m.add_var(format!("X{u}{v}"), 0.0, f64::INFINITY)).collect())
+            .collect();
+        let mut obj = LinExpr::new();
+        for (u, row) in charged.iter().enumerate() {
+            for (v, &x) in row.iter().enumerate() {
+                obj.add_term(x, (1 + u + v) as f64);
+            }
+        }
+        m.set_objective(obj);
+        let mut node = vec![vec![LinExpr::new(); dcs]; slots];
+        for t in 0..slots {
+            for u in 0..dcs {
+                for v in 0..dcs {
+                    if t + 1 == slots && v != dst {
+                        continue;
+                    }
+                    let arc = m.add_var(format!("M{u}{v}@{t}"), 0.0, f64::INFINITY);
+                    node[t][u].add_term(arc, 1.0);
+                    if t + 1 < slots {
+                        node[t + 1][v].add_term(arc, -1.0);
+                    }
+                    if u != v {
+                        m.leq(LinExpr::from(arc), 4.0);
+                        m.leq(arc - charged[u][v], 0.0);
+                    }
+                }
+            }
+        }
+        let mut conservation = Vec::new();
+        for (t, layer) in node.into_iter().enumerate() {
+            for (u, expr) in layer.into_iter().enumerate() {
+                let rhs = if t == 0 && u == src { 5.0 } else { 0.0 };
+                conservation.push(m.eq(expr, rhs));
+            }
+        }
+        let (sf, basis) = cold_start(&m);
+        let mut covered = 0;
+        for c in conservation {
+            let r = sf.row_of_constraint[c.index()].expect("conservation rows are kept");
+            if sf.b[r] > 0.0 {
+                assert!(basis[r] >= sf.n_cols, "the release row keeps its artificial");
+                continue;
+            }
+            let j = basis[r];
+            assert!(j < sf.n_cols, "zero-RHS row {r} is covered");
+            assert!(sf.a.get(r, j) > 0.0, "row {r} is covered by an arc entering it");
+            covered += 1;
+        }
+        assert_eq!(covered, slots * dcs - 1);
+        let s = m.solve().unwrap();
+        assert_eq!(s.status(), Status::Optimal);
+        assert_eq!(s.artificials(), 1);
+    }
+
+    #[test]
+    fn crash_prefers_the_sparser_column() {
+        // Both columns have one open entry, in the conservation row; their
+        // other entries sit in rows that start on their slacks. The
+        // four-entry `transit` has the lower index, yet the two-entry
+        // `storage` covers the row.
+        let mut m = Model::new(Sense::Minimize);
+        let transit = m.add_var("transit", 0.0, f64::INFINITY);
+        let storage = m.add_var("storage", 0.0, f64::INFINITY);
+        let feed = m.add_var("feed", 0.0, f64::INFINITY);
+        m.set_objective(2.0 * transit + storage);
+        let row = m.eq(transit + storage - feed, 0.0);
+        m.eq(LinExpr::from(feed), 3.0);
+        for cap in [4.0, 5.0, 6.0] {
+            m.leq(LinExpr::from(transit), cap);
+        }
+        m.leq(LinExpr::from(storage), 7.0);
+        let (sf, basis) = cold_start(&m);
+        let r = sf.row_of_constraint[row.index()].expect("the row is kept");
+        assert_eq!(sf.a.column(basis[r]).count(), 2);
+        let s = m.solve().unwrap();
+        assert_eq!(s.status(), Status::Optimal);
+        assert!((s.objective() - 3.0).abs() < 1e-9, "objective = {}", s.objective());
     }
 
     #[test]

@@ -69,9 +69,10 @@ pub struct RuntimeConfig {
     /// being handed to the solver.
     pub strict_analysis: bool,
     /// Carry the optimal simplex basis between slots on the LP tiers so each
-    /// solve warm-starts from the previous slot's optimum. Off by default;
-    /// results are identical either way (stale bases degrade to cold
-    /// solves), only solve effort changes.
+    /// solve warm-starts from the previous slot's optimum (stale bases
+    /// degrade to cold solves). Off by default. A warm solve reaches the cold
+    /// solve's optimal cost but may commit another optimal vertex, so later
+    /// admissions and the bill can differ from a cold run's.
     pub warm_start: bool,
     /// Keep a standing incremental Postcard formulation across slots: a
     /// same-shaped recurring batch advances the standing model in place
@@ -322,8 +323,11 @@ impl Runtime {
         Self::validate(&snap.config)?;
         let network = snap.rebuild_network();
         // Warm-start state (the previous optimal basis) is deliberately not
-        // snapshotted: a resumed run cold-solves its first slot, which only
-        // costs pivots — committed results are unaffected. The ALAP residual
+        // snapshotted: a resumed run cold-solves its first LP slot. That
+        // solve reaches the warm solve's cost but can commit another optimal
+        // plan, so the ledger's per-slot volumes, and through them later
+        // admissions and bills, can differ from the uninterrupted run's.
+        // Resume is bit-identical only without warm starts. The ALAP residual
         // grid is likewise not snapshotted: a fresh `AlapTier` starts dirty
         // and deterministically rebuilds the grid from the restored ledger
         // on first use, so resumed runs stay bit-identical.

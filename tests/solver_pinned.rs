@@ -82,11 +82,11 @@ fn scaled_fig7_slot_lp_objective_is_solver_independent() {
 #[test]
 fn scaled_fig7_slot_lp_keeps_its_pivot_path() {
     let sol = solve(SLOT, commit_lp_plan);
-    assert_eq!(sol.lp_iterations, 413);
+    assert_eq!(sol.lp_iterations, 124);
     assert_eq!(sol.dual_iterations, 0);
     assert_eq!(
         sol.cost_per_slot.to_bits(),
-        0x4082_9ed6_7bc9_d0d0,
+        0x4082_5773_e3ba_3803,
         "objective {} moved off its pinned bits",
         sol.cost_per_slot
     );
