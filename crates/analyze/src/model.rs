@@ -126,8 +126,8 @@ pub fn check_model(model: &Model) -> Report {
                     ),
                 )
                 .with_help(
-                    "the presolver drops empty rows (proving infeasibility when violated); \
-                     emitting one usually indicates a model-building bug",
+                    "the standard form skips empty rows (proving infeasibility when \
+                     violated); emitting one usually indicates a model-building bug",
                 ),
             );
         }
@@ -174,8 +174,8 @@ pub fn check_model(model: &Model) -> Report {
                             format!("constraint duplicates the left-hand side of row #{i}"),
                         )
                         .with_help(
-                            "the presolver keeps only the tightest right-hand side; drop the \
-                             redundant row at build time",
+                            "only the tightest right-hand side can bind, and the solver still \
+                             carries every copy; drop the redundant row at build time",
                         ),
                     );
                     continue;

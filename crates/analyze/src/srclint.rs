@@ -30,7 +30,7 @@ pub(crate) const NO_PANIC_CRATES: &[&str] = &["lp", "flow", "core", "net", "runt
 
 /// `(crate, type)` pairs that must carry `#[must_use]` (PA105).
 const MUST_USE_TYPES: &[(&str, &str)] =
-    &[("lp", "Solution"), ("lp", "Status"), ("lp", "RawSolution"), ("lp", "Presolved")];
+    &[("lp", "Solution"), ("lp", "Status"), ("lp", "RawSolution")];
 
 /// Scans the workspace rooted at `root`: the root package's `src/` plus
 /// every `crates/<name>/src/` except the vendored `crates/compat` shims.

@@ -8,7 +8,6 @@
 pub mod admission_baseline;
 pub mod billing_baseline;
 pub mod shard_baseline;
-pub mod solver_baseline;
 
 use postcard_net::{DcId, FileId, Network, TransferRequest};
 use rand::rngs::StdRng;

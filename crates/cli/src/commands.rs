@@ -65,8 +65,7 @@ commands:
   serve         --network PATH --trace PATH [--slots N]
                 [--checkpoint PATH] [--every N] [--budget-ms MS]
                 [--tiers a,b,c] [--queue-capacity N] [--max-requeue N]
-                [--wall-clock] [--strict] [--warm-start] [--incremental]
-                [--alap] [--reopt-every N]
+                [--wall-clock] [--strict] [--alap] [--reopt-every N]
                 [--shards N] [--shard-by tenant|region]
                 [--charging max|p<q>:<window>]
                 [--degrade slot:from:to:cap[,..]] [--force-timeout slot[:tier][,..]]
@@ -92,19 +91,6 @@ the tier fallback chain, checkpoints are written every --every slots, and
 `resume`). --metrics-out ending in .csv exports CSV, anything else JSON.
 With --strict every slot's LP is structurally checked before solving and
 batches with error-level findings are dropped (metric: analysis_rejections).
-With --warm-start the LP tiers carry the optimal simplex basis between slots
-(metrics: warm_start_hits / warm_start_misses). Each LP reaches the same
-optimal cost, but a warm solve may pick another optimal plan, and that can
-change later admissions and the bill.
-With --incremental the Postcard tier additionally keeps its LP *model*
-standing between slots: when the batch shape repeats, the time-expanded graph
-is advanced slot-over-slot (expired layer retired, new layer appended) and
-only right-hand sides and bounds are rewritten, then the dual simplex
-re-solves from the inherited basis. A shape change rebuilds from scratch
-(metrics: model_delta_hits / model_rebuilds / dual_simplex_iters). Model
-builds are much cheaper. As with --warm-start, each LP reaches the same
-optimal cost but may pick another optimal plan, so later admissions and the
-bill can differ from a cold run.
 With --alap each request is admitted or rejected instantly by As-Late-As-
 Possible placement against residual link capacity — no LP solve on the
 admission path (metrics: alap_admits / alap_rejects /
@@ -509,7 +495,7 @@ fn drive_service(
 }
 
 fn serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(argv, &["wall-clock", "strict", "warm-start", "incremental", "alap"])?;
+    let args = Args::parse(argv, &["wall-clock", "strict", "alap"])?;
     let network_path: String = args.require("network")?;
     let trace_path: String = args.require("trace")?;
     let slots: u64 = args.get_or("slots", 0)?;
@@ -529,8 +515,6 @@ fn serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let max_requeue_attempts: u32 = args.get_or("max-requeue", 2)?;
     let wall_clock = args.switch("wall-clock");
     let strict_analysis = args.switch("strict");
-    let warm_start = args.switch("warm-start");
-    let incremental = args.switch("incremental");
     let alap = args.switch("alap");
     let reopt_every: u64 = args.get_or("reopt-every", 0)?;
     let (shards, shard_by) = parse_shard_flags(&args)?;
@@ -566,8 +550,6 @@ fn serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         max_requeue_attempts,
         clock: if wall_clock { ClockKind::Wall } else { ClockKind::Sim },
         strict_analysis,
-        warm_start,
-        incremental,
         alap,
         reopt_every,
         shards,
@@ -1079,55 +1061,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_warm_start_counts_hits() {
-        let net_path = tmp("warm_net.csv");
-        let trace_path = tmp("warm_trace.csv");
-        let metrics_path = tmp("warm_metrics.csv");
-        run_cli(&["gen-network", "--dcs", "4", "--capacity", "500", "--out", &net_path]).unwrap();
-        run_cli(&["gen-trace", "--dcs", "4", "--slots", "4", "--out", &trace_path]).unwrap();
-        let out = run_cli(&[
-            "serve",
-            "--network",
-            &net_path,
-            "--trace",
-            &trace_path,
-            "--warm-start",
-            "--metrics-out",
-            &metrics_path,
-        ])
-        .unwrap();
-        assert!(out.contains("finished"), "{out}");
-        let metrics = std::fs::read_to_string(&metrics_path).unwrap();
-        assert!(metrics.contains("warm_start_"), "warm metrics missing: {metrics}");
-    }
-
-    #[test]
-    fn serve_incremental_counts_model_reuse() {
-        let net_path = tmp("inc_net.csv");
-        let trace_path = tmp("inc_trace.csv");
-        let metrics_path = tmp("inc_metrics.csv");
-        run_cli(&["gen-network", "--dcs", "4", "--capacity", "500", "--out", &net_path]).unwrap();
-        run_cli(&["gen-trace", "--dcs", "4", "--slots", "4", "--out", &trace_path]).unwrap();
-        let out = run_cli(&[
-            "serve",
-            "--network",
-            &net_path,
-            "--trace",
-            &trace_path,
-            "--incremental",
-            "--metrics-out",
-            &metrics_path,
-        ])
-        .unwrap();
-        assert!(out.contains("finished"), "{out}");
-        let metrics = std::fs::read_to_string(&metrics_path).unwrap();
-        assert!(
-            metrics.contains("model_delta_hits") || metrics.contains("model_rebuilds"),
-            "incremental metrics missing: {metrics}"
-        );
-    }
-
-    #[test]
     fn serve_accepts_queue_capacity_and_max_requeue_flags() {
         let net_path = tmp("queue_net.csv");
         let trace_path = tmp("queue_trace.csv");
@@ -1388,6 +1321,12 @@ mod tests {
     fn unknown_flag_is_reported() {
         let err = run_cli(&["gen-network", "--dcs", "3", "--frob", "1"]);
         assert!(matches!(err, Err(CliError::Usage(m)) if m.contains("frob")));
+        // The removed cross-slot solver switches are unknown flags too.
+        for flag in ["warm-start", "incremental"] {
+            let switch = format!("--{flag}");
+            let err = run_cli(&["serve", "--network", "n", "--trace", "t", &switch, "--strict"]);
+            assert!(matches!(err, Err(CliError::Usage(m)) if m.contains(flag)), "{flag}");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! exist).
 
 use crate::error::PostcardError;
-use postcard_lp::{Basis, ConstraintId, LinExpr, Model, Sense, SimplexOptions, Status, Variable};
+use postcard_lp::{LinExpr, Model, Sense, SimplexOptions, Status, Variable};
 use postcard_net::{
     ArcId, ArcKind, Network, TimeExpandedGraph, TimeNode, TrafficLedger, TransferPlan,
     TransferRequest,
@@ -43,32 +43,11 @@ pub struct PostcardConfig {
     pub allow_relay_storage: bool,
     /// Options passed to the simplex solver.
     pub simplex: SimplexOptions,
-    /// When `true`, stateful drivers ([`crate::PostcardScheduler`]) carry the
-    /// optimal basis from one solve into the next as a warm start. Solves
-    /// whose dimensions changed fall back to a cold phase-1 automatically.
-    /// A warm solve reaches the same optimal cost as a cold one, but it may
-    /// end at another optimal vertex, that is, another plan. The committed
-    /// plan feeds the ledger, so later admissions and the bill can differ.
-    pub warm_start: bool,
-    /// When `true`, stateful drivers keep a standing
-    /// [`crate::DeltaFormulation`] alive across slots: same-shaped recurring
-    /// batches advance the standing model in place (graph rebase + RHS/bound
-    /// refresh) and re-solve with the dual simplex from the previous basis
-    /// instead of rebuilding the LP from scratch. Shape changes fall back to
-    /// a full rebuild automatically. As with `warm_start`, each LP reaches
-    /// the cold optimum's cost but may commit another optimal plan, which
-    /// can change later admissions and the bill.
-    pub incremental: bool,
 }
 
 impl Default for PostcardConfig {
     fn default() -> Self {
-        Self {
-            allow_relay_storage: true,
-            simplex: SimplexOptions::default(),
-            warm_start: false,
-            incremental: false,
-        }
+        Self { allow_relay_storage: true, simplex: SimplexOptions::default() }
     }
 }
 
@@ -88,15 +67,9 @@ pub struct PostcardSolution {
     /// How many of those pivots were phase-1 pivots (zero on a warm
     /// start, which skips phase 1).
     pub phase1_iterations: usize,
-    /// How many of those pivots were dual-simplex pivots (non-zero only on
-    /// warm re-solves that resumed from a dual-feasible basis).
+    /// How many of those pivots were dual-simplex pivots (zero: the dual
+    /// simplex runs only from a supplied basis, and this solve is cold).
     pub dual_iterations: usize,
-    /// Whether a supplied warm basis actually seeded the solve (`false` when
-    /// none was supplied or the solver rejected it and ran cold).
-    pub warm_started: bool,
-    /// The optimal basis of the underlying LP, exported so the next solve of
-    /// a same-shaped problem can warm-start (`None` for trivial solves).
-    pub basis: Option<Basis>,
 }
 
 /// Solves the Postcard problem with default configuration.
@@ -137,33 +110,9 @@ pub fn solve_postcard_with(
             lp_iterations: 0,
             phase1_iterations: 0,
             dual_iterations: 0,
-            warm_started: false,
-            basis: None,
         });
     }
     build_postcard_problem(network, files, ledger, config)?.solve(&config.simplex)
-}
-
-/// Solves the Postcard problem with explicit configuration, attempting to
-/// warm-start the simplex from `warm` (a basis exported by a previous
-/// [`PostcardSolution`]). A stale or mismatched basis silently degrades to a
-/// cold solve. Either way the optimal cost is the same, but a warm solve may
-/// end at another optimal vertex, that is, another plan.
-///
-/// # Errors
-///
-/// Same contract as [`solve_postcard`].
-pub fn solve_postcard_warm_with(
-    network: &Network,
-    files: &[TransferRequest],
-    ledger: &TrafficLedger,
-    config: &PostcardConfig,
-    warm: Option<&Basis>,
-) -> Result<PostcardSolution, PostcardError> {
-    if files.is_empty() {
-        return solve_postcard_with(network, files, ledger, config);
-    }
-    build_postcard_problem(network, files, ledger, config)?.solve_warm(&config.simplex, warm)
 }
 
 /// The assembled (but unsolved) Postcard LP: the model plus the bookkeeping
@@ -195,26 +144,13 @@ impl PostcardProblem {
     ///
     /// Same contract as [`solve_postcard`].
     pub fn solve(&self, options: &SimplexOptions) -> Result<PostcardSolution, PostcardError> {
-        self.solve_warm(options, None)
-    }
-
-    /// Solves the assembled LP, warm-starting from `warm` when possible.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`solve_postcard`].
-    pub fn solve_warm(
-        &self,
-        options: &SimplexOptions,
-        warm: Option<&Basis>,
-    ) -> Result<PostcardSolution, PostcardError> {
-        let sol = self.model.solve_warm(options, warm)?;
+        let sol = self.model.solve_with(options)?;
         self.map_solution(&sol)
     }
 
     /// Maps an LP solution of [`PostcardProblem::model`] back to a transfer
     /// plan. Exposed so drivers that solve the model through another path
-    /// (the standing [`crate::DeltaFormulation`]) share the exact mapping.
+    /// (a prepared standard form) share the exact mapping.
     ///
     /// # Errors
     ///
@@ -244,31 +180,12 @@ impl PostcardProblem {
                     lp_iterations: sol.iterations(),
                     phase1_iterations: sol.phase1_iterations(),
                     dual_iterations: sol.dual_iterations(),
-                    warm_started: sol.warm_started(),
-                    basis: sol.basis().cloned(),
                 })
             }
             Status::Infeasible => Err(PostcardError::Infeasible),
             Status::Unbounded => unreachable!("objective is bounded below by prior peaks"),
         }
     }
-}
-
-/// Row bookkeeping for a *structurally built* Postcard LP (see
-/// [`build_structural_postcard_problem`]): the constraint ids whose
-/// right-hand sides depend on the ledger, so a standing model can be
-/// advanced to a new slot by rewriting only those RHS values.
-#[derive(Debug, Clone, Default)]
-pub struct PostcardRows {
-    /// Capacity rows (Eq. 7): `(row, arc)` with RHS = clamped residual
-    /// capacity of the arc's link at the arc's slot.
-    pub cap_rows: Vec<(ConstraintId, ArcId)>,
-    /// Charged-volume envelope rows: `(row, arc)` with RHS = `−used`, the
-    /// ledger traffic already committed on the arc's link-slot.
-    pub env_rows: Vec<(ConstraintId, ArcId)>,
-    /// Release rows of conservation (Eq. 8): `(row, file index)` with
-    /// RHS = the file's size. All other conservation RHS are identically 0.
-    pub release_rows: Vec<(ConstraintId, usize)>,
 }
 
 /// Assembles the Postcard LP for `files` against the residual capacities and
@@ -289,41 +206,6 @@ pub fn build_postcard_problem(
     ledger: &TrafficLedger,
     config: &PostcardConfig,
 ) -> Result<PostcardProblem, PostcardError> {
-    assemble(network, files, ledger, config, false).map(|(p, _)| p)
-}
-
-/// Assembles the Postcard LP in *structural* form: the variable and row
-/// layout depends only on the network and the batch **shape** (per-file
-/// source, destination, and window position relative to the batch start) —
-/// never on ledger state. Residual capacities, committed volumes, and prior
-/// peaks enter exclusively through right-hand sides and variable bounds,
-/// reported in the returned [`PostcardRows`].
-///
-/// Compared to [`build_postcard_problem`] this keeps variables on saturated
-/// arcs (their capacity row pins them to 0 instead), so the optimum is
-/// identical while the model shape is stable slot-over-slot: the standing
-/// [`crate::DeltaFormulation`] rebases the graph, rewrites the bookkept RHS,
-/// and re-solves on the previous basis.
-///
-/// # Errors
-///
-/// Same contract as [`build_postcard_problem`].
-pub fn build_structural_postcard_problem(
-    network: &Network,
-    files: &[TransferRequest],
-    ledger: &TrafficLedger,
-    config: &PostcardConfig,
-) -> Result<(PostcardProblem, PostcardRows), PostcardError> {
-    assemble(network, files, ledger, config, true)
-}
-
-fn assemble(
-    network: &Network,
-    files: &[TransferRequest],
-    ledger: &TrafficLedger,
-    config: &PostcardConfig,
-    structural: bool,
-) -> Result<(PostcardProblem, PostcardRows), PostcardError> {
     for f in files {
         for dc in [f.src, f.dst] {
             if dc.index() >= network.num_dcs() {
@@ -337,26 +219,18 @@ fn assemble(
     let t0 = files.iter().map(|f| f.first_slot()).min().unwrap_or(0);
     let t_end = files.iter().map(|f| f.last_slot()).max().unwrap_or(t0);
     let horizon = (t_end - t0 + 1) as usize;
-    // Structural mode keeps the network's static capacities on the arcs —
-    // residuals reach the LP only through capacity-row RHS — so the graph
-    // (and with it the variable layout) is ledger-independent.
-    let graph = if structural {
-        TimeExpandedGraph::new(network, t0, horizon)
-    } else {
-        TimeExpandedGraph::with_residual(network, t0, horizon, |l, slot| {
-            Some(ledger.residual(network, l.from, l.to, slot))
-        })
-    };
+    let graph = TimeExpandedGraph::with_residual(network, t0, horizon, |l, slot| {
+        Some(ledger.residual(network, l.from, l.to, slot))
+    });
 
     let mut m = Model::new(Sense::Minimize);
-    let mut rows = PostcardRows::default();
 
     // Per-file arc variables, created only where constraint (10) allows.
     let mut mvars: Vec<BTreeMap<ArcId, Variable>> = Vec::with_capacity(files.len());
     for f in files {
         let mut per_arc = BTreeMap::new();
         for (id, arc) in graph.arcs_usable_by(f) {
-            if !structural && arc.kind == ArcKind::Transit && arc.capacity <= 0.0 {
+            if arc.kind == ArcKind::Transit && arc.capacity <= 0.0 {
                 continue; // saturated link-slot: no variable needed
             }
             if arc.slot == f.last_slot() && arc.to != f.dst {
@@ -416,21 +290,11 @@ fn assemble(
         if load.is_empty() {
             continue;
         }
-        let cap = if structural {
-            // The arc carries the static capacity; the residual is RHS-only
-            // state (clamped like `with_residual` clamps), so a saturated
-            // slot reads `load ≤ 0` instead of having no variables.
-            ledger.residual(network, arc.from, arc.to, arc.slot).max(0.0)
-        } else {
-            arc.capacity
-        };
-        let cap_row = m.leq(load.clone(), cap);
-        rows.cap_rows.push((cap_row, id));
+        m.leq(load.clone(), arc.capacity);
         let used = ledger.volume(arc.from, arc.to, arc.slot);
         let mut env = load;
         env.add_term(xvars[&(arc.from.0, arc.to.0)], -1.0);
-        let env_row = m.leq(env, -used);
-        rows.env_rows.push((env_row, id));
+        m.leq(env, -used);
     }
 
     // Conservation (8), per file per node per window layer.
@@ -451,8 +315,7 @@ fn assemble(
                         }
                     }
                 }
-                let release = slot == f.first_slot() && dc == f.src;
-                let rhs = if release { f.size_gb } else { 0.0 };
+                let rhs = if slot == f.first_slot() && dc == f.src { f.size_gb } else { 0.0 };
                 if expr.is_empty() {
                     // postcard-analyze: allow(PA101) — rhs is 0.0 or a size.
                     if rhs != 0.0 {
@@ -462,15 +325,12 @@ fn assemble(
                     }
                     continue;
                 }
-                let row = m.eq(expr, rhs);
-                if release {
-                    rows.release_rows.push((row, k));
-                }
+                m.eq(expr, rhs);
             }
         }
     }
 
-    Ok((PostcardProblem { model: m, graph, files: files.to_vec(), mvars, xvars }, rows))
+    Ok(PostcardProblem { model: m, graph, files: files.to_vec(), mvars, xvars })
 }
 
 #[cfg(test)]
@@ -648,50 +508,6 @@ mod tests {
         assert!(p.mvars.is_empty());
         assert_eq!(p.model.num_constraints(), 0);
         assert_eq!(p.xvars.len(), net.num_links());
-    }
-
-    #[test]
-    fn warm_started_resolve_matches_cold() {
-        // Solve, commit the plan to the ledger, then solve the next slot's
-        // same-shaped batch warm from the exported basis: objectives must
-        // agree with a cold solve to 1e-6 and the warm path must pivot less
-        // (here: not more).
-        let net = fig1_net();
-        let cfg = PostcardConfig::default();
-        let ledger = TrafficLedger::new(8);
-        let first = [TransferRequest::new(FileId(1), d(1), d(2), 6.0, 3, 0)];
-        let sol0 = solve_postcard_with(&net, &first, &ledger, &cfg).unwrap();
-        assert!(sol0.basis.is_some());
-
-        let mut ledger2 = ledger.clone();
-        sol0.plan.apply_to_ledger(&mut ledger2);
-        let second = [TransferRequest::new(FileId(2), d(1), d(2), 6.0, 3, 3)];
-        let cold = solve_postcard_with(&net, &second, &ledger2, &cfg).unwrap();
-        let warm =
-            solve_postcard_warm_with(&net, &second, &ledger2, &cfg, sol0.basis.as_ref()).unwrap();
-        assert!(
-            (warm.cost_per_slot - cold.cost_per_slot).abs() < 1e-6,
-            "warm {} vs cold {}",
-            warm.cost_per_slot,
-            cold.cost_per_slot
-        );
-        assert!(warm.lp_iterations <= cold.lp_iterations);
-        assert!(warm.basis.is_some());
-    }
-
-    #[test]
-    fn warm_start_with_mismatched_basis_degrades_to_cold() {
-        let net = fig1_net();
-        let cfg = PostcardConfig::default();
-        let ledger = TrafficLedger::new(4);
-        // A basis from a 1-slot problem cannot fit the 3-slot problem.
-        let small = [TransferRequest::new(FileId(1), d(1), d(2), 6.0, 1, 0)];
-        let stale = solve_postcard_with(&net, &small, &ledger, &cfg).unwrap().basis;
-        let files = [TransferRequest::new(FileId(2), d(1), d(2), 6.0, 3, 0)];
-        let cold = solve_postcard_with(&net, &files, &ledger, &cfg).unwrap();
-        let warm = solve_postcard_warm_with(&net, &files, &ledger, &cfg, stale.as_ref()).unwrap();
-        assert!((warm.cost_per_slot - cold.cost_per_slot).abs() < 1e-9);
-        assert_eq!(warm.plan, cold.plan);
     }
 
     #[test]

@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod delta;
 mod error;
 pub mod extensions;
 mod formulation;
@@ -56,11 +55,9 @@ mod headroom;
 mod online;
 mod scheduler;
 
-pub use delta::{DeltaFormulation, SlotPrep};
 pub use error::PostcardError;
 pub use formulation::{
-    build_postcard_problem, build_structural_postcard_problem, solve_postcard,
-    solve_postcard_warm_with, solve_postcard_with, PostcardConfig, PostcardProblem, PostcardRows,
+    build_postcard_problem, solve_postcard, solve_postcard_with, PostcardConfig, PostcardProblem,
     PostcardSolution,
 };
 pub use headroom::HeadroomScheduler;

@@ -2,13 +2,11 @@
 //! implementations: Postcard, the three storage-free flow baselines, and a
 //! naive direct-path sender.
 
-use crate::delta::DeltaFormulation;
 use crate::error::PostcardError;
-use crate::formulation::{solve_postcard_warm_with, PostcardConfig};
+use crate::formulation::{solve_postcard_with, PostcardConfig};
 use postcard_flow::{
     greedy_cheapest_path, two_phase_baseline, unified_flow_lp_warm, BaselineError, FlowAssignment,
 };
-use postcard_lp::Basis;
 use postcard_net::{Network, TrafficLedger, TransferPlan, TransferRequest};
 
 /// What a scheduler decided for a batch.
@@ -31,20 +29,6 @@ pub struct SolveStats {
     /// Simplex pivots performed by the underlying LP solve (0 for
     /// combinatorial schedulers).
     pub lp_iterations: usize,
-    /// How many of those pivots were dual-simplex pivots (non-zero only on
-    /// warm re-solves resuming from a dual-feasible basis).
-    pub dual_iterations: usize,
-    /// Whether a previous basis actually seeded the solve. A basis that was
-    /// offered but rejected by the solver (which then ran cold) does not
-    /// count. `false` for cold solves, non-LP schedulers, and the first
-    /// solve of a warm-starting scheduler.
-    pub warm_started: bool,
-    /// Whether the solve advanced a standing [`DeltaFormulation`] in place
-    /// (the incremental fast path).
-    pub delta_hit: bool,
-    /// Whether the solve (re)built a standing [`DeltaFormulation`] from
-    /// scratch. `false` for non-incremental schedulers.
-    pub rebuilt: bool,
 }
 
 /// A routing/scheduling policy for one batch of simultaneously released
@@ -109,16 +93,9 @@ fn map_baseline(e: BaselineError) -> PostcardError {
 /// time-expanded graph.
 #[derive(Debug, Clone, Default)]
 pub struct PostcardScheduler {
-    /// Formulation options (relay-storage ablation, simplex tuning, warm
-    /// starts, incremental standing model).
+    /// Formulation options (relay-storage ablation, simplex tuning).
     pub config: PostcardConfig,
     last_stats: SolveStats,
-    /// The optimal basis of the previous solve, carried across slots when
-    /// `config.warm_start` is set (the non-incremental warm path).
-    last_basis: Option<Basis>,
-    /// The standing incremental formulation, lazily created on the first
-    /// solve when `config.incremental` is set.
-    delta: Option<DeltaFormulation>,
 }
 
 impl PostcardScheduler {
@@ -130,12 +107,6 @@ impl PostcardScheduler {
     /// Creates a scheduler with an explicit configuration.
     pub fn with_config(config: PostcardConfig) -> Self {
         Self { config, ..Self::default() }
-    }
-
-    /// The standing delta formulation's hit/rebuild counters, when
-    /// `config.incremental` is active and at least one solve has run.
-    pub fn delta_counters(&self) -> Option<(u64, u64)> {
-        self.delta.as_ref().map(|d| (d.delta_hits(), d.rebuilds()))
     }
 }
 
@@ -154,35 +125,8 @@ impl Scheduler for PostcardScheduler {
         files: &[TransferRequest],
         ledger: &TrafficLedger,
     ) -> Result<Decision, PostcardError> {
-        if self.config.incremental {
-            let delta =
-                self.delta.get_or_insert_with(|| DeltaFormulation::new(self.config.clone()));
-            let sol = delta.solve(network, files, ledger)?;
-            let delta_hit = delta.last_was_delta();
-            self.last_stats = SolveStats {
-                lp_iterations: sol.lp_iterations,
-                dual_iterations: sol.dual_iterations,
-                warm_started: sol.warm_started,
-                delta_hit,
-                rebuilt: !delta_hit && !files.is_empty(),
-            };
-            return Ok(Decision::Plan(sol.plan));
-        }
-        let warm = if self.config.warm_start { self.last_basis.as_ref() } else { None };
-        let sol = solve_postcard_warm_with(network, files, ledger, &self.config, warm)?;
-        self.last_stats = SolveStats {
-            lp_iterations: sol.lp_iterations,
-            dual_iterations: sol.dual_iterations,
-            warm_started: sol.warm_started,
-            ..SolveStats::default()
-        };
-        if self.config.warm_start {
-            // Keep the previous basis when a trivial (empty-batch) solve
-            // exported none — the next real solve can still use it.
-            if sol.basis.is_some() {
-                self.last_basis = sol.basis;
-            }
-        }
+        let sol = solve_postcard_with(network, files, ledger, &self.config)?;
+        self.last_stats = SolveStats { lp_iterations: sol.lp_iterations };
         Ok(Decision::Plan(sol.plan))
     }
 
@@ -195,25 +139,13 @@ impl Scheduler for PostcardScheduler {
 /// model (Sec. II-B's model, optimally solved).
 #[derive(Debug, Clone, Default)]
 pub struct FlowLpScheduler {
-    /// When `true`, the optimal basis is carried between slots as a simplex
-    /// warm start (stale bases degrade to cold). A warm solve reaches the
-    /// cold solve's optimal cost but may commit another optimal vertex, so
-    /// later admissions and the bill can differ.
-    pub warm_start: bool,
     last_stats: SolveStats,
-    last_basis: Option<Basis>,
 }
 
 impl FlowLpScheduler {
-    /// Creates a cold-solving scheduler (the default).
+    /// Creates a scheduler.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a scheduler that warm-starts each solve from the previous
-    /// slot's optimal basis.
-    pub fn warm_starting() -> Self {
-        Self { warm_start: true, ..Self::default() }
     }
 }
 
@@ -228,17 +160,8 @@ impl Scheduler for FlowLpScheduler {
         files: &[TransferRequest],
         ledger: &TrafficLedger,
     ) -> Result<Decision, PostcardError> {
-        let warm = if self.warm_start { self.last_basis.as_ref() } else { None };
-        let out = unified_flow_lp_warm(network, files, ledger, warm).map_err(map_baseline)?;
-        self.last_stats = SolveStats {
-            lp_iterations: out.lp_iterations,
-            dual_iterations: out.dual_iterations,
-            warm_started: out.warm_started,
-            ..SolveStats::default()
-        };
-        if self.warm_start && out.basis.is_some() {
-            self.last_basis = out.basis;
-        }
+        let out = unified_flow_lp_warm(network, files, ledger, None).map_err(map_baseline)?;
+        self.last_stats = SolveStats { lp_iterations: out.lp_iterations };
         Ok(Decision::Rates(out.assignment))
     }
 

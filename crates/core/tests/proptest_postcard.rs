@@ -5,10 +5,7 @@
 //! independent checker, and cost claims are verified against recomputed
 //! ledgers and dominance relations.
 
-use postcard_core::{
-    build_structural_postcard_problem, solve_postcard, solve_postcard_warm_with,
-    solve_postcard_with, DeltaFormulation, PostcardConfig, PostcardError,
-};
+use postcard_core::{solve_postcard, solve_postcard_with, PostcardConfig, PostcardError};
 use postcard_net::{DcId, FileId, Network, TrafficLedger, TransferRequest};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -111,105 +108,6 @@ proptest! {
             .expect("direct trickle remains feasible")
             .cost_per_slot;
         prop_assert!(full <= ablated + 1e-6, "full {full} > ablated {ablated}");
-    }
-
-    /// Warm-starting from the basis of a *perturbed* sibling problem (same
-    /// shape, resized files, shifted release slot) must reproduce the cold
-    /// objective exactly: the warm path may only change how many pivots the
-    /// solver spends, never where it lands.
-    #[test]
-    fn warm_start_from_perturbed_basis_matches_cold_objective(
-        seed in 0u64..5000,
-        nf in 1usize..5,
-        scale in 0.7f64..1.4,
-    ) {
-        let (network, files) = instance(seed, 4, nf);
-        let ledger = TrafficLedger::new(4);
-        let cfg = PostcardConfig::default();
-        let donor = solve_postcard_with(&network, &files, &ledger, &cfg)
-            .expect("generous capacity");
-        let shifted: Vec<TransferRequest> = files
-            .iter()
-            .map(|f| TransferRequest::new(
-                f.id, f.src, f.dst, f.size_gb * scale, f.deadline_slots, f.release_slot + 1,
-            ))
-            .collect();
-        let cold = solve_postcard_with(&network, &shifted, &ledger, &cfg).expect("feasible");
-        let warm =
-            solve_postcard_warm_with(&network, &shifted, &ledger, &cfg, donor.basis.as_ref())
-                .expect("feasible");
-        prop_assert!(
-            (warm.cost_per_slot - cold.cost_per_slot).abs() < 1e-6 * (1.0 + cold.cost_per_slot),
-            "warm {} vs cold {}",
-            warm.cost_per_slot,
-            cold.cost_per_slot
-        );
-        let violations = warm.plan.validate(&network, &shifted, |_, _, _| 0.0);
-        prop_assert!(violations.is_empty(), "{violations:?}");
-    }
-
-    /// A standing `DeltaFormulation` advanced across K same-shaped slots
-    /// must hold a model that is index-for-index identical — variable
-    /// bounds, constraint relations, coefficients, and right-hand sides —
-    /// to a structural build assembled from scratch for the final slot's
-    /// batch and ledger. Exact bit equality: the delta path may not drift.
-    #[test]
-    fn standing_model_after_k_advances_equals_scratch_build(
-        seed in 0u64..2000,
-        k in 2usize..6,
-        nd in 3usize..5,
-    ) {
-        let (network, files) = instance(seed, nd, 2);
-        let cfg = PostcardConfig::default();
-        let mut delta = DeltaFormulation::new(cfg.clone());
-        let mut ledger = TrafficLedger::new(64);
-        let mut final_state = None;
-        for slot in 0..k as u64 {
-            let batch: Vec<TransferRequest> = files
-                .iter()
-                .map(|f| TransferRequest::new(
-                    FileId(f.id.0 + 100 * slot),
-                    f.src,
-                    f.dst,
-                    f.size_gb,
-                    f.deadline_slots,
-                    slot,
-                ))
-                .collect();
-            let before = ledger.clone();
-            let sol = delta.solve(&network, &batch, &before).expect("generous capacity");
-            sol.plan.apply_to_ledger(&mut ledger);
-            final_state = Some((batch, before));
-        }
-        prop_assert_eq!(delta.rebuilds(), 1);
-        prop_assert_eq!(delta.delta_hits(), k as u64 - 1);
-        let (batch, before) = final_state.unwrap();
-        let (scratch, _) =
-            build_structural_postcard_problem(&network, &batch, &before, &cfg).unwrap();
-        let standing = delta.standing_problem().unwrap();
-        let (sm, fm) = (&standing.model, &scratch.model);
-        prop_assert_eq!(sm.num_vars(), fm.num_vars());
-        prop_assert_eq!(sm.num_constraints(), fm.num_constraints());
-        for v in sm.variables() {
-            let (slo, shi) = sm.bounds(v);
-            let (flo, fhi) = fm.bounds(v);
-            prop_assert_eq!(slo.to_bits(), flo.to_bits(), "lower bound of {}", fm.var_name(v));
-            prop_assert_eq!(shi.to_bits(), fhi.to_bits(), "upper bound of {}", fm.var_name(v));
-        }
-        for ((_, sc), (_, fc)) in sm.constraints().zip(fm.constraints()) {
-            prop_assert_eq!(sc.relation(), fc.relation());
-            prop_assert_eq!(sc.rhs().to_bits(), fc.rhs().to_bits(), "rhs {} vs {}", sc.rhs(), fc.rhs());
-            let sterms: Vec<(usize, u64)> =
-                sc.expr().iter().map(|(v, c)| (v.index(), c.to_bits())).collect();
-            let fterms: Vec<(usize, u64)> =
-                fc.expr().iter().map(|(v, c)| (v.index(), c.to_bits())).collect();
-            prop_assert_eq!(sterms, fterms);
-        }
-        let sobj: Vec<(usize, u64)> =
-            sm.objective_expr().iter().map(|(v, c)| (v.index(), c.to_bits())).collect();
-        let fobj: Vec<(usize, u64)> =
-            fm.objective_expr().iter().map(|(v, c)| (v.index(), c.to_bits())).collect();
-        prop_assert_eq!(sobj, fobj);
     }
 
     /// Uniform price scaling scales the optimum and preserves the plan's

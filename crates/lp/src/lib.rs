@@ -50,8 +50,6 @@ mod eta;
 mod expr;
 mod factor;
 mod model;
-pub mod mps;
-pub mod presolve;
 mod simplex;
 mod solution;
 mod sparse;

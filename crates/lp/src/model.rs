@@ -144,20 +144,13 @@ impl Model {
         (self.lower[v.0], self.upper[v.0])
     }
 
-    /// Tightens (replaces) the bounds of an existing variable.
-    pub fn set_bounds(&mut self, v: Variable, lower: f64, upper: f64) {
-        self.lower[v.0] = lower;
-        self.upper[v.0] = upper;
-    }
-
     /// Replaces the right-hand side of an existing constraint, keeping its
     /// expression and relation.
     ///
     /// Note that [`Model::add_constraint`] folds the expression's constant
     /// part into the stored right-hand side at ingestion; the value set here
     /// replaces that folded result directly (stored expressions are
-    /// constant-free). This is the mutation the slot-over-slot delta path
-    /// uses: same constraint shape, new ledger-dependent right-hand side.
+    /// constant-free).
     pub fn set_rhs(&mut self, id: ConstraintId, rhs: f64) {
         self.constraints[id.0].rhs = rhs;
     }
@@ -328,14 +321,8 @@ impl Model {
         Ok(sf.map_solution(self, raw))
     }
 
-    /// Compiles the model's standard form once, for repeated re-solves of
-    /// the same constraint shape with changing right-hand sides and bounds.
-    ///
-    /// See [`PreparedLp`] for the refresh/solve cycle. The one-shot
-    /// [`Model::solve_warm`] rebuilds the standard form on every call; on
-    /// large recurring models (the Postcard slot loop) that rebuild — not
-    /// pivoting — dominates, and `prepare` + [`PreparedLp::refresh`]
-    /// replaces it with an O(rows + nnz of changed rows) in-place update.
+    /// Compiles the model's standard form once, so that building it and
+    /// solving it can be timed, and repeated, apart (see [`PreparedLp`]).
     ///
     /// # Errors
     ///
@@ -346,44 +333,20 @@ impl Model {
     }
 }
 
-/// A compiled standard form that survives across same-shaped re-solves.
-///
-/// Produced by [`Model::prepare`]. The intended cycle, one iteration per
-/// slot of a rolling-horizon loop:
-///
-/// 1. Mutate the *same* model in place — only [`Model::set_rhs`] and
-///    [`Model::set_bounds`]; expressions, relations, the objective, and
-///    the variable/constraint counts must stay untouched.
-/// 2. Call [`PreparedLp::refresh`]; a `false` return means the bound
-///    structure changed and the caller must [`Model::prepare`] again.
-/// 3. Call [`PreparedLp::solve_warm`] with the basis exported by the
-///    previous solve and a persistent [`crate::SolverWorkspace`].
-///
-/// Because a refresh only rescales rows by ±1 and rewrites `b`, a basis
-/// that was optimal (hence dual feasible) before the mutation stays dual
-/// feasible, and the warm solve resumes with dual-simplex pivots instead
-/// of a cold two-phase restart.
+/// A compiled standard form, produced by [`Model::prepare`] and solved by
+/// [`PreparedLp::solve_warm`] with a caller-owned
+/// [`crate::SolverWorkspace`], whose allocations survive across solves.
 #[derive(Debug, Clone)]
 pub struct PreparedLp {
     sf: StandardForm,
 }
 
 impl PreparedLp {
-    /// Re-derives right-hand sides and bound shifts from `model` in place.
-    ///
-    /// Returns `false` when the form is no longer structurally valid for
-    /// the model (a variable's bound classification changed); the form is
-    /// then unusable and must be rebuilt with [`Model::prepare`].
-    pub fn refresh(&mut self, model: &Model) -> bool {
-        self.sf.refresh(model)
-    }
-
     /// Solves against the prepared form, warm-starting from `warm` and
     /// reusing `ws`'s allocations.
     ///
-    /// `model` must be the (possibly rhs/bounds-mutated) model this form
-    /// was prepared from or last refreshed against — it supplies the
-    /// objective evaluation and solution mapping.
+    /// `model` must be the model this form was prepared from — it supplies
+    /// the objective evaluation and solution mapping.
     ///
     /// # Errors
     ///
@@ -461,87 +424,6 @@ mod tests {
         let vs = m.add_vars("f", 3, 0.0, 1.0);
         assert_eq!(m.num_vars(), 3);
         assert_eq!(m.var_name(vs[2]), "f[2]");
-    }
-
-    #[test]
-    fn prepared_refresh_tracks_rhs_and_bounds() {
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 1.0, f64::INFINITY);
-        let y = m.add_var("y", 0.0, f64::INFINITY);
-        m.set_objective(2.0 * x + 3.0 * y);
-        let cap = m.geq(x + y, 4.0);
-        m.leq(x - y, 1.0);
-        let mut prepared = m.prepare().unwrap();
-        let mut ws = crate::SolverWorkspace::new();
-        let first = prepared.solve_warm(&m, &SimplexOptions::default(), None, &mut ws).unwrap();
-        assert_eq!(first.status(), crate::Status::Optimal);
-
-        // Mutate rhs + a lower bound; the refreshed form must agree with a
-        // from-scratch solve of the mutated model.
-        m.set_rhs(cap, 7.0);
-        m.set_bounds(x, 2.0, f64::INFINITY);
-        assert!(prepared.refresh(&m));
-        let warm =
-            prepared.solve_warm(&m, &SimplexOptions::default(), first.basis(), &mut ws).unwrap();
-        let cold = m.solve().unwrap();
-        assert_eq!(warm.status(), crate::Status::Optimal);
-        assert!(
-            (warm.objective() - cold.objective()).abs() < 1e-9,
-            "warm {} vs cold {}",
-            warm.objective(),
-            cold.objective()
-        );
-    }
-
-    #[test]
-    fn prepared_refresh_handles_rhs_sign_flips() {
-        // The envelope-style row `x - y ≤ rhs` crosses zero: the internal
-        // row must be re-oriented in place and still solve correctly.
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 0.0, f64::INFINITY);
-        let y = m.add_var("y", 0.0, f64::INFINITY);
-        m.set_objective(x + 2.0 * y);
-        m.geq(x + y, 3.0);
-        let env = m.leq(x - y, -1.0);
-        let mut prepared = m.prepare().unwrap();
-        let mut ws = crate::SolverWorkspace::new();
-        let first = prepared.solve_warm(&m, &SimplexOptions::default(), None, &mut ws).unwrap();
-        assert_eq!(first.status(), crate::Status::Optimal);
-        for (rhs, label) in [(2.0, "neg->pos"), (-2.0, "pos->neg"), (0.0, "to zero")] {
-            m.set_rhs(env, rhs);
-            assert!(prepared.refresh(&m), "{label}");
-            let warm = prepared
-                .solve_warm(&m, &SimplexOptions::default(), first.basis(), &mut ws)
-                .unwrap();
-            let cold = m.solve().unwrap();
-            assert_eq!(warm.status(), cold.status(), "{label}");
-            assert!(
-                (warm.objective() - cold.objective()).abs() < 1e-9,
-                "{label}: warm {} vs cold {}",
-                warm.objective(),
-                cold.objective()
-            );
-        }
-    }
-
-    #[test]
-    fn prepared_refresh_rejects_bound_reclassification() {
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", 0.0, f64::INFINITY);
-        m.set_objective(LinExpr::from(x));
-        m.geq(LinExpr::from(x), 1.0);
-        let mut prepared = m.prepare().unwrap();
-        // Shifted → fixed: the column layout changed, refresh must refuse.
-        m.set_bounds(x, 2.0, 2.0);
-        assert!(!prepared.refresh(&m));
-        // Shifted → gains a finite upper bound (needs a new ub row): refuse.
-        let mut m2 = Model::new(Sense::Minimize);
-        let x2 = m2.add_var("x", 0.0, f64::INFINITY);
-        m2.set_objective(LinExpr::from(x2));
-        m2.geq(LinExpr::from(x2), 1.0);
-        let mut p2 = m2.prepare().unwrap();
-        m2.set_bounds(x2, 0.0, 5.0);
-        assert!(!p2.refresh(&m2));
     }
 
     #[test]

@@ -72,11 +72,6 @@ impl Solution {
         Self { status, objective, values, duals, counts, basis }
     }
 
-    /// The effort counters, for re-wrapping a solution crate-internally.
-    pub(crate) fn counts(&self) -> SolveCounts {
-        self.counts
-    }
-
     /// Termination status.
     pub fn status(&self) -> Status {
         self.status

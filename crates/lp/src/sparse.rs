@@ -149,24 +149,6 @@ impl CscMatrix {
     pub fn get(&self, r: usize, c: usize) -> f64 {
         self.column(c).filter(|&(ri, _)| ri == r).map(|(_, v)| v).sum()
     }
-
-    /// Visits every stored entry as `(storage_index, row, col)`, in column
-    /// order. The storage index addresses [`CscMatrix::values_mut`], letting
-    /// callers build row-oriented views (e.g. the per-row entry lists the
-    /// standard-form refresh uses to rescale a row in place).
-    pub(crate) fn for_each_entry(&self, mut f: impl FnMut(usize, usize, usize)) {
-        for c in 0..self.cols {
-            for idx in self.col_ptr[c]..self.col_ptr[c + 1] {
-                f(idx, self.row_idx[idx], c);
-            }
-        }
-    }
-
-    /// Mutable access to the stored values (sparsity pattern fixed). Indexed
-    /// by the storage index reported by [`CscMatrix::for_each_entry`].
-    pub(crate) fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
-    }
 }
 
 #[cfg(test)]

@@ -62,15 +62,6 @@ pub(crate) struct StandardForm {
     pub slack_of_row: Vec<Option<usize>>,
     /// Coefficient (+1/−1, post-negation) of that slack in its row.
     pub slack_coeff: Vec<f64>,
-    /// Column layout per model variable (the inverse of `col_source`),
-    /// kept so [`StandardForm::refresh`] can re-derive shifts in place.
-    pub cols_of_var: Vec<VarCols>,
-    /// `(internal row, model variable)` per explicit upper-bound row, in
-    /// row order; lets `refresh` recompute `ub − lb` right-hand sides.
-    pub ub_rows: Vec<(usize, usize)>,
-    /// Storage indices of `a`'s entries grouped by row, built lazily on the
-    /// first `refresh` (empty until then); lets a row be rescaled in place.
-    row_entries: Vec<Vec<usize>>,
     /// A vacuous constraint (`0 ⋈ rhs`) was violated — the model is
     /// infeasible regardless of the simplex.
     pub trivially_infeasible: bool,
@@ -115,7 +106,7 @@ fn rewrite_terms(
 
 /// Column layout for one model variable.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum VarCols {
+enum VarCols {
     Shifted { col: usize, shift: f64 },
     Mirrored { col: usize, ub: f64 },
     Free { pos: usize, neg: usize },
@@ -187,13 +178,7 @@ impl StandardForm {
             row_of_constraint.push(Some(rows.len()));
             rows.push(PendingRow { terms, relation: con.relation(), rhs });
         }
-        let mut ub_row_ids: Vec<(usize, usize)> = Vec::with_capacity(ub_rows.len());
         for (col, range) in ub_rows {
-            let var = match col_source[col] {
-                ColSource::Shifted { var, .. } => var,
-                _ => unreachable!("ub rows are only added for shifted columns"),
-            };
-            ub_row_ids.push((rows.len(), var));
             rows.push(PendingRow { terms: vec![(col, 1.0)], relation: Relation::Leq, rhs: range });
         }
 
@@ -259,149 +244,8 @@ impl StandardForm {
             fixed_values,
             slack_of_row,
             slack_coeff,
-            cols_of_var,
-            ub_rows: ub_row_ids,
-            row_entries: Vec::new(),
             trivially_infeasible,
         }
-    }
-
-    /// Right-hand-side correction an expression accumulates from the stored
-    /// substitutions (fixed values, shifts, mirrors) — the refresh-time
-    /// counterpart of the `rhs_delta` computed by [`rewrite_terms`].
-    fn rhs_delta_of(&self, expr: &LinExpr) -> f64 {
-        let mut delta = 0.0;
-        for (v, coef) in expr.iter() {
-            if let Some(val) = self.fixed_values[v.index()] {
-                delta += coef * val;
-                continue;
-            }
-            match self.cols_of_var[v.index()] {
-                VarCols::Shifted { shift, .. } => delta += coef * shift,
-                VarCols::Mirrored { ub, .. } => delta += coef * ub,
-                VarCols::Free { .. } | VarCols::Fixed => {}
-            }
-        }
-        delta
-    }
-
-    /// Builds the row-oriented view of `a`'s storage once; later refreshes
-    /// reuse it to rescale rows in place.
-    fn ensure_row_entries(&mut self) {
-        if !self.row_entries.is_empty() || self.a.nnz() == 0 {
-            return;
-        }
-        let mut entries = vec![Vec::new(); self.m];
-        self.a.for_each_entry(|idx, r, _| entries[r].push(idx));
-        self.row_entries = entries;
-    }
-
-    /// In-place refresh after the caller mutated **only** constraint
-    /// right-hand sides ([`Model::set_rhs`]) and variable bounds
-    /// ([`Model::set_bounds`]) of the model this form was built from.
-    /// Constraint expressions, relations and counts, the objective, and the
-    /// variable count must be untouched — the delta-formulation layer
-    /// guarantees this, and it is not re-verified here.
-    ///
-    /// Right-hand sides and bound shifts are recomputed; a raw right-hand
-    /// side that crossed zero flips its row's orientation by rescaling the
-    /// stored row by −1 in place (keeping `b ≥ 0`, which the cold path's
-    /// initial slack basis requires). A ±1 row scaling leaves `B⁻¹A` and
-    /// every reduced cost exactly invariant — `B` picks up the same
-    /// diagonal flip as `A` and `b` — so a basis that was dual feasible
-    /// before the refresh still is after it, which is what lets the dual
-    /// simplex resume from the previous optimum. Costs need no recompute:
-    /// `c` depends only on objective coefficients and column kinds, both
-    /// unchanged by bound/rhs edits.
-    ///
-    /// Returns `false` — form left unusable, the caller must rebuild from
-    /// scratch — when a variable's bound classification changed
-    /// (fixed/shifted/mirrored/free, or a finite upper bound appeared or
-    /// disappeared), since that would change the column/row layout.
-    pub fn refresh(&mut self, model: &Model) -> bool {
-        if model.num_vars() != self.cols_of_var.len()
-            || model.num_constraints() != self.row_of_constraint.len()
-        {
-            return false;
-        }
-        let mut has_ub_row = vec![false; self.cols_of_var.len()];
-        for &(_, var) in &self.ub_rows {
-            has_ub_row[var] = true;
-        }
-        // Re-classify every variable; a kind change invalidates the layout.
-        for (i, &had_ub_row) in has_ub_row.iter().enumerate() {
-            let (lo, hi) = model.bounds(crate::Variable(i));
-            let fixed = lo.is_finite() && hi.is_finite() && (hi - lo).abs() <= 1e-12;
-            match self.cols_of_var[i] {
-                VarCols::Fixed => {
-                    if !fixed {
-                        return false;
-                    }
-                    self.fixed_values[i] = Some(lo);
-                }
-                VarCols::Shifted { col, .. } => {
-                    if fixed || !lo.is_finite() || hi.is_finite() != had_ub_row {
-                        return false;
-                    }
-                    self.cols_of_var[i] = VarCols::Shifted { col, shift: lo };
-                    self.col_source[col] = ColSource::Shifted { var: i, shift: lo };
-                }
-                VarCols::Mirrored { col, .. } => {
-                    if fixed || lo.is_finite() || !hi.is_finite() {
-                        return false;
-                    }
-                    self.cols_of_var[i] = VarCols::Mirrored { col, ub: hi };
-                    self.col_source[col] = ColSource::Mirrored { var: i, ub: hi };
-                }
-                VarCols::Free { .. } => {
-                    if lo.is_finite() || hi.is_finite() {
-                        return false;
-                    }
-                }
-            }
-        }
-        // Recompute raw (pre-orientation) right-hand sides per internal row,
-        // re-verifying vacuous rows against the new values.
-        self.trivially_infeasible = false;
-        let mut raw_rhs = vec![0.0; self.m];
-        for (ci, (_, con)) in model.constraints().enumerate() {
-            let raw = con.rhs() - self.rhs_delta_of(&con.expr);
-            match self.row_of_constraint[ci] {
-                Some(r) => raw_rhs[r] = raw,
-                None => {
-                    let ok = match con.relation() {
-                        Relation::Leq => raw >= -1e-9,
-                        Relation::Geq => raw <= 1e-9,
-                        Relation::Eq => raw.abs() <= 1e-9,
-                    };
-                    if !ok {
-                        self.trivially_infeasible = true;
-                    }
-                }
-            }
-        }
-        for &(r, var) in &self.ub_rows {
-            let (lo, hi) = model.bounds(crate::Variable(var));
-            raw_rhs[r] = hi - lo;
-        }
-        // Apply, flipping row orientation in place where a sign crossed 0.
-        self.ensure_row_entries();
-        let entries = std::mem::take(&mut self.row_entries);
-        for (r, &raw) in raw_rhs.iter().enumerate() {
-            let was_negated = self.row_sign[r] < 0.0;
-            let now_negated = raw < 0.0;
-            if was_negated != now_negated {
-                let values = self.a.values_mut();
-                for &idx in &entries[r] {
-                    values[idx] = -values[idx];
-                }
-                self.row_sign[r] = if now_negated { -1.0 } else { 1.0 };
-                self.slack_coeff[r] = -self.slack_coeff[r];
-            }
-            self.b[r] = self.row_sign[r] * raw;
-        }
-        self.row_entries = entries;
-        true
     }
 
     /// Maps a raw simplex solution back into model space.

@@ -274,7 +274,7 @@ proptest! {
     }
 
     /// After an arbitrary RHS perturbation, the dual-simplex warm re-solve
-    /// through `prepare`/`refresh` must land exactly where a cold two-phase
+    /// of the re-prepared model must land exactly where a cold two-phase
     /// solve of the mutated model lands: identical status, objectives within
     /// 1e-9, and an independently validated feasible point.
     #[test]
@@ -295,9 +295,8 @@ proptest! {
             .collect();
         let (mut m, _, _) = feasible_box_lp(n, &costs[..n], &boxes, &rows, &slacks[..m_rows]);
         let opts = SimplexOptions::default();
-        let mut prepared = m.prepare().unwrap();
         let mut ws = SolverWorkspace::new();
-        let first = prepared.solve_warm(&m, &opts, None, &mut ws).unwrap();
+        let first = m.prepare().unwrap().solve_warm(&m, &opts, None, &mut ws).unwrap();
         prop_assert_eq!(first.status(), Status::Optimal);
         let basis = first.basis().cloned();
 
@@ -306,8 +305,8 @@ proptest! {
         for (i, (id, rhs)) in ids.into_iter().enumerate() {
             m.set_rhs(id, rhs + deltas[i % deltas.len()]);
         }
-        prop_assert!(prepared.refresh(&m), "rhs edits never change bound structure");
-        let warm = prepared.solve_warm(&m, &opts, basis.as_ref(), &mut ws).unwrap();
+        let warm =
+            m.prepare().unwrap().solve_warm(&m, &opts, basis.as_ref(), &mut ws).unwrap();
         let cold = m.solve_with(&opts).unwrap();
         prop_assert_eq!(warm.status(), cold.status());
         if cold.status() == Status::Optimal {
@@ -350,9 +349,8 @@ proptest! {
         // Bland from the very first pivot: termination must not rely on the
         // Dantzig phase making progress.
         let opts = SimplexOptions { bland_after: 0, ..SimplexOptions::default() };
-        let mut prepared = m.prepare().unwrap();
         let mut ws = SolverWorkspace::new();
-        let first = prepared.solve_warm(&m, &opts, None, &mut ws).unwrap();
+        let first = m.prepare().unwrap().solve_warm(&m, &opts, None, &mut ws).unwrap();
         prop_assert_eq!(first.status(), Status::Optimal);
         let basis = first.basis().cloned();
         // Tighten every row to 0: all rows become active at the origin at
@@ -360,8 +358,8 @@ proptest! {
         for &id in &ids {
             m.set_rhs(id, 0.0);
         }
-        prop_assert!(prepared.refresh(&m));
-        let warm = prepared.solve_warm(&m, &opts, basis.as_ref(), &mut ws).unwrap();
+        let warm =
+            m.prepare().unwrap().solve_warm(&m, &opts, basis.as_ref(), &mut ws).unwrap();
         prop_assert_eq!(warm.status(), Status::Optimal);
         prop_assert!(warm.objective().abs() < 1e-9, "optimum is the origin");
         prop_assert!(validate::is_feasible(&m, &warm, 1e-6));

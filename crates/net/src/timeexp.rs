@@ -178,26 +178,6 @@ impl TimeExpandedGraph {
         Self { t0, num_slots, num_dcs, arcs, by_slot }
     }
 
-    /// Shifts the whole expansion so it starts at `new_t0`, keeping every
-    /// [`ArcId`] valid: arc `k` still names "the `k`-th arc", now at slot
-    /// `new_t0 + (old_slot − old_t0)`. Prices, capacities, and the per-slot
-    /// index (which is keyed by relative offset) are untouched.
-    ///
-    /// This is the structural half of a slot advance: the delta formulation
-    /// rebases the standing graph and then refreshes only capacities/RHS
-    /// instead of rebuilding the expansion from scratch.
-    pub fn rebase(&mut self, new_t0: u64) {
-        if new_t0 == self.t0 {
-            return;
-        }
-        for arc in &mut self.arcs {
-            // Regular constructors only emit slots >= t0; `from_arcs`
-            // fixtures may not, so saturate rather than underflow.
-            arc.slot = new_t0 + arc.slot.saturating_sub(self.t0);
-        }
-        self.t0 = new_t0;
-    }
-
     /// First slot covered.
     pub fn first_slot(&self) -> u64 {
         self.t0
@@ -393,29 +373,6 @@ mod tests {
         assert_eq!(g.arcs_in_slot(2).count(), 1);
         assert_eq!(g.arcs_in_slot(9).count(), 0);
         assert_eq!(g.arcs().filter(|(_, a)| a.slot == 9).count(), 1);
-    }
-
-    #[test]
-    fn rebase_shifts_slots_and_keeps_arc_ids() {
-        let mut g = TimeExpandedGraph::new(&net(), 5, 4);
-        let before: Vec<(ArcId, Arc)> = g.arcs().map(|(id, a)| (id, *a)).collect();
-        g.rebase(12);
-        assert_eq!(g.first_slot(), 12);
-        assert_eq!(g.last_slot(), 15);
-        for (id, old) in &before {
-            let new = g.arc(*id);
-            assert_eq!(new.slot, old.slot + 7);
-            assert_eq!((new.from, new.to, new.kind), (old.from, old.to, old.kind));
-            assert_eq!(new.price, old.price);
-            assert_eq!(new.capacity, old.capacity);
-        }
-        // The per-slot index follows the shift: old slot 6 is now slot 13.
-        assert_eq!(g.arcs_in_slot(13).count(), 9);
-        assert_eq!(g.arcs_in_slot(6).count(), 0);
-        // Rebasing backwards works too.
-        g.rebase(2);
-        assert_eq!(g.first_slot(), 2);
-        assert_eq!(g.arcs_in_slot(3).count(), 9);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 
 use crate::clock::Clock;
 use postcard_core::{
-    Decision, FlowLpScheduler, GreedyScheduler, HeadroomScheduler, PostcardConfig, PostcardError,
+    Decision, FlowLpScheduler, GreedyScheduler, HeadroomScheduler, PostcardError,
     PostcardScheduler, Scheduler, SolveStats,
 };
 use postcard_flow::AlapScheduler;
@@ -71,56 +71,21 @@ impl TierKind {
         }
     }
 
-    /// Builds the tier's scheduler (cold solves).
-    pub fn build(&self) -> Box<dyn Scheduler> {
-        self.build_with(false)
-    }
-
-    /// Builds the tier's scheduler, enabling cross-slot simplex warm starts
-    /// on the LP tiers when `warm_start` is set (combinatorial tiers ignore
-    /// the flag).
-    pub fn build_with(&self, warm_start: bool) -> Box<dyn Scheduler> {
-        self.build_with_options(warm_start, false)
-    }
-
-    /// Builds the tier's scheduler with the full option set: `warm_start`
-    /// as in [`TierKind::build_with`], plus `incremental`, which puts the
-    /// Postcard tier on the standing delta formulation (slot-over-slot
-    /// model advance + dual-simplex re-solve). Other tiers ignore
-    /// `incremental`.
-    pub fn build_with_options(&self, warm_start: bool, incremental: bool) -> Box<dyn Scheduler> {
-        self.build_with_charging(warm_start, incremental, ChargingScheme::MaxPerSlot)
-    }
-
-    /// [`TierKind::build_with_options`], additionally supplying the run's
-    /// charging scheme — required by the [`TierKind::Headroom`] rung, which
-    /// places traffic against the scheme's billing windows. Other tiers
-    /// ignore it.
+    /// Builds the tier's scheduler. `charging` is the run's charging
+    /// scheme, which the [`TierKind::Headroom`] rung places traffic
+    /// against; other tiers ignore it.
     ///
     /// # Panics
     ///
     /// Panics when building [`TierKind::Headroom`] under a scheme with no
     /// free slots (notably [`ChargingScheme::MaxPerSlot`]) — runtime config
     /// validation rejects that combination before it gets here.
-    pub fn build_with_charging(
-        &self,
-        warm_start: bool,
-        incremental: bool,
-        charging: ChargingScheme,
-    ) -> Box<dyn Scheduler> {
+    pub fn build(&self, charging: ChargingScheme) -> Box<dyn Scheduler> {
         match self {
             TierKind::Headroom => Box::new(HeadroomScheduler::new(charging)),
             TierKind::Alap => Box::new(AlapTier::new()),
-            TierKind::Postcard => Box::new(PostcardScheduler::with_config(PostcardConfig {
-                warm_start,
-                incremental,
-                ..PostcardConfig::default()
-            })),
-            TierKind::FlowLp => {
-                let mut s = FlowLpScheduler::new();
-                s.warm_start = warm_start;
-                Box::new(s)
-            }
+            TierKind::Postcard => Box::new(PostcardScheduler::new()),
+            TierKind::FlowLp => Box::new(FlowLpScheduler::new()),
             TierKind::Greedy => Box::new(GreedyScheduler),
         }
     }
@@ -260,15 +225,11 @@ pub struct AttemptRecord {
     pub elapsed: Duration,
     /// LP effort of this attempt (0 for combinatorial tiers).
     pub lp_iterations: usize,
-    /// Dual-simplex pivots within `lp_iterations` (non-zero only on warm
-    /// re-solves resuming from a dual-feasible basis).
+    /// Dual-simplex pivots within `lp_iterations`: always 0, since every
+    /// tier solves cold and the dual simplex runs only from a supplied
+    /// basis. Kept for the attempt log's readers (slotbench reports it as
+    /// `lp.dual_pivots`).
     pub dual_iterations: usize,
-    /// Whether a previous basis actually seeded the attempt's solve.
-    pub warm_started: bool,
-    /// Whether the attempt advanced a standing incremental model in place.
-    pub delta_hit: bool,
-    /// Whether the attempt (re)built a standing incremental model.
-    pub rebuilt: bool,
 }
 
 /// A tier's scheduler. The ALAP rung keeps its concrete type so the chain
@@ -322,69 +283,18 @@ impl std::fmt::Debug for FallbackChain {
 
 impl FallbackChain {
     /// Builds a chain over `tiers` (in fallback order) with a per-slot
-    /// solve budget measured by `clock`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tiers` is empty.
-    pub fn new(tiers: &[TierKind], slot_budget: Duration, clock: Box<dyn Clock>) -> Self {
-        Self::with_warm_start(tiers, slot_budget, clock, false)
-    }
-
-    /// [`FallbackChain::new`], with cross-slot warm starts enabled on the LP
-    /// tiers when `warm_start` is set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tiers` is empty.
-    pub fn with_warm_start(
-        tiers: &[TierKind],
-        slot_budget: Duration,
-        clock: Box<dyn Clock>,
-        warm_start: bool,
-    ) -> Self {
-        Self::with_options(tiers, slot_budget, clock, warm_start, false)
-    }
-
-    /// [`FallbackChain::new`] with the full option set: `warm_start` as in
-    /// [`FallbackChain::with_warm_start`], and `incremental` to put the
-    /// Postcard tier on the standing delta formulation (see
-    /// [`TierKind::build_with_options`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tiers` is empty.
-    pub fn with_options(
-        tiers: &[TierKind],
-        slot_budget: Duration,
-        clock: Box<dyn Clock>,
-        warm_start: bool,
-        incremental: bool,
-    ) -> Self {
-        Self::with_charging(
-            tiers,
-            slot_budget,
-            clock,
-            warm_start,
-            incremental,
-            ChargingScheme::MaxPerSlot,
-        )
-    }
-
-    /// [`FallbackChain::with_options`], additionally supplying the run's
-    /// [`ChargingScheme`] — required when `tiers` contains the
-    /// [`TierKind::Headroom`] rung (see [`TierKind::build_with_charging`]).
+    /// solve budget measured by `clock`. `charging` is the run's charging
+    /// scheme, needed when `tiers` contains the [`TierKind::Headroom`] rung
+    /// (see [`TierKind::build`]).
     ///
     /// # Panics
     ///
     /// Panics if `tiers` is empty, or contains [`TierKind::Headroom`] while
     /// `charging` has no free slots.
-    pub fn with_charging(
+    pub fn new(
         tiers: &[TierKind],
         slot_budget: Duration,
         clock: Box<dyn Clock>,
-        warm_start: bool,
-        incremental: bool,
         charging: ChargingScheme,
     ) -> Self {
         assert!(!tiers.is_empty(), "fallback chain needs at least one tier");
@@ -395,11 +305,7 @@ impl FallbackChain {
                     kind,
                     scheduler: match kind {
                         TierKind::Alap => TierScheduler::Alap(AlapTier::new()),
-                        _ => TierScheduler::Dyn(kind.build_with_charging(
-                            warm_start,
-                            incremental,
-                            charging,
-                        )),
+                        _ => TierScheduler::Dyn(kind.build(charging)),
                     },
                 })
                 .collect(),
@@ -477,10 +383,7 @@ impl FallbackChain {
             outcome,
             elapsed: self.clock.elapsed(),
             lp_iterations: stats.lp_iterations,
-            dual_iterations: stats.dual_iterations,
-            warm_started: stats.warm_started,
-            delta_hit: stats.delta_hit,
-            rebuilt: stats.rebuilt,
+            dual_iterations: 0,
         });
     }
 }
@@ -590,6 +493,7 @@ mod tests {
             &TierKind::default_chain(),
             Duration::from_millis(100),
             Box::new(SimClock::new()),
+            ChargingScheme::MaxPerSlot,
         )
     }
 
@@ -671,6 +575,7 @@ mod tests {
             &[TierKind::Alap, TierKind::Postcard],
             Duration::from_millis(100),
             Box::new(SimClock::new()),
+            ChargingScheme::MaxPerSlot,
         )
     }
 
@@ -705,6 +610,7 @@ mod tests {
             &[TierKind::Alap],
             Duration::from_millis(100),
             Box::new(SimClock::new()),
+            ChargingScheme::MaxPerSlot,
         );
         c.begin_slot(2, vec![]);
         c.set_skip_alap(true);
@@ -714,12 +620,10 @@ mod tests {
     }
 
     fn headroom_chain() -> FallbackChain {
-        FallbackChain::with_charging(
+        FallbackChain::new(
             &[TierKind::Headroom, TierKind::Postcard],
             Duration::from_millis(100),
             Box::new(SimClock::new()),
-            false,
-            false,
             ChargingScheme::Percentile { q: 95.0, window_slots: 20 },
         )
     }

@@ -68,20 +68,6 @@ pub struct RuntimeConfig {
     /// dropped (counted in the `analysis_rejections` metric) instead of
     /// being handed to the solver.
     pub strict_analysis: bool,
-    /// Carry the optimal simplex basis between slots on the LP tiers so each
-    /// solve warm-starts from the previous slot's optimum (stale bases
-    /// degrade to cold solves). Off by default. A warm solve reaches the cold
-    /// solve's optimal cost but may commit another optimal vertex, so later
-    /// admissions and the bill can differ from a cold run's.
-    pub warm_start: bool,
-    /// Keep a standing incremental Postcard formulation across slots: a
-    /// same-shaped recurring batch advances the standing model in place
-    /// (graph rebase + RHS/bound refresh) and re-solves with the dual
-    /// simplex from the previous basis instead of rebuilding the LP. Shape
-    /// changes rebuild automatically. Off by default. Adding this field is
-    /// a snapshot format break (the vendored serde shim treats missing
-    /// fields as errors), hence snapshot v7.
-    pub incremental: bool,
     /// Put the ALAP fast-path admission rung ahead of the LP tiers:
     /// [`Runtime::new`] prepends [`TierKind::Alap`] to `tiers` (idempotent
     /// if it is already listed). Each request is then admitted or rejected
@@ -120,8 +106,6 @@ impl Default for RuntimeConfig {
             max_requeue_attempts: 2,
             clock: ClockKind::Sim,
             strict_analysis: false,
-            warm_start: false,
-            incremental: false,
             alap: false,
             reopt_every: 0,
             shards: 1,
@@ -233,12 +217,10 @@ impl Runtime {
             config.tiers.insert(0, TierKind::Headroom);
         }
         Self::validate(&config)?;
-        let chain = FallbackChain::with_charging(
+        let chain = FallbackChain::new(
             &config.tiers,
             config.slot_budget(),
             config.clock.build(),
-            config.warm_start,
-            config.incremental,
             config.charging,
         );
         // The horizon must cover every arrival's full deadline *window*, not
@@ -322,21 +304,13 @@ impl Runtime {
     pub fn from_snapshot(snap: RuntimeSnapshot) -> Result<Self, RuntimeError> {
         Self::validate(&snap.config)?;
         let network = snap.rebuild_network();
-        // Warm-start state (the previous optimal basis) is deliberately not
-        // snapshotted: a resumed run cold-solves its first LP slot. That
-        // solve reaches the warm solve's cost but can commit another optimal
-        // plan, so the ledger's per-slot volumes, and through them later
-        // admissions and bills, can differ from the uninterrupted run's.
-        // Resume is bit-identical only without warm starts. The ALAP residual
-        // grid is likewise not snapshotted: a fresh `AlapTier` starts dirty
-        // and deterministically rebuilds the grid from the restored ledger
-        // on first use, so resumed runs stay bit-identical.
-        let chain = FallbackChain::with_charging(
+        // The ALAP residual grid is not snapshotted: a fresh `AlapTier`
+        // starts dirty and deterministically rebuilds the grid from the
+        // restored ledger on first use, so resumed runs stay bit-identical.
+        let chain = FallbackChain::new(
             &snap.config.tiers,
             snap.config.slot_budget(),
             snap.config.clock.build(),
-            snap.config.warm_start,
-            snap.config.incremental,
             snap.config.charging,
         );
         let mut queue = AdmissionQueue::new(snap.config.queue_capacity);
@@ -735,30 +709,9 @@ impl Runtime {
                         rec.elapsed.as_secs_f64(),
                     );
                     self.metrics.observe("lp_iterations", rec.lp_iterations as f64);
-                    if rec.dual_iterations > 0 {
-                        self.metrics.inc("dual_simplex_iters", rec.dual_iterations as u64);
-                    }
-                    if rec.delta_hit {
-                        self.metrics.inc("model_delta_hits", 1);
-                    }
-                    if rec.rebuilt {
-                        self.metrics.inc("model_rebuilds", 1);
-                    }
                     if rec.tier == TierKind::Alap {
                         self.metrics
                             .observe("admission_latency_seconds", rec.elapsed.as_secs_f64());
-                    }
-                    // Warm starts only exist on the LP tiers; counting the
-                    // combinatorial or ALAP rungs here would report their
-                    // cold solves as basis misses.
-                    if self.config.warm_start
-                        && matches!(rec.tier, TierKind::Postcard | TierKind::FlowLp)
-                    {
-                        if rec.warm_started {
-                            self.metrics.inc("warm_start_hits", 1);
-                        } else {
-                            self.metrics.inc("warm_start_misses", 1);
-                        }
                     }
                     if rec.outcome == AttemptOutcome::CommittedAfterRetry {
                         self.metrics.inc("tier_retries", 1);
@@ -1245,46 +1198,6 @@ mod tests {
         let depth = rt.metrics().histogram("queue_depth").unwrap();
         assert_eq!(depth.count, 4, "one observation per slot");
         assert_eq!(depth.max, 1.0, "at most one request queued at once");
-    }
-
-    #[test]
-    fn warm_start_run_matches_cold_costs_and_counts_hits() {
-        let config = RuntimeConfig { warm_start: true, ..Default::default() };
-        let mut warm = Runtime::new(net(), arrivals(), FaultPlan::none(), 4, config).unwrap();
-        let mut cold =
-            Runtime::new(net(), arrivals(), FaultPlan::none(), 4, RuntimeConfig::default())
-                .unwrap();
-        warm.run_to_end().unwrap();
-        cold.run_to_end().unwrap();
-        // Equivalence gate: same bills to 1e-6 on every slot.
-        assert_eq!(warm.cost_history().len(), cold.cost_history().len());
-        for (a, b) in warm.cost_history().iter().zip(cold.cost_history()) {
-            assert!((a - b).abs() < 1e-6, "warm {a} vs cold {b}");
-        }
-        assert_eq!(warm.metrics().counter("files_accepted"), 2);
-        // Two non-empty batches. The first solve has no basis to start from.
-        // The second is offered the first's basis, but its deadline differs,
-        // so the LP has another shape: the solver rejects the basis and runs
-        // cold, which is a miss, not a hit.
-        assert_eq!(warm.metrics().counter("warm_start_misses"), 2);
-        assert_eq!(warm.metrics().counter("warm_start_hits"), 0);
-        assert_eq!(cold.metrics().counter("warm_start_hits"), 0);
-    }
-
-    #[test]
-    fn warm_start_hit_needs_the_basis_to_seed_the_solve() {
-        // The same batch shape on two slots: the second solve accepts the
-        // first's basis, so exactly one hit is counted.
-        let arrivals = ArrivalSchedule::from_requests(vec![
-            TransferRequest::new(FileId(1), d(1), d(2), 6.0, 3, 0),
-            TransferRequest::new(FileId(2), d(1), d(2), 4.0, 3, 2),
-        ]);
-        let config = RuntimeConfig { warm_start: true, ..Default::default() };
-        let mut rt = Runtime::new(net(), arrivals, FaultPlan::none(), 6, config).unwrap();
-        rt.run_to_end().unwrap();
-        assert_eq!(rt.metrics().counter("files_accepted"), 2);
-        assert_eq!(rt.metrics().counter("warm_start_misses"), 1);
-        assert_eq!(rt.metrics().counter("warm_start_hits"), 1);
     }
 
     #[test]

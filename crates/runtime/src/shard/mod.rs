@@ -133,12 +133,10 @@ impl ShardEngine {
         assert_eq!(states.len(), config.shards, "one state per shard");
         let chains = (0..config.shards)
             .map(|_| {
-                FallbackChain::with_charging(
+                FallbackChain::new(
                     &config.tiers,
                     config.slot_budget(),
                     config.clock.build(),
-                    config.warm_start,
-                    config.incremental,
                     config.charging,
                 )
             })

@@ -9,12 +9,12 @@
 //!
 //! Workers are **long-lived**: [`WorkerPool::new`] moves each shard's
 //! [`FallbackChain`] onto its own thread once, and every slot's work is fed
-//! over a per-worker job channel. That keeps LP warm-start bases — and, in
-//! incremental mode, the standing slot-over-slot model — resident on the
-//! worker across the whole run instead of re-lending state through scoped
-//! borrows each slot. Results are collected from the per-worker result
-//! channels in shard-index order, so thread *scheduling* affects only
-//! wall-clock time, never the merged outcome. The reconciler's serial
+//! over a per-worker job channel. That keeps each chain, with its
+//! schedulers and their allocations, on one thread for the whole run
+//! instead of re-lending it through scoped borrows each slot. Results are
+//! collected from the per-worker result channels in shard-index order, so
+//! thread *scheduling* affects only wall-clock time, never the merged
+//! outcome. The reconciler's serial
 //! conflict re-solves go through [`WorkerPool::solve_one`], which posts a
 //! job to the owning worker and blocks for its answer — same chain, same
 //! thread, deterministic position in the merge order.
@@ -355,7 +355,7 @@ impl WorkerPool {
 
     /// Runs one shard's solve on its own worker and blocks for the result —
     /// the reconciler's serial conflict re-solve path. The job still runs on
-    /// the worker thread so the chain's warm state stays where it lives.
+    /// the worker thread, so each chain is only ever used on its own thread.
     pub fn solve_one(
         &mut self,
         shard: usize,
@@ -378,7 +378,7 @@ impl WorkerPool {
 mod tests {
     use super::*;
     use crate::clock::SimClock;
-    use postcard_net::{DcId, NetworkBuilder};
+    use postcard_net::{ChargingScheme, DcId, NetworkBuilder};
     use std::time::Duration;
 
     fn d(i: usize) -> DcId {
@@ -395,6 +395,7 @@ mod tests {
             &TierKind::default_chain(),
             Duration::from_millis(250),
             Box::new(SimClock::new()),
+            ChargingScheme::MaxPerSlot,
         )
     }
 
@@ -431,7 +432,7 @@ mod tests {
     fn workers_persist_chain_state_across_slots() {
         // Two slots through the same pool must match two sequential
         // solve_shard calls on one chain: proof the worker kept its chain
-        // (warm bases and all) alive between slots instead of resetting.
+        // alive between slots instead of resetting it.
         let net = net();
         let base = TrafficLedger::new(4);
         let slot0 = vec![vec![TransferRequest::new(FileId(1), d(0), d(1), 6.0, 3, 0)]];
@@ -507,6 +508,7 @@ mod tests {
             &[TierKind::Postcard],
             Duration::from_millis(250),
             Box::new(SimClock::new()),
+            ChargingScheme::MaxPerSlot,
         );
         let solve = solve_shard(&mut c, 0, &net, &base, &batch, &SlotDirectives::plain(0));
         assert!(solve.degraded);

@@ -174,7 +174,7 @@ mod tests {
     use super::*;
     use crate::clock::SimClock;
     use crate::fallback::{FallbackChain, TierKind};
-    use postcard_net::{DcId, FileId, NetworkBuilder};
+    use postcard_net::{ChargingScheme, DcId, FileId, NetworkBuilder};
     use std::time::Duration;
 
     fn d(i: usize) -> DcId {
@@ -182,7 +182,12 @@ mod tests {
     }
 
     fn chain(tiers: &[TierKind]) -> FallbackChain {
-        FallbackChain::new(tiers, Duration::from_millis(250), Box::new(SimClock::new()))
+        FallbackChain::new(
+            tiers,
+            Duration::from_millis(250),
+            Box::new(SimClock::new()),
+            ChargingScheme::MaxPerSlot,
+        )
     }
 
     fn two_shard_pool() -> WorkerPool {

@@ -40,7 +40,10 @@ use std::path::Path;
 /// `price_changes` and `maintenance`, and the snapshot carries
 /// `pending_restores` (capacities to put back when maintenance windows
 /// end — the restore value is only known once the outage starts, so a run
-/// killed mid-maintenance needs it to resume bit-identically).
+/// killed mid-maintenance needs it to resume bit-identically). Later,
+/// `RuntimeConfig` lost `warm_start` and `incremental` without a version
+/// bump: fields are looked up by name and extra keys are ignored, so v8
+/// checkpoints that still carry them load.
 pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// One directed link, flattened for serialization.

@@ -46,25 +46,16 @@ impl Approach {
     }
 
     /// Builds a fresh scheduler.
-    ///
-    /// The LP-backed approaches warm-start each slot from the previous
-    /// slot's optimal basis — purely a speed knob (stale bases fall back to
-    /// cold solves, and per-slot optima are unique in objective value), so
-    /// figure reproductions are unaffected.
     pub fn scheduler(&self) -> Box<dyn Scheduler> {
         match self {
-            Approach::Postcard => Box::new(PostcardScheduler::with_config(PostcardConfig {
-                warm_start: true,
-                ..Default::default()
-            })),
+            Approach::Postcard => Box::new(PostcardScheduler::new()),
             Approach::PostcardNoRelayStorage => {
                 Box::new(PostcardScheduler::with_config(PostcardConfig {
                     allow_relay_storage: false,
-                    warm_start: true,
                     ..Default::default()
                 }))
             }
-            Approach::FlowLp => Box::new(FlowLpScheduler::warm_starting()),
+            Approach::FlowLp => Box::new(FlowLpScheduler::new()),
             Approach::FlowTwoPhase => Box::new(TwoPhaseScheduler),
             Approach::FlowGreedy => Box::new(GreedyScheduler),
             Approach::Direct => Box::new(DirectScheduler),

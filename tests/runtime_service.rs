@@ -291,74 +291,96 @@ fn zero_capacity_outage_removes_link_from_the_slot_schedule() {
     }
 }
 
+/// Loads a committed fixture that freezes an older format's framing. Only
+/// the `version` field matters: the probe must reject it *before* the typed
+/// decode, with the documented error, instead of a confusing missing-field
+/// message about fields that format never had.
+fn assert_old_fixture_rejected(version: u32, fixture: &str) {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(fixture);
+    let err = RuntimeSnapshot::load(&path).unwrap_err();
+    let expected = format!("snapshot version {version} unsupported (expected 8)");
+    assert!(err.contains(&expected), "{fixture}: {err}");
+    assert!(!err.contains("missing field"), "{fixture}: {err}");
+    // The operator-facing entry point surfaces the same diagnosis.
+    let err = Runtime::resume(&path).unwrap_err();
+    let expected = format!("snapshot version {version} unsupported");
+    assert!(err.to_string().contains(&expected), "{fixture}: {err}");
+}
+
 #[test]
 fn committed_v3_snapshot_fixture_fails_with_version_error() {
-    // The committed fixture freezes the previous format's framing. Only the
-    // `version` field matters: the probe must reject it *before* the typed
-    // decode, with the documented error, instead of a confusing
-    // missing-field message about fields v3 never had.
-    let path = std::path::Path::new(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/snapshot_v3.json"
-    ));
-    let err = RuntimeSnapshot::load(path).unwrap_err();
-    assert!(err.contains("snapshot version 3 unsupported (expected 8)"), "{err}");
-    assert!(!err.contains("missing field"), "{err}");
-    // The operator-facing entry point surfaces the same diagnosis.
-    let err = Runtime::resume(path).unwrap_err();
-    assert!(err.to_string().contains("snapshot version 3 unsupported"), "{err}");
+    // v3: the original committed fixture.
+    assert_old_fixture_rejected(3, "snapshot_v3.json");
 }
 
 #[test]
 fn committed_v4_snapshot_fixture_fails_with_version_error() {
     // v4 carried the queue contents but not the `queue_dropped` counter
-    // (or the ALAP config knobs). Like v3, it must be rejected by the
-    // version probe — before the typed decode trips over absent fields.
-    let path = std::path::Path::new(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/snapshot_v4.json"
-    ));
-    let err = RuntimeSnapshot::load(path).unwrap_err();
-    assert!(err.contains("snapshot version 4 unsupported (expected 8)"), "{err}");
-    assert!(!err.contains("missing field"), "{err}");
-    let err = Runtime::resume(path).unwrap_err();
-    assert!(err.to_string().contains("snapshot version 4 unsupported"), "{err}");
+    // (or the ALAP config knobs).
+    assert_old_fixture_rejected(4, "snapshot_v4.json");
 }
 
 #[test]
 fn committed_v5_snapshot_fixture_fails_with_version_error() {
-    // v5 predates the shard manifest: it has no `shard_refs` field and its
-    // config lacks `shards` / `shard_by`. Like v3 and v4, the version probe
-    // must reject it with the documented error before the typed decode
-    // trips over the absent fields.
-    let path = std::path::Path::new(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/snapshot_v5.json"
-    ));
-    let err = RuntimeSnapshot::load(path).unwrap_err();
-    assert!(err.contains("snapshot version 5 unsupported (expected 8)"), "{err}");
-    assert!(!err.contains("missing field"), "{err}");
-    let err = Runtime::resume(path).unwrap_err();
-    assert!(err.to_string().contains("snapshot version 5 unsupported"), "{err}");
+    // v5 predates the shard manifest: no `shard_refs`, and its config lacks
+    // `shards` / `shard_by`.
+    assert_old_fixture_rejected(5, "snapshot_v5.json");
 }
 
 #[test]
 fn committed_v7_snapshot_fixture_fails_with_version_error() {
-    // v7 predates the billing-window work: its config has no `charging`
-    // field, its fault plan has no `price_changes` / `maintenance`, and the
-    // snapshot has no `pending_restores`. The fixture was generated by the
-    // actual v7 binary (a real mid-run checkpoint, not hand-written JSON),
-    // and the version probe must reject it before the typed decode trips
-    // over any of the absent fields.
-    let path = std::path::Path::new(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/snapshot_v7.json"
-    ));
-    let err = RuntimeSnapshot::load(path).unwrap_err();
-    assert!(err.contains("snapshot version 7 unsupported (expected 8)"), "{err}");
-    assert!(!err.contains("missing field"), "{err}");
-    let err = Runtime::resume(path).unwrap_err();
-    assert!(err.to_string().contains("snapshot version 7 unsupported"), "{err}");
+    // v7 predates the billing-window work: its config has no `charging`, its
+    // fault plan no `price_changes` / `maintenance`, and the snapshot no
+    // `pending_restores`. Generated by the actual v7 binary (a real mid-run
+    // checkpoint, not hand-written JSON).
+    assert_old_fixture_rejected(7, "snapshot_v7.json");
+}
+
+#[test]
+fn v8_checkpoint_with_removed_solver_keys_resumes() {
+    // Checkpoints written while `RuntimeConfig` still had `warm_start` and
+    // `incremental` carry both keys. Fields are decoded by name, so the
+    // stale keys are ignored: such a checkpoint resumes and finishes
+    // exactly like the uninterrupted run.
+    const SLOTS: u64 = 6;
+    let (network, arrivals) = instance(11, SLOTS);
+    let mut full = Runtime::new(
+        network.clone(),
+        arrivals.clone(),
+        FaultPlan::none(),
+        SLOTS,
+        RuntimeConfig::default(),
+    )
+    .unwrap();
+    full.run_to_end().unwrap();
+
+    let mut victim =
+        Runtime::new(network, arrivals, FaultPlan::none(), SLOTS, RuntimeConfig::default())
+            .unwrap();
+    for _ in 0..3 {
+        victim.run_slot().unwrap();
+    }
+    let json = victim.snapshot().to_json();
+    let old = json.replacen(
+        "\"strict_analysis\": false,",
+        "\"strict_analysis\": false,\n    \"warm_start\": true,\n    \"incremental\": true,",
+        1,
+    );
+    assert_ne!(old, json, "the config must carry the removed keys");
+    let path = ckpt_path("v8_removed_keys.json");
+    std::fs::write(&path, old).unwrap();
+    let mut resumed = Runtime::resume(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(resumed.next_slot(), 3);
+    resumed.run_to_end().unwrap();
+
+    assert_eq!(resumed.controller().export_state(), full.controller().export_state());
+    assert_eq!(resumed.metrics(), full.metrics());
+    assert_eq!(resumed.cost_history().len(), full.cost_history().len());
+    for (a, b) in resumed.cost_history().iter().zip(full.cost_history()) {
+        assert_eq!(a.to_bits(), b.to_bits());
+    }
 }
 
 #[test]

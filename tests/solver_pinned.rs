@@ -1,4 +1,4 @@
-//! Pinned regressions for one scaled Fig. 7 slot LP (seed 7, slot 6).
+//! Pinned regressions for scaled-preset slot LPs (seed 7, slot 6).
 //!
 //! Two pins, with different jobs:
 //!
@@ -6,9 +6,9 @@
 //!   fixed rule that uses no LP, so the LP depends only on the traffic.
 //!   Any correct solver must reach the same optimum, to 1e-9 relative,
 //!   whatever vertex or pivot path it takes.
-//! - The **pivot-path pin** replays slots 0–5 through the solver itself,
-//!   committing each optimal plan, and pins the slot-6 pivot counts and
-//!   objective bits. A solver change meant as a pure speed-up (a faster
+//! - The **pivot-path pin** replays slots 0–5 of scaled Fig. 7 and of
+//!   scaled Fig. 4 through the solver itself, committing each optimal
+//!   plan, and pins each slot-6 pivot count and objective bits. A solver change meant as a pure speed-up (a faster
 //!   factorization, a cheaper `ftran`) must leave them exactly as they are.
 //!   A change to pivot selection or to the start basis moves them, and may
 //!   commit other optimal vertices in slots 0–5 and so change the bill.
@@ -23,13 +23,14 @@ use postcard::sim::{Scenario, Workload};
 /// Slot whose LP the pins solve: the largest LP of the first few slots.
 const SLOT: u64 = 6;
 
-/// Seed 7's scaled Fig. 7 network, the ledger after `commit` has recorded
-/// each of the slots `0..slot`, and slot `slot`'s batch.
-fn fig7_slot(
+/// Seed 7's network for the scaled `preset`, the ledger after `commit` has
+/// recorded each of the slots `0..slot`, and slot `slot`'s batch.
+fn preset_slot(
+    preset: &Scenario,
     slot: u64,
     mut commit: impl FnMut(&Network, &[TransferRequest], &mut TrafficLedger),
 ) -> (Network, Vec<TransferRequest>, TrafficLedger) {
-    let scenario = Scenario::fig7().scaled_down();
+    let scenario = preset.scaled_down();
     let network = scenario.network(7);
     let mut workload = scenario.workload(7);
     let mut ledger = TrafficLedger::new(network.num_dcs());
@@ -62,10 +63,11 @@ fn commit_fixed_share(_: &Network, batch: &[TransferRequest], ledger: &mut Traff
 }
 
 fn solve(
+    preset: &Scenario,
     slot: u64,
     commit: fn(&Network, &[TransferRequest], &mut TrafficLedger),
 ) -> PostcardSolution {
-    let (network, batch, ledger) = fig7_slot(slot, commit);
+    let (network, batch, ledger) = preset_slot(preset, slot, commit);
     solve_postcard(&network, &batch, &ledger).expect("pinned slot solves")
 }
 
@@ -74,22 +76,30 @@ fn scaled_fig7_slot_lp_objective_is_solver_independent() {
     // The optimum of an LP fixed by its inputs: checked on the commit
     // before the triangular crash and after it.
     const OPTIMUM: f64 = 214.726_659_938_299;
-    let sol = solve(SLOT, commit_fixed_share);
+    let sol = solve(&Scenario::fig7(), SLOT, commit_fixed_share);
     let rel = (sol.cost_per_slot - OPTIMUM).abs() / OPTIMUM.abs();
     assert!(rel <= 1e-9, "objective {} is {rel:.3e} off the pinned {OPTIMUM}", sol.cost_per_slot);
 }
 
 #[test]
 fn scaled_fig7_slot_lp_keeps_its_pivot_path() {
-    let sol = solve(SLOT, commit_lp_plan);
-    assert_eq!(sol.lp_iterations, 124);
-    assert_eq!(sol.dual_iterations, 0);
-    assert_eq!(
-        sol.cost_per_slot.to_bits(),
-        0x4082_5773_e3ba_3803,
-        "objective {} moved off its pinned bits",
-        sol.cost_per_slot
-    );
+    // Scaled Fig. 4 (ample capacity, short deadlines) rides along as a
+    // second preset, so a pivot-path change shows on both regimes.
+    for (preset, pivots, bits) in [
+        (Scenario::fig7(), 124, 0x4082_5773_e3ba_3803_u64),
+        (Scenario::fig4(), 42, 0x4092_1c9d_a9c7_122d),
+    ] {
+        let sol = solve(&preset, SLOT, commit_lp_plan);
+        assert_eq!(sol.lp_iterations, pivots, "{}", preset.name);
+        assert_eq!(sol.dual_iterations, 0, "{}", preset.name);
+        assert_eq!(
+            sol.cost_per_slot.to_bits(),
+            bits,
+            "{}: objective {} moved off its pinned bits",
+            preset.name,
+            sol.cost_per_slot
+        );
+    }
 }
 
 #[test]
@@ -98,7 +108,7 @@ fn crash_covers_every_zero_rhs_row_of_a_postcard_lp() {
     // its slack, and every conservation row but the files' release rows
     // has a zero right-hand side. The crash covers all of those, so only
     // the release rows keep an artificial.
-    let (network, batch, ledger) = fig7_slot(SLOT, |_, _, _| {});
+    let (network, batch, ledger) = preset_slot(&Scenario::fig7(), SLOT, |_, _, _| {});
     let problem = build_postcard_problem(&network, &batch, &ledger, &PostcardConfig::default())
         .expect("builds");
     let sol = problem.model.solve().expect("solves");
