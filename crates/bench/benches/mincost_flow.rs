@@ -1,8 +1,8 @@
-//! Micro-benchmarks of the combinatorial flow substrate: Dinic max-flow and
-//! successive-shortest-paths min-cost flow on layered random graphs.
+//! Micro-benchmark of the combinatorial flow substrate: successive-shortest-
+//! paths min-cost flow on layered random graphs.
 
 use criterion::{BenchmarkId, Criterion};
-use postcard_flow::{dinic_max_flow, min_cost_flow, FlowNetwork, NodeId};
+use postcard_flow::{min_cost_flow, FlowNetwork, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -37,22 +37,6 @@ fn layered(seed: u64, layers: usize, width: usize) -> (FlowNetwork, NodeId, Node
 
 fn main() {
     let mut c = Criterion::default().configure_from_args();
-
-    let mut g = c.benchmark_group("dinic_max_flow");
-    for &(layers, width) in &[(3usize, 5usize), (5, 10), (8, 15)] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(format!("{layers}layers_x{width}")),
-            &(layers, width),
-            |b, &(layers, width)| {
-                b.iter_batched(
-                    || layered(layers as u64, layers, width),
-                    |(mut net, s, t)| dinic_max_flow(&mut net, s, t),
-                    criterion::BatchSize::SmallInput,
-                )
-            },
-        );
-    }
-    g.finish();
 
     let mut g = c.benchmark_group("ssp_min_cost_flow");
     for &(layers, width) in &[(3usize, 5usize), (5, 10), (8, 15)] {

@@ -77,7 +77,7 @@ commands:
                 [--wall-metrics-out PATH]
   analyze src   [--root PATH] [--deny] [--json]
   analyze model --network PATH --trace PATH [--json] | --fixtures
-  help
+  help          (also --help or -h after any command)
 
 approaches: postcard (default), postcard-no-relay-storage, flow-lp,
             flow-two-phase, flow-greedy, direct
@@ -132,6 +132,10 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         return Err(CliError::Usage("missing command".into()));
     };
     let rest = &argv[1..];
+    if rest.iter().any(|a| a == "--help" || a == "-h") {
+        writeln!(out, "{USAGE}")?;
+        return Ok(());
+    }
     match command.as_str() {
         "gen-network" => gen_network(rest, out),
         "gen-trace" => gen_trace(rest, out),
@@ -684,6 +688,12 @@ mod tests {
         let out = run_cli(&["help"]).unwrap();
         assert!(out.contains("gen-network"));
         assert!(out.contains("simulate"));
+        // `--help` after a command is a request for help, not a value flag.
+        for args in
+            [&["serve", "--help"][..], &["simulate", "--help"], &["serve", "--slots", "3", "-h"]]
+        {
+            assert_eq!(run_cli(args).unwrap(), out, "{args:?}");
+        }
     }
 
     #[test]

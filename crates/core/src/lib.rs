@@ -61,7 +61,7 @@ pub use formulation::{
     PostcardSolution,
 };
 pub use headroom::HeadroomScheduler;
-pub use online::{ControllerState, OnlineController, StepReport};
+pub use online::{admit, Admission, ControllerState, OnlineController, StepReport};
 pub use scheduler::{
     Decision, DirectScheduler, FlowLpScheduler, GreedyScheduler, PostcardScheduler, Scheduler,
     SolveStats, TwoPhaseScheduler,

@@ -6,18 +6,111 @@
 //! the [`TrafficLedger`] as committed per-slot volumes (including volumes
 //! committed into *future* slots by earlier plans).
 //!
-//! The controller also implements **admission control**: schedulers are
-//! all-or-nothing per batch, so when a whole batch is infeasible the
-//! controller retries file-by-file (in arrival order) and rejects only the
-//! files that genuinely do not fit. The paper assumes feasible workloads and
-//! does not discuss admission; rejections are surfaced in [`StepReport`] so
-//! experiments can verify they are rare and identical across approaches or
-//! account for them.
+//! The controller also implements **admission control** ([`admit`]):
+//! schedulers are all-or-nothing per batch, so when a whole batch is
+//! infeasible the controller retries file-by-file (in arrival order) and
+//! rejects only the files that genuinely do not fit. The paper assumes
+//! feasible workloads and does not discuss admission; rejections are
+//! surfaced in [`StepReport`] so experiments can verify they are rare and
+//! identical across approaches or account for them.
+//!
+//! Admission is all-or-nothing on a hard (non-[`PostcardError::Infeasible`])
+//! scheduler error too: the ledger is restored to its state before the
+//! batch, and nothing reaches the accounting. An online controller never
+//! re-plans committed files, so the ledger must always agree with what a
+//! step reported as admitted.
 
 use crate::error::PostcardError;
 use crate::scheduler::{Decision, Scheduler};
 use postcard_net::{ChargingScheme, FileId, Network, TrafficLedger, TransferRequest};
 use serde::{Deserialize, Serialize};
+
+/// One batch's admission verdict (see [`admit`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Admission {
+    /// Each decision with the files it serves, in commit order.
+    pub commits: Vec<(Vec<TransferRequest>, Decision)>,
+    /// Files rejected (no feasible service even alone), in arrival order.
+    pub rejected: Vec<TransferRequest>,
+}
+
+impl Admission {
+    /// Files admitted, in commit order (arrival order within one batch).
+    pub fn accepted(&self) -> impl Iterator<Item = &TransferRequest> {
+        self.commits.iter().flat_map(|(files, _)| files)
+    }
+}
+
+/// Admits `files` onto `ledger`: the whole batch in one schedule call, or,
+/// if that is infeasible, file by file in arrival order. Every admitted
+/// decision is booked onto `ledger` before the next schedule call, after a
+/// debug-build check against the traffic already there.
+///
+/// The caller accounts for the returned [`Admission`] (see
+/// [`OnlineController::record_booked`]).
+///
+/// # Errors
+///
+/// The first non-[`PostcardError::Infeasible`] scheduler error. `ledger` is
+/// then exactly as it was: the whole-batch path books nothing before its
+/// one call, and the per-file path restores the copy it saved when it
+/// started.
+pub fn admit<S: Scheduler + ?Sized>(
+    scheduler: &mut S,
+    network: &Network,
+    files: &[TransferRequest],
+    ledger: &mut TrafficLedger,
+) -> Result<Admission, PostcardError> {
+    match scheduler.schedule(network, files, ledger) {
+        Ok(decision) => {
+            book(scheduler.name(), network, &decision, files, ledger);
+            Ok(Admission { commits: vec![(files.to_vec(), decision)], rejected: Vec::new() })
+        }
+        Err(PostcardError::Infeasible) => {
+            let saved = ledger.clone();
+            let mut admission = Admission::default();
+            for f in files {
+                let single = [*f];
+                match scheduler.schedule(network, &single, ledger) {
+                    Ok(decision) => {
+                        book(scheduler.name(), network, &decision, &single, ledger);
+                        admission.commits.push((single.to_vec(), decision));
+                    }
+                    Err(PostcardError::Infeasible) => admission.rejected.push(*f),
+                    Err(e) => {
+                        *ledger = saved;
+                        return Err(e);
+                    }
+                }
+            }
+            Ok(admission)
+        }
+        Err(e) => Err(e),
+    }
+}
+
+/// Books `decision` (made for `files` by `scheduler`) onto `ledger`. Debug
+/// builds first validate it against the traffic already booked, so a
+/// decision that over-commits a link fails the assertion.
+fn book(
+    scheduler: &str,
+    network: &Network,
+    decision: &Decision,
+    files: &[TransferRequest],
+    ledger: &mut TrafficLedger,
+) {
+    match decision {
+        Decision::Plan(plan) => debug_assert!(
+            plan.validate(network, files, |i, j, s| ledger.volume(i, j, s)).is_empty(),
+            "scheduler {scheduler} produced an invalid plan"
+        ),
+        Decision::Rates(rates) => debug_assert!(
+            rates.validate(network, files, |i, j, s| ledger.volume(i, j, s)).is_empty(),
+            "scheduler {scheduler} produced an invalid assignment"
+        ),
+    }
+    decision.apply_to_ledger(files, ledger);
+}
 
 /// What happened in one controller step.
 #[derive(Debug, Clone, PartialEq)]
@@ -204,13 +297,22 @@ impl<S: Scheduler> OnlineController<S> {
         (self.accepted_volume, self.rejected_volume)
     }
 
+    /// The scheduler together with the network and committed ledger it
+    /// schedules against, borrowed at once so a caller can run [`admit`] on
+    /// the controller's own state and account for the result with
+    /// [`OnlineController::record_booked`].
+    pub fn scheduler_and_state(&mut self) -> (&mut S, &Network, &mut TrafficLedger) {
+        (&mut self.scheduler, &self.network, &mut self.ledger)
+    }
+
     /// Schedules the batch of files released at `slot` and commits the
     /// decision.
     ///
     /// # Errors
     ///
     /// Propagates non-[`PostcardError::Infeasible`] scheduler errors
-    /// (infeasibility is handled by per-file admission instead).
+    /// (infeasibility is handled by per-file admission instead). A failed
+    /// step leaves the controller exactly as it was.
     ///
     /// # Panics
     ///
@@ -224,125 +326,58 @@ impl<S: Scheduler> OnlineController<S> {
         for f in files {
             assert_eq!(f.release_slot, slot, "batch must contain only slot-{slot} releases");
         }
-        let mut accepted = Vec::new();
-        let mut rejected = Vec::new();
-
-        match self.scheduler.schedule(&self.network, files, &self.ledger) {
-            Ok(decision) => {
-                self.commit(&decision, files);
-                if self.keep_decisions {
-                    self.decisions.push((slot, decision));
-                }
-                accepted.extend(files.iter().map(|f| f.id));
-            }
-            Err(PostcardError::Infeasible) => {
-                // Per-file admission in arrival order.
-                for f in files {
-                    let batch = [*f];
-                    match self.scheduler.schedule(&self.network, &batch, &self.ledger) {
-                        Ok(decision) => {
-                            self.commit(&decision, &batch);
-                            if self.keep_decisions {
-                                self.decisions.push((slot, decision));
-                            }
-                            accepted.push(f.id);
-                        }
-                        Err(PostcardError::Infeasible) => rejected.push(f.id),
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-            Err(e) => return Err(e),
-        }
-
-        self.total_accepted += accepted.len();
-        self.total_rejected += rejected.len();
-        // `accepted` is a subsequence of `files` in arrival order in both
-        // paths above (the batch path takes every id, the per-file path
-        // pushes while iterating `files`), so a single positional cursor
-        // replaces the per-file `accepted.contains(..)` linear scan that
-        // made this loop O(batch²) on the 10³–10⁵-request batches the ALAP
-        // path admits — and it keeps the float accumulation order identical.
-        let mut cursor = 0;
-        for f in files {
-            if accepted.get(cursor) == Some(&f.id) {
-                cursor += 1;
-                self.accepted_volume += f.size_gb;
-            } else {
-                self.rejected_volume += f.size_gb;
-            }
-        }
-        let cost = self.ledger.cost_per_slot_scheme(&self.network, self.charging);
-        self.cost_history.push(cost);
-        Ok(StepReport { slot, accepted, rejected, cost_per_slot: cost })
+        let admission = admit(&mut self.scheduler, &self.network, files, &mut self.ledger)?;
+        Ok(self.record_booked(slot, [&admission]))
     }
 
-    /// Commits externally reconciled per-shard decisions as this slot's
-    /// single controller step.
+    /// Commits admissions decided against copies of the ledger as this
+    /// slot's single controller step: books every decision in order, then
+    /// records the step as [`OnlineController::record_booked`] does.
     ///
-    /// The sharded runtime solves per-shard subproblems in parallel and
-    /// merges them *outside* the controller (validating each decision
-    /// against the growing central ledger); this entry point applies the
-    /// merged result — decisions in their fixed reconciliation order — and
-    /// updates the cost history and admission accounting exactly like
-    /// [`OnlineController::step`] does, so a sharded slot and an unsharded
-    /// slot leave identical controller state shapes behind.
+    /// The sharded runtime admits per-shard batches in parallel and merges
+    /// them outside the controller; it commits the merged result here, in
+    /// its fixed reconciliation order. Debug builds validate every decision
+    /// against the ledger state in front of it, which re-checks the
+    /// reconciler's ordering.
+    pub fn commit_reconciled(&mut self, slot: u64, admissions: &[&Admission]) -> StepReport {
+        for (files, decision) in admissions.iter().flat_map(|a| &a.commits) {
+            book(self.scheduler.name(), &self.network, decision, files, &mut self.ledger);
+        }
+        self.record_booked(slot, admissions.iter().copied())
+    }
+
+    /// Records admissions already booked onto the ledger (by [`admit`] on
+    /// [`OnlineController::scheduler_and_state`]) as this slot's single
+    /// controller step: the decision log, the admission accounting and the
+    /// cost history.
     ///
-    /// Every decision is debug-validated against the ledger state in front
-    /// of it, which re-checks the reconciler's ordering: a decision that
-    /// over-commits a link on top of an earlier shard's traffic fails the
-    /// assertion in debug builds.
-    pub fn commit_reconciled(
+    /// Admitted and rejected volumes accumulate file by file, in the order
+    /// the admissions list them (arrival order for a single admission).
+    pub fn record_booked<'a>(
         &mut self,
         slot: u64,
-        commits: &[(Vec<TransferRequest>, Decision)],
-        accepted: Vec<FileId>,
-        rejected: Vec<FileId>,
-        accepted_volume: f64,
-        rejected_volume: f64,
+        admissions: impl IntoIterator<Item = &'a Admission>,
     ) -> StepReport {
-        for (files, decision) in commits {
-            self.commit(decision, files);
+        let mut accepted = Vec::new();
+        let mut rejected = Vec::new();
+        for admission in admissions {
             if self.keep_decisions {
-                self.decisions.push((slot, decision.clone()));
+                self.decisions.extend(admission.commits.iter().map(|(_, d)| (slot, d.clone())));
+            }
+            for f in admission.accepted() {
+                self.accepted_volume += f.size_gb;
+                accepted.push(f.id);
+            }
+            for f in &admission.rejected {
+                self.rejected_volume += f.size_gb;
+                rejected.push(f.id);
             }
         }
         self.total_accepted += accepted.len();
         self.total_rejected += rejected.len();
-        self.accepted_volume += accepted_volume;
-        self.rejected_volume += rejected_volume;
         let cost = self.ledger.cost_per_slot_scheme(&self.network, self.charging);
         self.cost_history.push(cost);
         StepReport { slot, accepted, rejected, cost_per_slot: cost }
-    }
-
-    fn commit(&mut self, decision: &Decision, files: &[TransferRequest]) {
-        match decision {
-            Decision::Plan(plan) => {
-                debug_assert!(
-                    {
-                        let ledger = &self.ledger;
-                        let network = &self.network;
-                        plan.validate(network, files, |i, j, s| ledger.volume(i, j, s)).is_empty()
-                    },
-                    "scheduler {} produced an invalid plan",
-                    self.scheduler.name()
-                );
-                plan.apply_to_ledger(&mut self.ledger);
-            }
-            Decision::Rates(rates) => {
-                debug_assert!(
-                    {
-                        let ledger = &self.ledger;
-                        let network = &self.network;
-                        rates.validate(network, files, |i, j, s| ledger.volume(i, j, s)).is_empty()
-                    },
-                    "scheduler {} produced an invalid assignment",
-                    self.scheduler.name()
-                );
-                rates.apply_to_ledger(files, &mut self.ledger);
-            }
-        }
     }
 }
 
@@ -350,6 +385,7 @@ impl<S: Scheduler> OnlineController<S> {
 mod tests {
     use super::*;
     use crate::scheduler::{DirectScheduler, FlowLpScheduler, PostcardScheduler};
+    use postcard_lp::LpError;
     use postcard_net::{DcId, NetworkBuilder};
 
     fn d(i: usize) -> DcId {
@@ -477,15 +513,55 @@ mod tests {
         let mut stepped = OnlineController::new(net(), PostcardScheduler::new());
         let report = stepped.step(0, &[f]).unwrap();
 
-        let mut scheduler = PostcardScheduler::new();
-        let decision = scheduler.schedule(&net(), &[f], &TrafficLedger::new(3)).expect("feasible");
+        let admission =
+            admit(&mut PostcardScheduler::new(), &net(), &[f], &mut TrafficLedger::new(3)).unwrap();
         let mut merged = OnlineController::new(net(), PostcardScheduler::new());
-        let merged_report =
-            merged.commit_reconciled(0, &[(vec![f], decision)], vec![f.id], vec![], f.size_gb, 0.0);
+        let merged_report = merged.commit_reconciled(0, &[&admission]);
 
         assert_eq!(merged_report.accepted, report.accepted);
         assert_eq!(merged_report.cost_per_slot.to_bits(), report.cost_per_slot.to_bits());
         assert_eq!(merged.export_state(), stepped.export_state());
+    }
+
+    /// Finds every multi-file batch infeasible, then sends single files
+    /// direct, except file 2, on which the solver breaks down.
+    struct BreaksOnFileTwo;
+
+    impl Scheduler for BreaksOnFileTwo {
+        fn name(&self) -> &'static str {
+            "breaks-on-file-two"
+        }
+
+        fn schedule(
+            &mut self,
+            network: &Network,
+            files: &[TransferRequest],
+            ledger: &TrafficLedger,
+        ) -> Result<Decision, PostcardError> {
+            match files {
+                [f] if f.id == FileId(2) => Err(PostcardError::Lp(LpError::SingularBasis)),
+                [_] => DirectScheduler.schedule(network, files, ledger),
+                _ => Err(PostcardError::Infeasible),
+            }
+        }
+    }
+
+    #[test]
+    fn hard_failure_during_per_file_admission_commits_nothing() {
+        let mut ctl = OnlineController::new(net(), BreaksOnFileTwo).with_decision_log();
+        ctl.step(0, &[TransferRequest::new(FileId(1), d(1), d(2), 3.0, 3, 0)]).unwrap();
+        let before = ctl.export_state();
+        let decisions_before = ctl.decisions().len();
+
+        // File 3 is admitted per file before file 2 breaks the solver.
+        let batch = [
+            TransferRequest::new(FileId(3), d(1), d(2), 6.0, 3, 1),
+            TransferRequest::new(FileId(2), d(1), d(2), 6.0, 3, 1),
+        ];
+        let err = ctl.step(1, &batch).unwrap_err();
+        assert_eq!(err, PostcardError::Lp(LpError::SingularBasis));
+        assert_eq!(ctl.export_state(), before, "ledger, counters and cost history unchanged");
+        assert_eq!(ctl.decisions().len(), decisions_before);
     }
 
     #[test]

@@ -22,6 +22,17 @@ pub enum Decision {
     Rates(FlowAssignment),
 }
 
+impl Decision {
+    /// Books the decision's traffic for `files` (the batch it serves) into
+    /// `ledger`.
+    pub fn apply_to_ledger(&self, files: &[TransferRequest], ledger: &mut TrafficLedger) {
+        match self {
+            Decision::Plan(plan) => plan.apply_to_ledger(ledger),
+            Decision::Rates(rates) => rates.apply_to_ledger(files, ledger),
+        }
+    }
+}
+
 /// Solver-side effort counters for the most recent [`Scheduler::schedule`]
 /// call, surfaced so service runtimes can export them as metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

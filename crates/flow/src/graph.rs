@@ -20,15 +20,16 @@ pub(crate) struct Edge {
 /// A directed graph with residual edges, for max-flow / min-cost-flow.
 ///
 /// ```
-/// use postcard_flow::{dinic_max_flow, FlowNetwork, NodeId};
+/// use postcard_flow::{min_cost_flow, FlowNetwork, NodeId};
 ///
 /// let mut g = FlowNetwork::new(4);
-/// g.add_edge(NodeId(0), NodeId(1), 3.0, 0.0);
-/// g.add_edge(NodeId(0), NodeId(2), 2.0, 0.0);
-/// g.add_edge(NodeId(1), NodeId(3), 2.0, 0.0);
-/// g.add_edge(NodeId(2), NodeId(3), 3.0, 0.0);
-/// let max = dinic_max_flow(&mut g, NodeId(0), NodeId(3));
-/// assert!((max - 4.0).abs() < 1e-9);
+/// g.add_edge(NodeId(0), NodeId(1), 3.0, 1.0);
+/// g.add_edge(NodeId(0), NodeId(2), 2.0, 2.0);
+/// g.add_edge(NodeId(1), NodeId(3), 2.0, 1.0);
+/// g.add_edge(NodeId(2), NodeId(3), 3.0, 2.0);
+/// let out = min_cost_flow(&mut g, NodeId(0), NodeId(3), f64::INFINITY);
+/// assert!((out.flow - 4.0).abs() < 1e-9);
+/// assert!((out.cost - 12.0).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone)]
 pub struct FlowNetwork {

@@ -8,8 +8,8 @@
 //! machinery it rests on:
 //!
 //! * [`FlowNetwork`] — a residual graph for combinatorial algorithms;
-//! * [`dinic_max_flow`] — blocking-flow max-flow;
-//! * [`min_cost_flow`] — successive shortest paths with potentials;
+//! * [`min_cost_flow`] — successive shortest paths with potentials (the
+//!   exact oracle the LP solver's tests check network LPs against);
 //! * [`FlowAssignment`] — per-file constant rates on links, with
 //!   instantaneous-conservation validation and ledger commitment;
 //! * [`max_concurrent_flow`] — LP: route the largest common fraction λ of
@@ -57,7 +57,6 @@ mod decompose;
 mod graph;
 mod greedy;
 mod lp_flows;
-mod maxflow;
 mod mincost;
 
 pub use alap::{AlapRejection, AlapScheduler, ResidualGrid};
@@ -70,5 +69,4 @@ pub use decompose::{decompose_flow, Decomposition, PathShare};
 pub use graph::{EdgeId, FlowNetwork, NodeId};
 pub use greedy::{greedy_cheapest_path, GreedyOutcome};
 pub use lp_flows::{max_concurrent_flow, min_cost_multicommodity, Commodity, McfSolution};
-pub use maxflow::{dinic_max_flow, edmonds_karp_max_flow};
 pub use mincost::{cycle_canceling_min_cost, min_cost_flow, MinCostOutcome};

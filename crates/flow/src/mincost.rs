@@ -2,7 +2,7 @@
 
 use crate::graph::{FlowNetwork, NodeId};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 const EPS: f64 = 1e-9;
 
@@ -119,12 +119,13 @@ pub fn min_cost_flow(g: &mut FlowNetwork, s: NodeId, t: NodeId, target: f64) -> 
     MinCostOutcome { flow, cost }
 }
 
-/// Cycle-canceling min-cost flow: first route `target` units by any means
-/// (Dinic), then repeatedly cancel negative-cost residual cycles found with
-/// Bellman–Ford until none remain.
+/// Cycle-canceling min-cost flow: first route up to `target` units by BFS
+/// augmenting paths that ignore costs (Edmonds–Karp), then repeatedly cancel
+/// negative-cost residual cycles found with Bellman–Ford until none remain.
 ///
 /// Asymptotically slower than [`min_cost_flow`], kept as an independent
-/// implementation for cross-validation.
+/// implementation for cross-validation: it shares no search with SSP, so
+/// the tests check both the routed flow value and its cost.
 ///
 /// # Panics
 ///
@@ -136,26 +137,39 @@ pub fn cycle_canceling_min_cost(
     target: f64,
 ) -> MinCostOutcome {
     assert!(s.0 < g.num_nodes() && t.0 < g.num_nodes(), "node out of range");
-    // Phase 1: any feasible flow of the requested value, via a super-source
-    // whose single edge into `s` caps the flow at `target`. The clone keeps
-    // the original edges first, so indices line up when copying flows back.
-    let flow = if target.is_finite() {
-        let mut capped = FlowNetwork::new(g.num_nodes() + 1);
-        capped.edges = g.edges.clone();
-        capped.adj[..g.num_nodes()].clone_from_slice(&g.adj);
-        let ss = NodeId(g.num_nodes());
-        capped.add_edge(ss, s, target, 0.0);
-        let flow = crate::maxflow::dinic_max_flow(&mut capped, ss, t);
-        for i in 0..g.edges.len() {
-            g.edges[i].flow = capped.edges[i].flow;
+    let n = g.num_nodes();
+    // Phase 1: shortest-hop augmenting paths until `target` is routed or
+    // `t` is cut off from `s`.
+    let mut flow = 0.0;
+    while s != t && flow + EPS < target {
+        let mut prev_edge: Vec<Option<usize>> = vec![None; n];
+        let mut queue = VecDeque::from([s.0]);
+        while let Some(u) = queue.pop_front() {
+            for &ei in &g.adj[u] {
+                let v = g.edges[ei].to;
+                if v != s.0 && prev_edge[v].is_none() && g.res(ei) > EPS {
+                    prev_edge[v] = Some(ei);
+                    queue.push_back(v);
+                }
+            }
         }
-        flow
-    } else {
-        crate::maxflow::dinic_max_flow(g, s, t)
-    };
+        if prev_edge[t.0].is_none() {
+            break;
+        }
+        let mut path = Vec::new();
+        let mut v = t.0;
+        while let Some(ei) = prev_edge[v] {
+            path.push(ei);
+            v = g.edges[ei ^ 1].to;
+        }
+        let bottleneck = path.iter().fold(target - flow, |b, &ei| b.min(g.res(ei)));
+        for ei in path {
+            g.push(ei, bottleneck);
+        }
+        flow += bottleneck;
+    }
 
     // Phase 2: cancel negative residual cycles.
-    let n = g.num_nodes();
     loop {
         // Bellman–Ford from a virtual source connected to every node.
         let mut dist = vec![0.0f64; n];

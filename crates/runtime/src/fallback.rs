@@ -33,6 +33,7 @@
 //! grid from the committed ledger ([`FallbackChain::mark_alap_dirty`]).
 
 use crate::clock::Clock;
+use crate::runtime::RuntimeConfig;
 use postcard_core::{
     Decision, FlowLpScheduler, GreedyScheduler, HeadroomScheduler, PostcardError,
     PostcardScheduler, Scheduler, SolveStats,
@@ -282,35 +283,30 @@ impl std::fmt::Debug for FallbackChain {
 }
 
 impl FallbackChain {
-    /// Builds a chain over `tiers` (in fallback order) with a per-slot
-    /// solve budget measured by `clock`. `charging` is the run's charging
-    /// scheme, needed when `tiers` contains the [`TierKind::Headroom`] rung
-    /// (see [`TierKind::build`]).
+    /// Builds the chain `config` asks for: its tiers in fallback order, its
+    /// per-slot solve budget measured by its clock, and its charging scheme
+    /// (needed by the [`TierKind::Headroom`] rung, see [`TierKind::build`]).
     ///
     /// # Panics
     ///
-    /// Panics if `tiers` is empty, or contains [`TierKind::Headroom`] while
-    /// `charging` has no free slots.
-    pub fn new(
-        tiers: &[TierKind],
-        slot_budget: Duration,
-        clock: Box<dyn Clock>,
-        charging: ChargingScheme,
-    ) -> Self {
-        assert!(!tiers.is_empty(), "fallback chain needs at least one tier");
+    /// Panics if the tier list is empty, or contains [`TierKind::Headroom`]
+    /// while the charging scheme has no free slots.
+    pub fn new(config: &RuntimeConfig) -> Self {
+        assert!(!config.tiers.is_empty(), "fallback chain needs at least one tier");
         Self {
-            tiers: tiers
+            tiers: config
+                .tiers
                 .iter()
                 .map(|&kind| Tier {
                     kind,
                     scheduler: match kind {
                         TierKind::Alap => TierScheduler::Alap(AlapTier::new()),
-                        _ => TierScheduler::Dyn(kind.build(charging)),
+                        _ => TierScheduler::Dyn(kind.build(config.charging)),
                     },
                 })
                 .collect(),
-            clock,
-            slot_budget,
+            clock: config.clock.build(),
+            slot_budget: config.slot_budget(),
             forced_now: Vec::new(),
             skip_alap: false,
             records: Vec::new(),
@@ -368,13 +364,6 @@ impl FallbackChain {
                 matches!(r.outcome, AttemptOutcome::Committed | AttemptOutcome::CommittedAfterRetry)
             })
             .map(|r| r.tier)
-    }
-
-    /// Whether the headroom rung declined at least once this slot. Declines
-    /// are a policy verdict, not a fallback activation, so the runtime's
-    /// `slots_on_fallback_tier` counting excludes such slots.
-    pub fn headroom_declined(&self) -> bool {
-        self.records.iter().any(|r| r.outcome == AttemptOutcome::Declined)
     }
 
     fn record(&mut self, tier: TierKind, outcome: AttemptOutcome, stats: SolveStats) {
@@ -473,7 +462,6 @@ impl Scheduler for FallbackChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::SimClock;
     use postcard_net::{DcId, FileId, NetworkBuilder};
 
     fn d(i: usize) -> DcId {
@@ -488,13 +476,18 @@ mod tests {
             .build()
     }
 
+    /// A chain over `tiers` with a 100 ms budget on the simulated clock.
+    fn chain_of(tiers: &[TierKind], charging: ChargingScheme) -> FallbackChain {
+        FallbackChain::new(&RuntimeConfig {
+            tiers: tiers.to_vec(),
+            slot_budget_us: 100_000,
+            charging,
+            ..RuntimeConfig::default()
+        })
+    }
+
     fn chain() -> FallbackChain {
-        FallbackChain::new(
-            &TierKind::default_chain(),
-            Duration::from_millis(100),
-            Box::new(SimClock::new()),
-            ChargingScheme::MaxPerSlot,
-        )
+        chain_of(&TierKind::default_chain(), ChargingScheme::MaxPerSlot)
     }
 
     fn file() -> TransferRequest {
@@ -571,12 +564,7 @@ mod tests {
     }
 
     fn alap_chain() -> FallbackChain {
-        FallbackChain::new(
-            &[TierKind::Alap, TierKind::Postcard],
-            Duration::from_millis(100),
-            Box::new(SimClock::new()),
-            ChargingScheme::MaxPerSlot,
-        )
+        chain_of(&[TierKind::Alap, TierKind::Postcard], ChargingScheme::MaxPerSlot)
     }
 
     #[test]
@@ -606,12 +594,7 @@ mod tests {
 
     #[test]
     fn skip_is_ignored_when_alap_is_the_only_tier() {
-        let mut c = FallbackChain::new(
-            &[TierKind::Alap],
-            Duration::from_millis(100),
-            Box::new(SimClock::new()),
-            ChargingScheme::MaxPerSlot,
-        );
+        let mut c = chain_of(&[TierKind::Alap], ChargingScheme::MaxPerSlot);
         c.begin_slot(2, vec![]);
         c.set_skip_alap(true);
         let d = c.schedule(&net(), &[file()], &TrafficLedger::new(3)).unwrap();
@@ -620,10 +603,8 @@ mod tests {
     }
 
     fn headroom_chain() -> FallbackChain {
-        FallbackChain::new(
+        chain_of(
             &[TierKind::Headroom, TierKind::Postcard],
-            Duration::from_millis(100),
-            Box::new(SimClock::new()),
             ChargingScheme::Percentile { q: 95.0, window_slots: 20 },
         )
     }
@@ -638,7 +619,6 @@ mod tests {
         assert!(matches!(d, Decision::Plan(_)));
         assert_eq!(c.chosen_tier(), Some(TierKind::Postcard));
         assert_eq!(c.records()[0].outcome, AttemptOutcome::Declined);
-        assert!(c.headroom_declined());
     }
 
     #[test]
@@ -655,7 +635,7 @@ mod tests {
         let f = TransferRequest::new(FileId(7), d(1), d(2), 50.0, 2, 10);
         let dec = c.schedule(&net(), &[f], &ledger).unwrap();
         assert_eq!(c.chosen_tier(), Some(TierKind::Headroom));
-        assert!(!c.headroom_declined());
+        assert!(c.records().iter().all(|r| r.outcome != AttemptOutcome::Declined));
         let Decision::Plan(plan) = dec else { panic!("headroom emits plans") };
         let mut after = ledger.clone();
         plan.apply_to_ledger(&mut after);

@@ -7,8 +7,18 @@
 //! the online controller through the fallback chain, (4) records metrics,
 //! and (5) checkpoints every `checkpoint_every` slots. A slot is *never*
 //! missed: the chain's final tier always commits, and if even that tier
-//! hard-fails the runtime steps the controller with an empty batch so the
-//! cost history stays slot-aligned (the slot is counted as degraded).
+//! hard-fails the slot commits nothing for the failed shard but still
+//! records its bill, so the cost history stays slot-aligned (the slot is
+//! counted as degraded).
+//!
+//! There is one step path. Each slot's batch is split into shards; with
+//! one shard (the default) that shard is the controller's own fallback
+//! chain, which books its admission onto the committed ledger in place,
+//! and with more the shards solve in parallel and merge through the
+//! reconciler (see [`crate::shard`]). Either way the slot ends in one
+//! requeue, one controller step ([`OnlineController::record_booked`], after
+//! [`OnlineController::commit_reconciled`] books the merged shards) and one
+//! metrics record.
 //!
 //! Batches a slot could not schedule — strict analysis rejected them for
 //! transient reasons, or the whole chain hard-failed — are *not* thrown
@@ -32,11 +42,14 @@ use crate::fallback::{AttemptOutcome, AttemptRecord, FallbackChain, TierKind};
 use crate::faults::{FaultPlan, LinkDegradation};
 use crate::metrics::MetricsRegistry;
 use crate::queue::{AdmissionQueue, QueuedRequest};
-use crate::shard::{manifest, ShardBy, ShardEngine, ShardState};
+use crate::shard::pool::solve_shard;
+use crate::shard::{
+    manifest, ShardBy, ShardEngine, ShardPlanner, ShardSolve, ShardState, SlotDirectives,
+};
 use crate::snapshot::{RuntimeSnapshot, SNAPSHOT_VERSION};
 use postcard_analyze::check_problem;
 use postcard_core::{
-    build_postcard_problem, OnlineController, PostcardConfig, PostcardError, StepReport,
+    build_postcard_problem, Admission, OnlineController, PostcardConfig, StepReport,
 };
 use postcard_net::{ChargingScheme, DcId, Network, TransferRequest};
 use serde::{Deserialize, Serialize};
@@ -78,10 +91,10 @@ pub struct RuntimeConfig {
     /// residual grid rebased from the LP's committed schedule). 0 disables
     /// periodic re-optimization.
     pub reopt_every: u64,
-    /// Number of shards. 1 (the default) runs the classic single-solver
-    /// path; above 1 each slot's batch is partitioned by [`Self::shard_by`]
-    /// and the shards solve in parallel, merged deterministically by the
-    /// reconciler (see [`crate::shard`]).
+    /// Number of shards. With 1 (the default) the controller's own chain
+    /// is the one shard, solved in place; above 1 each slot's batch is
+    /// partitioned by [`Self::shard_by`] and the shards solve in parallel,
+    /// merged deterministically by the reconciler (see [`crate::shard`]).
     pub shards: usize,
     /// The partition key for sharded runs (ignored when `shards == 1`).
     pub shard_by: ShardBy,
@@ -127,8 +140,6 @@ impl RuntimeConfig {
 pub enum RuntimeError {
     /// Snapshot load/save or other I/O failure.
     Snapshot(String),
-    /// Even the empty-batch recovery step failed.
-    Scheduler(PostcardError),
     /// Inconsistent configuration.
     Config(String),
 }
@@ -137,7 +148,6 @@ impl std::fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RuntimeError::Snapshot(m) => write!(f, "snapshot: {m}"),
-            RuntimeError::Scheduler(e) => write!(f, "scheduler: {e}"),
             RuntimeError::Config(m) => write!(f, "config: {m}"),
         }
     }
@@ -150,11 +160,11 @@ impl std::error::Error for RuntimeError {}
 pub struct SlotOutcome {
     /// The controller's step report.
     pub report: StepReport,
-    /// The tier that committed the slot's first decision (`None` for an
-    /// empty batch, which commits trivially).
+    /// The tier that committed the first non-empty shard's first decision
+    /// (`None` for an empty batch or when that shard committed nothing).
     pub chosen_tier: Option<TierKind>,
-    /// `true` if the whole chain hard-failed and the slot ran degraded
-    /// (empty batch, arrivals lost).
+    /// `true` if the whole chain hard-failed for at least one shard: that
+    /// shard committed nothing and its batch went back to the backlog.
     pub degraded: bool,
     /// `true` if a checkpoint was written after this slot.
     pub checkpointed: bool,
@@ -217,12 +227,7 @@ impl Runtime {
             config.tiers.insert(0, TierKind::Headroom);
         }
         Self::validate(&config)?;
-        let chain = FallbackChain::new(
-            &config.tiers,
-            config.slot_budget(),
-            config.clock.build(),
-            config.charging,
-        );
+        let chain = FallbackChain::new(&config);
         // The horizon must cover every arrival's full deadline *window*, not
         // just its release slot — a late release with a multi-slot window
         // used to get its tail slots only via the requeue extension.
@@ -307,12 +312,7 @@ impl Runtime {
         // The ALAP residual grid is not snapshotted: a fresh `AlapTier`
         // starts dirty and deterministically rebuilds the grid from the
         // restored ledger on first use, so resumed runs stay bit-identical.
-        let chain = FallbackChain::new(
-            &snap.config.tiers,
-            snap.config.slot_budget(),
-            snap.config.clock.build(),
-            snap.config.charging,
-        );
+        let chain = FallbackChain::new(&snap.config);
         let mut queue = AdmissionQueue::new(snap.config.queue_capacity);
         queue.restore(snap.queue, snap.queue_dropped);
         // In-memory resume gets fresh (zeroed) shard states: the global
@@ -415,8 +415,7 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// Reports checkpoint I/O failures and hard scheduler errors that even
-    /// the degraded empty-batch step could not absorb.
+    /// Reports checkpoint I/O failures.
     pub fn run_slot(&mut self) -> Result<Option<SlotOutcome>, RuntimeError> {
         if self.next_slot >= self.num_slots {
             return Ok(None);
@@ -554,23 +553,78 @@ impl Runtime {
             }
         }
 
-        // (3) + (4): schedule and record metrics, on the single-solver or
-        // the sharded path. On a scheduled re-optimization slot the ALAP
-        // rung is skipped, so the full LP re-plans the batch; the residual
-        // grid is rebased afterwards.
-        // The headroom rung (prepended under percentile charging) sits ahead
-        // of everything, so "ALAP-first" means the first *scheduling* tier.
+        // (3) Solve. With one shard the controller's own chain admits the
+        // batch in place against the committed ledger; with more, the
+        // shards solve in parallel and merge through the reconciler. On a
+        // scheduled re-optimization slot the ALAP rung is skipped, so the
+        // full LP re-plans the batch; the residual grid is rebased
+        // afterwards. The headroom rung (prepended under percentile
+        // charging) sits ahead of everything, so "ALAP-first" means the
+        // first *scheduling* tier.
         let alap_first =
             self.config.tiers.iter().find(|t| **t != TierKind::Headroom) == Some(&TierKind::Alap);
         let reopt_now = alap_first
             && self.config.reopt_every > 0
             && slot > 0
             && slot.is_multiple_of(self.config.reopt_every);
-        let (report, chosen_tier, degraded) = if self.engine.is_some() {
-            self.step_sharded(slot, entries, &batch, reopt_now)?
-        } else {
-            self.step_unsharded(slot, entries, &batch, reopt_now)?
+        let directives =
+            SlotDirectives { slot, forced: self.faults.timeouts_at(slot), skip_alap: reopt_now };
+        let planner = ShardPlanner::new(self.config.shard_by, self.config.shards);
+        let started = WallStopwatch::start();
+        let solves = match self.engine.as_mut() {
+            None => {
+                let (chain, network, ledger) = self.controller.scheduler_and_state();
+                vec![solve_shard(chain, 0, network, ledger, &batch, &directives)]
+            }
+            Some(engine) => engine.run_slot(
+                self.controller.network(),
+                self.controller.ledger(),
+                &planner.partition(&batch),
+                &directives,
+            ),
         };
+        let solve_wall = started.elapsed_secs();
+
+        // A degraded shard committed nothing: its entries go back to the
+        // backlog, every other shard's result stands.
+        let degraded_shards: Vec<usize> =
+            solves.iter().filter(|s| s.degraded).map(|s| s.shard).collect();
+        let degraded = !degraded_shards.is_empty();
+        if degraded {
+            let requeue: Vec<QueuedRequest> = entries
+                .into_iter()
+                .filter(|e| {
+                    e.request
+                        .carried_to(slot)
+                        .is_some_and(|r| degraded_shards.contains(&planner.shard_of(&r)))
+                })
+                .collect();
+            self.requeue_unscheduled(requeue, slot, "degraded");
+        }
+
+        // One controller step for the whole slot, so the cost history stays
+        // slot-aligned. The single shard booked its admission onto the
+        // ledger in place; the shards' merged decisions land on it here,
+        // in shard order.
+        let admitted: Vec<&Admission> =
+            solves.iter().filter(|s| !s.degraded).map(|s| &s.admission).collect();
+        let report = if self.engine.is_some() {
+            self.controller.commit_reconciled(slot, &admitted)
+        } else {
+            self.controller.record_booked(slot, admitted)
+        };
+
+        // (4) Metrics.
+        let chosen_tier = self.record_slot_metrics(slot, &solves, &report, reopt_now, solve_wall);
+        // Any committed decision the ALAP rung did not make itself (an LP
+        // re-optimization, a forced fallback), and any discarded admission,
+        // changes the ledger behind the residual grid's back: rebase before
+        // the next admission.
+        if (degraded || chosen_tier.is_some_and(|t| t != TierKind::Alap))
+            && self.config.tiers.contains(&TierKind::Alap)
+        {
+            self.controller.scheduler_mut().mark_alap_dirty();
+        }
 
         // (5) Advance and checkpoint.
         self.next_slot = slot + 1;
@@ -596,57 +650,50 @@ impl Runtime {
         Ok(Some(SlotOutcome { report, chosen_tier, degraded, checkpointed }))
     }
 
-    /// Steps (3)+(4) of a classic single-solver slot: drive the controller
-    /// through the fallback chain, then record metrics.
-    fn step_unsharded(
+    /// Step (4): records one slot's metrics from its shard solves and its
+    /// committed report, and returns the slot's representative tier, the
+    /// first non-empty shard's.
+    fn record_slot_metrics(
         &mut self,
         slot: u64,
-        mut entries: Vec<QueuedRequest>,
-        batch: &[TransferRequest],
+        solves: &[ShardSolve],
+        report: &StepReport,
         reopt_now: bool,
-    ) -> Result<(StepReport, Option<TierKind>, bool), RuntimeError> {
-        let forced = self.faults.timeouts_at(slot);
-        self.controller.scheduler_mut().begin_slot(slot, forced);
-        self.controller.scheduler_mut().set_skip_alap(reopt_now);
-        let solve_started = (!batch.is_empty()).then(WallStopwatch::start);
-        let (report, degraded) = match self.controller.step(slot, batch) {
-            Ok(report) => (report, false),
-            Err(_) => {
-                // The whole chain hard-failed. Keep the slot: send the batch
-                // back to the backlog (bounded by `max_requeue_attempts`),
-                // then re-arm the chain and step with an empty batch
-                // (trivially feasible) so cost_history stays slot-aligned.
-                let unscheduled = std::mem::take(&mut entries);
-                self.requeue_unscheduled(unscheduled, slot, "degraded");
-                self.controller.scheduler_mut().begin_slot(slot, self.faults.timeouts_at(slot));
-                let report = self.controller.step(slot, &[]).map_err(RuntimeError::Scheduler)?;
-                (report, true)
-            }
-        };
-        if let Some(started) = solve_started {
-            self.wall_metrics.observe("solve_wall_seconds", started.elapsed_secs());
-        }
-
-        // (4) Metrics.
+        solve_wall: f64,
+    ) -> Option<TierKind> {
+        let sharded = self.engine.is_some();
+        let solved: Vec<&ShardSolve> = solves.iter().filter(|s| s.batch_len > 0).collect();
         self.metrics.inc("slots_total", 1);
-        if degraded {
+        let degraded = solves.iter().filter(|s| s.degraded).count() as u64;
+        if degraded > 0 {
             self.metrics.inc("degraded_slots", 1);
+            if sharded {
+                self.metrics.inc("degraded_shards", degraded);
+            }
         }
         self.metrics.inc("files_accepted", report.accepted.len() as u64);
         self.metrics.inc("files_rejected", report.rejected.len() as u64);
         self.metrics.set_gauge("bill_per_slot", report.cost_per_slot);
         self.metrics.observe("bill_per_slot_history", report.cost_per_slot);
-        // Empty batches commit trivially on the first tier; recording them
-        // would drown the tier-choice and latency metrics in no-ops.
-        let chosen_tier =
-            if batch.is_empty() { None } else { self.controller.scheduler().chosen_tier() };
+        let conflicts = solves.iter().filter(|s| s.conflicted).count() as u64;
+        if conflicts > 0 {
+            self.metrics.inc("shard_conflicts", conflicts);
+        }
+        if reopt_now && !solved.is_empty() {
+            self.metrics.inc("lp_reoptimizations", 1);
+        }
+        // Empty batches schedule nothing; recording them would drown the
+        // tier-choice and latency metrics in no-ops.
+        let chosen_tier = solved.first().and_then(|s| s.chosen_tier);
         if let Some(tier) = chosen_tier {
             self.metrics.inc(&format!("tier_chosen_{}", tier.name()), 1);
             // A scheduled re-optimization deliberately lands on an LP tier,
             // and a headroom decline deliberately hands the slot to the
             // first scheduling tier; both are the design working, not a
             // fallback.
-            let declined = self.controller.scheduler().headroom_declined();
+            let declined = solved
+                .iter()
+                .any(|s| s.records.iter().any(|r| r.outcome == AttemptOutcome::Declined));
             let expected_first = self
                 .config
                 .tiers
@@ -658,48 +705,47 @@ impl Runtime {
                 self.metrics.inc("slots_on_fallback_tier", 1);
             }
         }
-        let records = if batch.is_empty() {
-            Vec::new()
-        } else {
-            self.controller.scheduler().records().to_vec()
-        };
-        if reopt_now && !batch.is_empty() {
-            self.metrics.inc("lp_reoptimizations", 1);
+        if !solved.is_empty() {
+            self.wall_metrics.observe("solve_wall_seconds", solve_wall);
         }
-        // The ALAP rung's admission verdicts, from the step report: it
-        // decided the slot when it committed or (per-file) rejected, and no
-        // other tier committed over its head.
-        let alap_decided = records.iter().any(|r| {
-            r.tier == TierKind::Alap
-                && matches!(
-                    r.outcome,
-                    AttemptOutcome::Committed
-                        | AttemptOutcome::CommittedAfterRetry
-                        | AttemptOutcome::Infeasible
-                )
-        });
-        if alap_decided && chosen_tier.is_none_or(|t| t == TierKind::Alap) {
-            if !report.accepted.is_empty() {
-                self.metrics.inc("alap_admits", report.accepted.len() as u64);
+        for solve in solved {
+            if sharded {
+                self.wall_metrics.observe(
+                    &format!("solve_wall_seconds_shard{}", solve.shard),
+                    solve.wall_seconds,
+                );
             }
-            if !report.rejected.is_empty() {
-                self.metrics.inc("alap_rejects", report.rejected.len() as u64);
+            for line in &solve.diagnostics {
+                eprintln!("slot {slot}: {line}");
             }
+            // The ALAP rung's admission verdicts: it decided the shard when
+            // it committed or (per-file) rejected, and no other tier
+            // committed over its head.
+            let alap_decided = solve.records.iter().any(|r| {
+                r.tier == TierKind::Alap
+                    && matches!(
+                        r.outcome,
+                        AttemptOutcome::Committed
+                            | AttemptOutcome::CommittedAfterRetry
+                            | AttemptOutcome::Infeasible
+                    )
+            });
+            if alap_decided && solve.chosen_tier.is_none_or(|t| t == TierKind::Alap) {
+                let admission = &solve.admission;
+                let admits = admission.accepted().count();
+                if admits > 0 {
+                    self.metrics.inc("alap_admits", admits as u64);
+                }
+                if !admission.rejected.is_empty() {
+                    self.metrics.inc("alap_rejects", admission.rejected.len() as u64);
+                }
+            }
+            self.record_attempt_metrics(&solve.records);
         }
-        self.record_attempt_metrics(&records);
-        // Any committed decision the ALAP rung did not make itself (an LP
-        // re-optimization, a forced fallback) changes the ledger behind the
-        // residual grid's back: rebase before the next admission.
-        if (degraded || chosen_tier.is_some_and(|t| t != TierKind::Alap))
-            && self.config.tiers.contains(&TierKind::Alap)
-        {
-            self.controller.scheduler_mut().mark_alap_dirty();
-        }
-        Ok((report, chosen_tier, degraded))
+        chosen_tier
     }
 
-    /// Folds one slot's tier-attempt records into the metrics registry
-    /// (shared by the unsharded path and every shard of a sharded slot).
+    /// Folds one shard's tier-attempt records into the metrics registry.
     fn record_attempt_metrics(&mut self, records: &[AttemptRecord]) {
         for rec in records {
             match rec.outcome {
@@ -742,135 +788,6 @@ impl Runtime {
                 }
             }
         }
-    }
-
-    /// Steps (3)+(4) of a sharded slot: partition the batch, run every
-    /// shard's optimistic solve in parallel, merge in fixed shard order
-    /// (re-solving conflicted shards serially), commit the merged result to
-    /// the central ledger, and record metrics.
-    fn step_sharded(
-        &mut self,
-        slot: u64,
-        entries: Vec<QueuedRequest>,
-        batch: &[TransferRequest],
-        reopt_now: bool,
-    ) -> Result<(StepReport, Option<TierKind>, bool), RuntimeError> {
-        let forced = self.faults.timeouts_at(slot);
-        // postcard-analyze: allow(PA102) — run_slot only dispatches here
-        // when `shards > 1`, and Runtime construction builds the engine for
-        // every such config.
-        let engine = self.engine.as_mut().expect("sharded step requires an engine");
-        let planner = *engine.planner();
-        let batches = planner.partition(batch);
-        let started = WallStopwatch::start();
-        let result = engine.run_slot(
-            self.controller.network(),
-            self.controller.ledger(),
-            &batches,
-            slot,
-            &forced,
-            reopt_now,
-        );
-        let total_wall = started.elapsed_secs();
-
-        // A hard-failed shard degrades only itself: its entries go back to
-        // the backlog, every other shard's merged result stands.
-        let degraded = !result.degraded_shards.is_empty();
-        if degraded {
-            let requeue: Vec<QueuedRequest> = entries
-                .into_iter()
-                .filter(|e| {
-                    e.request
-                        .carried_to(slot)
-                        .is_some_and(|r| result.degraded_shards.contains(&planner.shard_of(&r)))
-                })
-                .collect();
-            self.requeue_unscheduled(requeue, slot, "degraded");
-        }
-
-        // One central commit for the whole merged slot: the per-shard
-        // decisions land on the single billing ledger in shard order, and
-        // the cost history stays slot-aligned.
-        let report = self.controller.commit_reconciled(
-            slot,
-            &result.commits,
-            result.accepted,
-            result.rejected,
-            result.accepted_volume,
-            result.rejected_volume,
-        );
-
-        // (4) Metrics — the same families as the unsharded path, plus the
-        // shard-specific counters.
-        self.metrics.inc("slots_total", 1);
-        if degraded {
-            self.metrics.inc("degraded_slots", 1);
-            self.metrics.inc("degraded_shards", result.degraded_shards.len() as u64);
-        }
-        self.metrics.inc("files_accepted", report.accepted.len() as u64);
-        self.metrics.inc("files_rejected", report.rejected.len() as u64);
-        self.metrics.set_gauge("bill_per_slot", report.cost_per_slot);
-        self.metrics.observe("bill_per_slot_history", report.cost_per_slot);
-        if result.conflicts > 0 {
-            self.metrics.inc("shard_conflicts", result.conflicts);
-        }
-        if reopt_now && !batch.is_empty() {
-            self.metrics.inc("lp_reoptimizations", 1);
-        }
-        // The slot's representative tier is the first non-empty shard's —
-        // the same "first decision" rule the unsharded path applies.
-        let chosen_tier =
-            result.resolutions.iter().find(|s| s.batch_len > 0).and_then(|s| s.chosen_tier);
-        if let Some(tier) = chosen_tier {
-            self.metrics.inc(&format!("tier_chosen_{}", tier.name()), 1);
-            // Same carve-outs as the unsharded path: a scheduled
-            // re-optimization and a headroom decline are by design.
-            let declined = result.resolutions.iter().any(|s| {
-                s.batch_len > 0 && s.records.iter().any(|r| r.outcome == AttemptOutcome::Declined)
-            });
-            let expected_first = self
-                .config
-                .tiers
-                .iter()
-                .copied()
-                .find(|t| *t != TierKind::Headroom || !declined)
-                .unwrap_or(self.config.tiers[0]);
-            if tier != expected_first && !reopt_now {
-                self.metrics.inc("slots_on_fallback_tier", 1);
-            }
-        }
-        if !batch.is_empty() {
-            self.wall_metrics.observe("solve_wall_seconds", total_wall);
-        }
-        for solve in &result.resolutions {
-            if solve.batch_len == 0 {
-                continue;
-            }
-            self.wall_metrics
-                .observe(&format!("solve_wall_seconds_shard{}", solve.shard), solve.wall_seconds);
-            for line in &solve.diagnostics {
-                eprintln!("slot {slot}: {line}");
-            }
-            let alap_decided = solve.records.iter().any(|r| {
-                r.tier == TierKind::Alap
-                    && matches!(
-                        r.outcome,
-                        AttemptOutcome::Committed
-                            | AttemptOutcome::CommittedAfterRetry
-                            | AttemptOutcome::Infeasible
-                    )
-            });
-            if alap_decided && solve.chosen_tier.is_none_or(|t| t == TierKind::Alap) {
-                if !solve.accepted.is_empty() {
-                    self.metrics.inc("alap_admits", solve.accepted.len() as u64);
-                }
-                if !solve.rejected.is_empty() {
-                    self.metrics.inc("alap_rejects", solve.rejected.len() as u64);
-                }
-            }
-            self.record_attempt_metrics(&solve.records);
-        }
-        Ok((report, chosen_tier, degraded))
     }
 
     /// Runs every remaining slot.
@@ -1130,6 +1047,40 @@ mod tests {
         assert_eq!(rt.metrics().counter("files_lost_degraded"), 1);
         assert_eq!(rt.metrics().counter("degraded_slots"), 3);
         assert!(rt.is_finished());
+    }
+
+    #[test]
+    fn degraded_slots_record_the_same_metrics_on_one_and_two_shards() {
+        // The scenario above: the chain hard-fails on the whole batch in
+        // three slots. Nothing is committed, so no tier was chosen, and
+        // each failure is one fallback activation, whatever the shard count.
+        let tiers = [
+            TierKind::Headroom,
+            TierKind::Alap,
+            TierKind::Postcard,
+            TierKind::FlowLp,
+            TierKind::Greedy,
+        ];
+        for shards in [1, 2] {
+            let reqs = vec![TransferRequest::new(FileId(1), DcId(7), d(2), 4.0, 10, 0)];
+            let config =
+                RuntimeConfig { tiers: vec![TierKind::Postcard], shards, ..Default::default() };
+            let arrivals = ArrivalSchedule::from_requests(reqs);
+            let mut rt = Runtime::new(net(), arrivals, FaultPlan::none(), 1, config).unwrap();
+            let outcomes = rt.run_to_end().unwrap();
+            let m = rt.metrics();
+            for tier in tiers {
+                assert_eq!(
+                    m.counter(&format!("tier_chosen_{}", tier.name())),
+                    0,
+                    "{shards} shards"
+                );
+            }
+            assert!(outcomes.iter().all(|o| o.chosen_tier.is_none()), "{shards} shards");
+            assert_eq!(m.counter("fallback_activations"), 3, "{shards} shards");
+            assert_eq!(m.counter("fallback_from_postcard"), 3, "{shards} shards");
+            assert_eq!(m.counter("degraded_slots"), 3, "{shards} shards");
+        }
     }
 
     #[test]

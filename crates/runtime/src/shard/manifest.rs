@@ -21,8 +21,8 @@
 //!    durable before it was.
 
 use crate::snapshot::{RuntimeSnapshot, SNAPSHOT_VERSION};
-use postcard_core::Decision;
-use postcard_net::{TrafficLedger, TransferRequest};
+use postcard_core::Admission;
+use postcard_net::TrafficLedger;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -62,32 +62,20 @@ impl ShardState {
         }
     }
 
-    /// Attributes a committed decision to this shard at `slot`.
-    pub fn apply(&mut self, decision: &Decision, files: &[TransferRequest], slot: u64) {
-        match decision {
-            Decision::Plan(plan) => plan.apply_to_ledger(&mut self.ledger),
-            Decision::Rates(rates) => rates.apply_to_ledger(files, &mut self.ledger),
-        }
-        self.stamp = slot + 1;
-    }
-
-    /// Records the shard's admission outcome for `slot`. A slot in which
-    /// the shard saw no files leaves the state (and its stamp) untouched.
-    pub fn note_admission(
-        &mut self,
-        accepted: u64,
-        rejected: u64,
-        accepted_volume: f64,
-        rejected_volume: f64,
-        slot: u64,
-    ) {
-        if accepted + rejected == 0 {
+    /// Attributes one slot's committed admission to this shard: its traffic
+    /// and its admission tallies. A slot in which the shard saw no files
+    /// leaves the state (and its stamp) untouched.
+    pub fn record(&mut self, admission: &Admission, slot: u64) {
+        if admission.accepted().next().is_none() && admission.rejected.is_empty() {
             return;
         }
-        self.accepted += accepted;
-        self.rejected += rejected;
-        self.accepted_volume += accepted_volume;
-        self.rejected_volume += rejected_volume;
+        for (files, decision) in &admission.commits {
+            decision.apply_to_ledger(files, &mut self.ledger);
+        }
+        self.accepted += admission.accepted().count() as u64;
+        self.rejected += admission.rejected.len() as u64;
+        self.accepted_volume += admission.accepted().map(|f| f.size_gb).sum::<f64>();
+        self.rejected_volume += admission.rejected.iter().map(|f| f.size_gb).sum::<f64>();
         self.stamp = slot + 1;
     }
 }
@@ -307,8 +295,8 @@ mod tests {
     use crate::faults::FaultPlan;
     use crate::metrics::MetricsRegistry;
     use crate::runtime::RuntimeConfig;
-    use postcard_core::ControllerState;
-    use postcard_net::{DcId, FileId, NetworkBuilder, TransferPlan};
+    use postcard_core::{ControllerState, Decision};
+    use postcard_net::{DcId, FileId, NetworkBuilder, TransferPlan, TransferRequest};
     use std::path::PathBuf;
 
     fn manifest_sample(num_dcs: usize) -> RuntimeSnapshot {
@@ -350,8 +338,9 @@ mod tests {
         let f = TransferRequest::new(FileId(1), DcId(0), DcId(1), 3.0, 2, slot);
         let mut plan = TransferPlan::new();
         plan.add(FileId(1), slot, DcId(0), DcId(1), 3.0);
-        s.apply(&Decision::Plan(plan), &[f], slot);
-        s.note_admission(1, 0, 3.0, 0.0, slot);
+        let admission =
+            Admission { commits: vec![(vec![f], Decision::Plan(plan))], rejected: Vec::new() };
+        s.record(&admission, slot);
         s
     }
 
@@ -359,9 +348,14 @@ mod tests {
     fn state_stamps_only_on_change() {
         let mut s = ShardState::new(2);
         assert_eq!(s.stamp, 0);
-        s.note_admission(0, 0, 0.0, 0.0, 7);
+        s.record(&Admission::default(), 7);
         assert_eq!(s.stamp, 0, "an idle slot must not dirty the state");
-        s.note_admission(2, 1, 5.0, 1.0, 0);
+        let file = |id, size| TransferRequest::new(FileId(id), DcId(0), DcId(1), size, 2, 0);
+        let admission = Admission {
+            commits: vec![(vec![file(1, 2.0), file(2, 3.0)], Decision::Plan(TransferPlan::new()))],
+            rejected: vec![file(3, 1.0)],
+        };
+        s.record(&admission, 0);
         assert_eq!(s.stamp, 1, "slot 0 activity must be distinguishable from pristine");
         assert_eq!((s.accepted, s.rejected), (2, 1));
     }

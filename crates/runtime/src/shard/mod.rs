@@ -34,12 +34,11 @@ pub mod reconcile;
 
 pub use manifest::{ShardRef, ShardSnapshot, ShardState};
 pub use planner::ShardPlanner;
-pub use pool::{ShardSolve, WorkerPool};
+pub use pool::{ShardSolve, SlotDirectives, WorkerPool};
 
-use crate::fallback::{FallbackChain, TierKind};
+use crate::fallback::FallbackChain;
 use crate::runtime::RuntimeConfig;
-use postcard_core::Decision;
-use postcard_net::{FileId, Network, TrafficLedger, TransferRequest};
+use postcard_net::{Network, TrafficLedger, TransferRequest};
 use serde::{Deserialize, Serialize};
 
 /// How a batch is partitioned into shards.
@@ -80,34 +79,11 @@ impl std::str::FromStr for ShardBy {
     }
 }
 
-/// The merged result of one sharded slot, in deterministic shard order.
-#[derive(Debug)]
-pub struct ShardSlotResult {
-    /// Per-shard resolutions (index = shard), after reconciliation.
-    pub resolutions: Vec<ShardSolve>,
-    /// Every commit to apply, flattened in shard order.
-    pub commits: Vec<(Vec<TransferRequest>, Decision)>,
-    /// Accepted files across shards, in shard order then batch order.
-    pub accepted: Vec<FileId>,
-    /// Rejected files across shards, in shard order then batch order.
-    pub rejected: Vec<FileId>,
-    /// Total accepted volume (GB).
-    pub accepted_volume: f64,
-    /// Total rejected volume (GB).
-    pub rejected_volume: f64,
-    /// Shards whose optimistic solve over-committed a shared link and were
-    /// re-solved serially.
-    pub conflicts: u64,
-    /// Shards whose chain hard-failed (their entries should be requeued).
-    pub degraded_shards: Vec<usize>,
-}
-
 /// Owns the long-lived shard worker pool (each worker holding its shard's
 /// fallback chain) and the billing-attribution states, and orchestrates one
-/// slot: partition → parallel solve → reconcile.
+/// partitioned slot: parallel solve → reconcile → attribution.
 #[derive(Debug)]
 pub struct ShardEngine {
-    planner: ShardPlanner,
     pool: WorkerPool,
     states: Vec<ShardState>,
     /// Per-shard stamp of the last checkpointed state, used to skip
@@ -131,32 +107,13 @@ impl ShardEngine {
     /// checks this before calling.
     pub fn with_states(config: &RuntimeConfig, states: Vec<ShardState>) -> Self {
         assert_eq!(states.len(), config.shards, "one state per shard");
-        let chains = (0..config.shards)
-            .map(|_| {
-                FallbackChain::new(
-                    &config.tiers,
-                    config.slot_budget(),
-                    config.clock.build(),
-                    config.charging,
-                )
-            })
-            .collect();
-        Self {
-            planner: ShardPlanner::new(config.shard_by, config.shards),
-            pool: WorkerPool::new(chains),
-            states,
-            saved_stamps: vec![None; config.shards],
-        }
+        let chains = (0..config.shards).map(|_| FallbackChain::new(config)).collect();
+        Self { pool: WorkerPool::new(chains), states, saved_stamps: vec![None; config.shards] }
     }
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.pool.len()
-    }
-
-    /// The partitioner.
-    pub fn planner(&self) -> &ShardPlanner {
-        &self.planner
     }
 
     /// Per-shard billing-attribution states (index = shard).
@@ -172,61 +129,26 @@ impl ShardEngine {
 
     /// Runs one slot over pre-partitioned batches: parallel optimistic
     /// solves, then the deterministic ordered merge with serial conflict
-    /// re-solves, then shard-state (billing attribution) updates.
+    /// re-solves, then shard-state (billing attribution) updates. Returns
+    /// the per-shard resolutions (index = shard).
     ///
-    /// `base` is the central committed ledger *before* this slot; the
-    /// caller applies the returned commits to it afterwards (through
+    /// `base` is the central committed ledger *before* this slot; every
+    /// worker admits onto its own copy of it, and the caller commits the
+    /// admissions of the non-degraded shards to it afterwards (through
     /// [`postcard_core::OnlineController::commit_reconciled`]).
     pub fn run_slot(
         &mut self,
         network: &Network,
         base: &TrafficLedger,
         batches: &[Vec<TransferRequest>],
-        slot: u64,
-        forced: &[TierKind],
-        skip_alap: bool,
-    ) -> ShardSlotResult {
-        let directives = pool::SlotDirectives { slot, forced: forced.to_vec(), skip_alap };
-        let solves = self.pool.solve_parallel(network, base, batches, &directives);
+        directives: &SlotDirectives,
+    ) -> Vec<ShardSolve> {
+        let solves = self.pool.solve_parallel(network, base, batches, directives);
         let resolutions =
-            reconcile::reconcile(network, base, solves, &mut self.pool, batches, &directives);
-
-        let mut result = ShardSlotResult {
-            commits: Vec::new(),
-            accepted: Vec::new(),
-            rejected: Vec::new(),
-            accepted_volume: 0.0,
-            rejected_volume: 0.0,
-            conflicts: 0,
-            degraded_shards: Vec::new(),
-            resolutions: Vec::new(),
-        };
-        for solve in &resolutions {
-            if solve.conflicted {
-                result.conflicts += 1;
-            }
-            if solve.degraded {
-                result.degraded_shards.push(solve.shard);
-                continue;
-            }
-            let state = &mut self.states[solve.shard];
-            for (files, decision) in &solve.commits {
-                state.apply(decision, files, slot);
-            }
-            state.note_admission(
-                solve.accepted.len() as u64,
-                solve.rejected.len() as u64,
-                solve.accepted_volume,
-                solve.rejected_volume,
-                slot,
-            );
-            result.commits.extend(solve.commits.iter().cloned());
-            result.accepted.extend(solve.accepted.iter().copied());
-            result.rejected.extend(solve.rejected.iter().copied());
-            result.accepted_volume += solve.accepted_volume;
-            result.rejected_volume += solve.rejected_volume;
+            reconcile::reconcile(network, base, solves, &mut self.pool, batches, directives);
+        for solve in resolutions.iter().filter(|s| !s.degraded) {
+            self.states[solve.shard].record(&solve.admission, directives.slot);
         }
-        result.resolutions = resolutions;
-        result
+        resolutions
     }
 }

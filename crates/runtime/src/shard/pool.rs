@@ -1,9 +1,9 @@
 //! The `std::thread` worker pool running per-shard solves in parallel.
 //!
-//! Each shard's worker replays the online controller's step semantics —
-//! whole-batch solve, then per-file admission in arrival order on
-//! infeasibility — against an *overlay* ledger: a clone of the central
-//! ledger that accumulates only this shard's own tentative commits. The
+//! Each shard's worker runs the online controller's admission routine
+//! ([`postcard_core::admit`]: whole-batch solve, then per-file admission in
+//! arrival order on infeasibility) on its own copy of the central ledger
+//! as of the slot start, so it sees only its own tentative commits. The
 //! central ledger is never touched from a worker thread; the reconciler
 //! merges tentative results afterwards in fixed shard order.
 //!
@@ -24,8 +24,8 @@
 
 use crate::clock::WallStopwatch;
 use crate::fallback::{AttemptRecord, FallbackChain, TierKind};
-use postcard_core::{Decision, PostcardError, Scheduler};
-use postcard_net::{FileId, Network, TrafficLedger, TransferRequest};
+use postcard_core::{admit, Admission};
+use postcard_net::{Network, TrafficLedger, TransferRequest};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -51,27 +51,19 @@ impl SlotDirectives {
 }
 
 /// One shard's tentative (pre-reconciliation) slot result.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardSolve {
     /// The shard index.
     pub shard: usize,
     /// Size of the shard's batch this slot.
     pub batch_len: usize,
-    /// Tentative commits: each decision with the files it serves, in
-    /// commit order.
-    pub commits: Vec<(Vec<TransferRequest>, Decision)>,
-    /// Files admitted, in batch order.
-    pub accepted: Vec<FileId>,
-    /// Files rejected, in batch order.
-    pub rejected: Vec<FileId>,
-    /// Admitted volume (GB).
-    pub accepted_volume: f64,
-    /// Rejected volume (GB).
-    pub rejected_volume: f64,
-    /// Tier attempts recorded while solving this shard (re-solve attempts
-    /// are appended by the reconciler).
+    /// The shard's admission, empty when the shard is degraded.
+    pub admission: Admission,
+    /// Tier attempts recorded while solving this shard (a conflict
+    /// re-solve's attempts replace the optimistic solve's).
     pub records: Vec<AttemptRecord>,
-    /// The tier that committed the shard's first decision.
+    /// The tier that committed the shard's first decision (`None` when
+    /// nothing was committed).
     pub chosen_tier: Option<TierKind>,
     /// The chain hard-failed; the shard committed nothing and its entries
     /// should be requeued.
@@ -86,113 +78,45 @@ pub struct ShardSolve {
     pub wall_seconds: f64,
 }
 
-impl ShardSolve {
-    fn empty(shard: usize) -> Self {
-        Self {
-            shard,
-            batch_len: 0,
-            commits: Vec::new(),
-            accepted: Vec::new(),
-            rejected: Vec::new(),
-            accepted_volume: 0.0,
-            rejected_volume: 0.0,
-            records: Vec::new(),
-            chosen_tier: None,
-            degraded: false,
-            conflicted: false,
-            diagnostics: Vec::new(),
-            wall_seconds: 0.0,
-        }
-    }
-}
-
-/// Applies a tentative decision to the overlay ledger.
-fn apply_overlay(decision: &Decision, files: &[TransferRequest], overlay: &mut TrafficLedger) {
-    match decision {
-        Decision::Plan(plan) => plan.apply_to_ledger(overlay),
-        Decision::Rates(rates) => rates.apply_to_ledger(files, overlay),
-    }
-}
-
-/// Solves one shard's batch against `base`, mirroring
-/// [`postcard_core::OnlineController::step`]'s admission semantics on an
-/// overlay ledger.
+/// Starts `chain`'s slot and admits one shard's batch onto `ledger`
+/// through [`postcard_core::admit`], which books every admitted decision
+/// there.
 ///
-/// On a non-infeasible scheduler error the shard is marked degraded and
-/// commits nothing — unlike the unsharded step, no partial per-file commits
-/// survive, because the overlay is scratch state. The runtime requeues the
-/// whole shard batch, exactly as it requeues a degraded unsharded slot.
+/// A hard scheduler error marks the shard degraded with an empty
+/// admission: admission is all-or-nothing, so `ledger` is left as it was
+/// and the runtime requeues the whole batch. An empty batch
+/// starts the slot (so the chain's records are this slot's) but schedules
+/// nothing.
 pub fn solve_shard(
     chain: &mut FallbackChain,
     shard: usize,
     network: &Network,
-    base: &TrafficLedger,
+    ledger: &mut TrafficLedger,
     batch: &[TransferRequest],
     directives: &SlotDirectives,
 ) -> ShardSolve {
-    let mut solve = ShardSolve::empty(shard);
-    solve.batch_len = batch.len();
+    let started = WallStopwatch::start();
+    chain.begin_slot(directives.slot, directives.forced.clone());
+    chain.set_skip_alap(directives.skip_alap);
+    let mut solve = ShardSolve { shard, batch_len: batch.len(), ..ShardSolve::default() };
     if batch.is_empty() {
         return solve;
     }
-    let started = WallStopwatch::start();
-    // Other shards (and the reconciler) commit to the central ledger behind
-    // this chain's ALAP residual grid; rebase it from `base` every slot.
-    chain.mark_alap_dirty();
-    chain.begin_slot(directives.slot, directives.forced.clone());
-    chain.set_skip_alap(directives.skip_alap);
-
-    let mut overlay = base.clone();
-    match chain.schedule(network, batch, &overlay) {
-        Ok(decision) => {
-            apply_overlay(&decision, batch, &mut overlay);
-            solve.accepted.extend(batch.iter().map(|f| f.id));
-            solve.accepted_volume = batch.iter().map(|f| f.size_gb).sum();
-            solve.commits.push((batch.to_vec(), decision));
-        }
-        Err(PostcardError::Infeasible) => {
-            // Per-file admission in arrival order, each success committed to
-            // the overlay before the next attempt — the controller's exact
-            // semantics.
-            for f in batch {
-                let single = [*f];
-                match chain.schedule(network, &single, &overlay) {
-                    Ok(decision) => {
-                        apply_overlay(&decision, &single, &mut overlay);
-                        solve.accepted.push(f.id);
-                        solve.accepted_volume += f.size_gb;
-                        solve.commits.push((single.to_vec(), decision));
-                    }
-                    Err(PostcardError::Infeasible) => {
-                        solve.rejected.push(f.id);
-                        solve.rejected_volume += f.size_gb;
-                    }
-                    Err(_) => {
-                        solve.degraded = true;
-                        break;
-                    }
-                }
-            }
+    match admit(chain, network, batch, ledger) {
+        Ok(admission) => {
+            solve.admission = admission;
+            solve.chosen_tier = chain.chosen_tier();
         }
         Err(_) => solve.degraded = true,
     }
-    if solve.degraded {
-        // Tentative state is scratch: a degraded shard contributes nothing.
-        solve.commits.clear();
-        solve.accepted.clear();
-        solve.rejected.clear();
-        solve.accepted_volume = 0.0;
-        solve.rejected_volume = 0.0;
-    }
     solve.records = chain.records().to_vec();
-    solve.chosen_tier = chain.chosen_tier();
     solve.wall_seconds = started.elapsed_secs();
     solve
 }
 
 /// One slot's worth of work for a single shard worker. The network and
-/// base ledger are shared across the slot's jobs via [`Arc`]; the worker
-/// clones its own overlay from `base` exactly as the scoped version did.
+/// base ledger are shared across the slot's jobs via [`Arc`]; each worker
+/// admits onto its own copy of the base.
 struct Job {
     network: Arc<Network>,
     base: Arc<TrafficLedger>,
@@ -217,11 +141,16 @@ impl Worker {
         let (result_tx, result_rx) = mpsc::channel::<ShardSolve>();
         let handle = std::thread::spawn(move || {
             while let Ok(job) = job_rx.recv() {
+                // Other shards (and the reconciler) commit to the central
+                // ledger behind this chain's ALAP residual grid; rebase it
+                // from the job's ledger every time.
+                chain.mark_alap_dirty();
+                let mut overlay = Arc::unwrap_or_clone(job.base);
                 let solve = solve_shard(
                     &mut chain,
                     shard,
                     &job.network,
-                    &job.base,
+                    &mut overlay,
                     &job.batch,
                     &job.directives,
                 );
@@ -341,15 +270,13 @@ impl WorkerPool {
         posted
             .into_iter()
             .enumerate()
-            .map(
-                |(shard, sent)| {
-                    if sent {
-                        self.workers[shard].take()
-                    } else {
-                        ShardSolve::empty(shard)
-                    }
-                },
-            )
+            .map(|(shard, sent)| {
+                if sent {
+                    self.workers[shard].take()
+                } else {
+                    ShardSolve { shard, ..ShardSolve::default() }
+                }
+            })
             .collect()
     }
 
@@ -377,9 +304,8 @@ impl WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::SimClock;
-    use postcard_net::{ChargingScheme, DcId, NetworkBuilder};
-    use std::time::Duration;
+    use crate::runtime::RuntimeConfig;
+    use postcard_net::{DcId, FileId, NetworkBuilder};
 
     fn d(i: usize) -> DcId {
         DcId(i)
@@ -391,12 +317,7 @@ mod tests {
     }
 
     fn chain() -> FallbackChain {
-        FallbackChain::new(
-            &TierKind::default_chain(),
-            Duration::from_millis(250),
-            Box::new(SimClock::new()),
-            ChargingScheme::MaxPerSlot,
-        )
+        FallbackChain::new(&RuntimeConfig::default())
     }
 
     #[test]
@@ -414,17 +335,13 @@ mod tests {
             .iter_mut()
             .zip(&batches)
             .enumerate()
-            .map(|(i, (c, b))| solve_shard(c, i, &net, &base, b, &SlotDirectives::plain(0)))
+            .map(|(i, (c, b))| {
+                solve_shard(c, i, &net, &mut base.clone(), b, &SlotDirectives::plain(0))
+            })
             .collect();
         assert_eq!(par.len(), 2);
         for (p, s) in par.iter().zip(&seq) {
-            assert_eq!(p.accepted, s.accepted);
-            assert_eq!(p.rejected, s.rejected);
-            assert_eq!(p.commits.len(), s.commits.len());
-            for ((pf, pd), (sf, sd)) in p.commits.iter().zip(&s.commits) {
-                assert_eq!(pf, sf);
-                assert_eq!(pd, sd, "decisions must be bit-identical");
-            }
+            assert_eq!(p.admission, s.admission, "decisions must be bit-identical");
         }
     }
 
@@ -438,22 +355,15 @@ mod tests {
         let slot0 = vec![vec![TransferRequest::new(FileId(1), d(0), d(1), 6.0, 3, 0)]];
         let slot1 = vec![vec![TransferRequest::new(FileId(2), d(0), d(1), 4.0, 3, 1)]];
         let mut pool = WorkerPool::new(vec![chain()]);
-        let p0 = pool.solve_parallel(&net, &base, &slot0, &SlotDirectives::plain(0));
-        let mut after = base.clone();
-        for (files, decision) in &p0[0].commits {
-            apply_overlay(decision, files, &mut after);
-        }
-        let p1 = pool.solve_parallel(&net, &after, &slot1, &SlotDirectives::plain(1));
-
         let mut c = chain();
-        let s0 = solve_shard(&mut c, 0, &net, &base, &slot0[0], &SlotDirectives::plain(0));
-        let s1 = solve_shard(&mut c, 0, &net, &after, &slot1[0], &SlotDirectives::plain(1));
-        assert_eq!(p0[0].accepted, s0.accepted);
-        assert_eq!(p1[0].accepted, s1.accepted);
-        for ((pf, pd), (sf, sd)) in p1[0].commits.iter().zip(&s1.commits) {
-            assert_eq!(pf, sf);
-            assert_eq!(pd, sd, "second-slot decisions must be bit-identical");
-        }
+        let mut ledger = base.clone();
+        let p0 = pool.solve_parallel(&net, &ledger, &slot0, &SlotDirectives::plain(0));
+        let s0 = solve_shard(&mut c, 0, &net, &mut ledger, &slot0[0], &SlotDirectives::plain(0));
+        assert_eq!(p0[0].admission, s0.admission);
+        // `ledger` now holds slot 0's booked traffic.
+        let p1 = pool.solve_parallel(&net, &ledger, &slot1, &SlotDirectives::plain(1));
+        let s1 = solve_shard(&mut c, 0, &net, &mut ledger, &slot1[0], &SlotDirectives::plain(1));
+        assert_eq!(p1[0].admission, s1.admission, "second-slot decisions must be bit-identical");
     }
 
     #[test]
@@ -463,7 +373,7 @@ mod tests {
         let batches = vec![Vec::new(), Vec::new()];
         let mut pool = WorkerPool::new(vec![chain(), chain()]);
         let solves = pool.solve_parallel(&net, &base, &batches, &SlotDirectives::plain(0));
-        assert!(solves.iter().all(|s| s.commits.is_empty() && s.records.is_empty()));
+        assert!(solves.iter().all(|s| s.admission.commits.is_empty() && s.records.is_empty()));
         assert!(solves.iter().all(|s| !s.degraded));
     }
 
@@ -474,44 +384,43 @@ mod tests {
         let batch = vec![TransferRequest::new(FileId(1), d(0), d(1), 6.0, 3, 0)];
         let mut pool = WorkerPool::new(vec![chain(), chain()]);
         let solo = pool.solve_one(0, &net, &base, &batch, &SlotDirectives::plain(0));
-        assert_eq!(solo.accepted, vec![FileId(1)]);
+        assert_eq!(solo.admission.accepted().copied().collect::<Vec<_>>(), batch);
         assert!(!solo.degraded);
         // The same worker answers subsequent requests.
         let again = pool.solve_one(0, &net, &base, &batch, &SlotDirectives::plain(1));
-        assert_eq!(again.accepted, vec![FileId(1)]);
+        assert_eq!(again.admission.accepted().copied().collect::<Vec<_>>(), batch);
     }
 
     #[test]
     fn per_file_admission_rejects_only_the_oversized_file() {
         let net = NetworkBuilder::new(2).link(d(0), d(1), 1.0, 2.0).build();
-        let base = TrafficLedger::new(2);
+        let mut ledger = TrafficLedger::new(2);
         let batch = vec![
             TransferRequest::new(FileId(1), d(0), d(1), 10.0, 1, 0), // can never fit
             TransferRequest::new(FileId(2), d(0), d(1), 2.0, 1, 0),
         ];
         let mut c = chain();
-        let solve = solve_shard(&mut c, 0, &net, &base, &batch, &SlotDirectives::plain(0));
-        assert_eq!(solve.rejected, vec![FileId(1)]);
-        assert_eq!(solve.accepted, vec![FileId(2)]);
-        assert_eq!(solve.accepted_volume, 2.0);
-        assert_eq!(solve.rejected_volume, 10.0);
+        let solve = solve_shard(&mut c, 0, &net, &mut ledger, &batch, &SlotDirectives::plain(0));
+        assert_eq!(solve.admission.rejected, batch[..1]);
+        assert_eq!(solve.admission.accepted().copied().collect::<Vec<_>>(), batch[1..]);
         assert!(!solve.degraded);
+        assert_eq!(ledger.volume(d(0), d(1), 0), 2.0, "the admitted file is booked");
     }
 
     #[test]
     fn hard_failure_degrades_the_shard_and_commits_nothing() {
         // Datacenter 7 does not exist: the postcard-only chain hard-fails.
         let net = net();
-        let base = TrafficLedger::new(4);
+        let mut ledger = TrafficLedger::new(4);
         let batch = vec![TransferRequest::new(FileId(1), DcId(7), d(1), 1.0, 2, 0)];
-        let mut c = FallbackChain::new(
-            &[TierKind::Postcard],
-            Duration::from_millis(250),
-            Box::new(SimClock::new()),
-            ChargingScheme::MaxPerSlot,
-        );
-        let solve = solve_shard(&mut c, 0, &net, &base, &batch, &SlotDirectives::plain(0));
+        let mut c = FallbackChain::new(&RuntimeConfig {
+            tiers: vec![TierKind::Postcard],
+            ..Default::default()
+        });
+        let solve = solve_shard(&mut c, 0, &net, &mut ledger, &batch, &SlotDirectives::plain(0));
         assert!(solve.degraded);
-        assert!(solve.commits.is_empty() && solve.accepted.is_empty());
+        assert_eq!(solve.admission, Admission::default());
+        assert_eq!(ledger, TrafficLedger::new(4));
+        assert_eq!(solve.chosen_tier, None);
     }
 }

@@ -92,13 +92,6 @@ fn validate_decision(
     }
 }
 
-fn apply_working(decision: &Decision, files: &[TransferRequest], working: &mut TrafficLedger) {
-    match decision {
-        Decision::Plan(plan) => plan.apply_to_ledger(working),
-        Decision::Rates(rates) => rates.apply_to_ledger(files, working),
-    }
-}
-
 /// Merges tentative shard solves in fixed shard order, re-solving shards
 /// whose optimistic plans over-committed shared links. Returns the final
 /// per-shard resolutions (same order); the caller applies the surviving
@@ -113,24 +106,25 @@ pub fn reconcile(
 ) -> Vec<ShardSolve> {
     let mut working = base.clone();
     let mut resolved = Vec::with_capacity(solves.len());
-    for mut solve in solves {
+    for solve in solves {
         if solve.degraded {
             resolved.push(solve);
             continue;
         }
         let mut diagnostics = Vec::new();
-        let valid = solve.commits.iter().all(|(files, decision)| {
-            match validate_decision(network, &working, files, decision, solve.shard) {
-                Ok(()) => true,
-                Err(mut lines) => {
-                    diagnostics.append(&mut lines);
-                    false
+        let valid =
+            solve.admission.commits.iter().all(|(files, decision)| {
+                match validate_decision(network, &working, files, decision, solve.shard) {
+                    Ok(()) => true,
+                    Err(mut lines) => {
+                        diagnostics.append(&mut lines);
+                        false
+                    }
                 }
-            }
-        });
+            });
         if valid {
-            for (files, decision) in &solve.commits {
-                apply_working(decision, files, &mut working);
+            for (files, decision) in &solve.admission.commits {
+                decision.apply_to_ledger(files, &mut working);
             }
             resolved.push(solve);
             continue;
@@ -144,27 +138,21 @@ pub fn reconcile(
         let resolve = pool.solve_one(shard, network, &working, &batches[shard], directives);
         debug_assert!(
             resolve.degraded
-                || resolve.commits.iter().all(|(files, decision)| validate_decision(
+                || resolve.admission.commits.iter().all(|(files, decision)| validate_decision(
                     network, &working, files, decision, shard
                 )
                 .is_ok()),
             "a re-solve against the working ledger must validate against it"
         );
-        for (files, decision) in &resolve.commits {
-            apply_working(decision, files, &mut working);
+        for (files, decision) in &resolve.admission.commits {
+            decision.apply_to_ledger(files, &mut working);
         }
-        solve.commits = resolve.commits;
-        solve.accepted = resolve.accepted;
-        solve.rejected = resolve.rejected;
-        solve.accepted_volume = resolve.accepted_volume;
-        solve.rejected_volume = resolve.rejected_volume;
-        solve.records = resolve.records;
-        solve.chosen_tier = resolve.chosen_tier;
-        solve.degraded = resolve.degraded;
-        solve.wall_seconds += resolve.wall_seconds;
-        solve.conflicted = true;
-        solve.diagnostics = diagnostics;
-        resolved.push(solve);
+        resolved.push(ShardSolve {
+            conflicted: true,
+            diagnostics,
+            wall_seconds: solve.wall_seconds + resolve.wall_seconds,
+            ..resolve
+        });
     }
     resolved
 }
@@ -172,26 +160,17 @@ pub fn reconcile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::SimClock;
-    use crate::fallback::{FallbackChain, TierKind};
-    use postcard_net::{ChargingScheme, DcId, FileId, NetworkBuilder};
-    use std::time::Duration;
+    use crate::fallback::FallbackChain;
+    use crate::runtime::RuntimeConfig;
+    use postcard_net::{DcId, FileId, NetworkBuilder};
 
     fn d(i: usize) -> DcId {
         DcId(i)
     }
 
-    fn chain(tiers: &[TierKind]) -> FallbackChain {
-        FallbackChain::new(
-            tiers,
-            Duration::from_millis(250),
-            Box::new(SimClock::new()),
-            ChargingScheme::MaxPerSlot,
-        )
-    }
-
     fn two_shard_pool() -> WorkerPool {
-        WorkerPool::new(vec![chain(&TierKind::default_chain()), chain(&TierKind::default_chain())])
+        let config = RuntimeConfig::default();
+        WorkerPool::new(vec![FallbackChain::new(&config), FallbackChain::new(&config)])
     }
 
     #[test]
@@ -210,8 +189,8 @@ mod tests {
         let resolved =
             reconcile(&net, &base, solves, &mut pool, &batches, &pool::SlotDirectives::plain(0));
         assert!(resolved.iter().all(|s| !s.conflicted && !s.degraded));
-        assert_eq!(resolved[0].accepted, vec![FileId(1)]);
-        assert_eq!(resolved[1].accepted, vec![FileId(2)]);
+        assert_eq!(resolved[0].admission.accepted().copied().collect::<Vec<_>>(), batches[0]);
+        assert_eq!(resolved[1].admission.accepted().copied().collect::<Vec<_>>(), batches[1]);
     }
 
     #[test]
@@ -226,17 +205,17 @@ mod tests {
         let mut pool = two_shard_pool();
         let solves = pool.solve_parallel(&net, &base, &batches, &pool::SlotDirectives::plain(0));
         // Both optimistic solves admit their file (each saw an empty link).
-        assert_eq!(solves[0].accepted, vec![FileId(1)]);
-        assert_eq!(solves[1].accepted, vec![FileId(2)]);
+        assert_eq!(solves[0].admission.accepted().copied().collect::<Vec<_>>(), batches[0]);
+        assert_eq!(solves[1].admission.accepted().copied().collect::<Vec<_>>(), batches[1]);
         let resolved =
             reconcile(&net, &base, solves, &mut pool, &batches, &pool::SlotDirectives::plain(0));
         // Shard 0 keeps its plan; shard 1's re-solve finds no room and
         // rejects — the merged view never over-commits the link.
         assert!(!resolved[0].conflicted);
         assert!(resolved[1].conflicted);
-        assert_eq!(resolved[0].accepted, vec![FileId(1)]);
-        assert_eq!(resolved[1].rejected, vec![FileId(2)]);
-        assert!(resolved[1].commits.is_empty());
+        assert_eq!(resolved[0].admission.accepted().copied().collect::<Vec<_>>(), batches[0]);
+        assert_eq!(resolved[1].admission.rejected, batches[1]);
+        assert!(resolved[1].admission.commits.is_empty());
         assert!(
             resolved[1].diagnostics.iter().any(|l| l.contains("over-committed")),
             "{:?}",
@@ -245,8 +224,8 @@ mod tests {
         // Replay the merged commits: capacity is respected.
         let mut ledger = base.clone();
         for s in &resolved {
-            for (files, decision) in &s.commits {
-                apply_working(decision, files, &mut ledger);
+            for (files, decision) in &s.admission.commits {
+                decision.apply_to_ledger(files, &mut ledger);
             }
         }
         assert!(ledger.volume(d(0), d(1), 0) <= 10.0 + 1e-9);
@@ -266,8 +245,8 @@ mod tests {
         let solves = pool.solve_parallel(&net, &base, &batches, &pool::SlotDirectives::plain(0));
         let resolved =
             reconcile(&net, &base, solves, &mut pool, &batches, &pool::SlotDirectives::plain(0));
-        assert_eq!(resolved[0].accepted, vec![FileId(1)]);
+        assert_eq!(resolved[0].admission.accepted().copied().collect::<Vec<_>>(), batches[0]);
         assert!(resolved[1].conflicted);
-        assert_eq!(resolved[1].rejected, vec![FileId(2)]);
+        assert_eq!(resolved[1].admission.rejected, batches[1]);
     }
 }
