@@ -28,7 +28,7 @@
 use crate::error::PostcardError;
 use postcard_lp::{LinExpr, Model, Sense, SimplexOptions, Status, Variable};
 use postcard_net::{
-    ArcId, ArcKind, Network, TimeExpandedGraph, TimeNode, TrafficLedger, TransferPlan,
+    Arc, ArcId, ArcKind, Network, TimeExpandedGraph, TimeNode, TrafficLedger, TransferPlan,
     TransferRequest,
 };
 use std::collections::BTreeMap;
@@ -130,9 +130,10 @@ pub struct PostcardProblem {
     pub graph: TimeExpandedGraph,
     /// The batch the problem was built for (in batch order).
     pub files: Vec<TransferRequest>,
-    /// Per file (batch order): the arc variables `M_ij^k(n)` that exist
-    /// (constraint 10 is enforced by *absence* — see the module docs).
-    pub mvars: Vec<BTreeMap<ArcId, Variable>>,
+    /// Per file (batch order): the arc variables `M_ij^k(n)` that exist,
+    /// in ascending arc order (constraint 10 is enforced by *absence* — see
+    /// the module docs).
+    pub mvars: Vec<Vec<(ArcId, Variable)>>,
     /// Charged-volume variable `X_ij` per directed link `(i, j)`.
     pub xvars: BTreeMap<(usize, usize), Variable>,
 }
@@ -163,7 +164,7 @@ impl PostcardProblem {
             Status::Optimal => {
                 let mut plan = TransferPlan::new();
                 for (k, f) in self.files.iter().enumerate() {
-                    for (&id, &v) in &self.mvars[k] {
+                    for &(id, v) in &self.mvars[k] {
                         let value = sol.value(v);
                         if value > 1e-9 {
                             let arc = self.graph.arc(id);
@@ -186,6 +187,51 @@ impl PostcardProblem {
             Status::Unbounded => unreachable!("objective is bounded below by prior peaks"),
         }
     }
+
+    /// Names variable `v` for a diagnostic: `M[file][from->to@slot]` for an
+    /// arc variable, `X[from->to]` for a charged volume, otherwise the
+    /// model's own name. The builder names no variable, so this scans the
+    /// variable maps; only a diagnostic that fires pays for it.
+    pub fn var_label(&self, v: Variable) -> String {
+        for (k, per_arc) in self.mvars.iter().enumerate() {
+            if let Some(&(id, _)) = per_arc.iter().find(|&&(_, var)| var == v) {
+                let file = self.files.get(k).map_or_else(|| format!("#{k}"), |f| f.id.to_string());
+                return if id.index() < self.graph.num_arcs() {
+                    let arc = self.graph.arc(id);
+                    format!("M[{file}][{}->{}@{}]", arc.from.0, arc.to.0, arc.slot)
+                } else {
+                    format!("M[{file}][arc #{}]", id.index())
+                };
+            }
+        }
+        match self.xvars.iter().find(|&(_, &x)| x == v) {
+            Some((&(i, j), _)) => format!("X[{i}->{j}]"),
+            None => self.model.var_name(v).into_owned(),
+        }
+    }
+}
+
+/// Whether file `f` gets a variable on `arc` (an arc of its window).
+fn keeps_arc(f: &TransferRequest, arc: &Arc, config: &PostcardConfig) -> bool {
+    if arc.kind == ArcKind::Transit && arc.capacity <= 0.0 {
+        return false; // saturated link-slot: no variable needed
+    }
+    if arc.slot == f.last_slot() && arc.to != f.dst {
+        return false; // final slot must deliver into the destination
+    }
+    if arc.kind == ArcKind::Transit && (arc.to == f.src || arc.from == f.dst) {
+        // Flow re-entering the source or leaving the destination can
+        // always be trimmed from an optimal solution (trim the path at its
+        // first destination arrival / last source departure and bridge with
+        // free storage arcs), so these variables are pruned for speed
+        // without affecting the optimum.
+        return false;
+    }
+    // Ablation: no storage at intermediate relays.
+    config.allow_relay_storage
+        || arc.kind != ArcKind::Storage
+        || arc.from == f.src
+        || arc.from == f.dst
 }
 
 /// Assembles the Postcard LP for `files` against the residual capacities and
@@ -225,38 +271,18 @@ pub fn build_postcard_problem(
 
     let mut m = Model::new(Sense::Minimize);
 
-    // Per-file arc variables, created only where constraint (10) allows.
-    let mut mvars: Vec<BTreeMap<ArcId, Variable>> = Vec::with_capacity(files.len());
+    // Per-file arc variables, created only where constraint (10) allows, in
+    // arc order. A file's window lies inside the expansion, whose arcs are
+    // numbered slot by slot.
+    let mut mvars: Vec<Vec<(ArcId, Variable)>> = Vec::with_capacity(files.len());
     for f in files {
-        let mut per_arc = BTreeMap::new();
-        for (id, arc) in graph.arcs_usable_by(f) {
-            if arc.kind == ArcKind::Transit && arc.capacity <= 0.0 {
-                continue; // saturated link-slot: no variable needed
+        let mut per_arc = Vec::new();
+        for slot in f.first_slot()..=f.last_slot() {
+            for (id, arc) in graph.arcs_in_slot(slot) {
+                if keeps_arc(f, arc, config) {
+                    per_arc.push((id, m.add_anon_var(0.0, f64::INFINITY)));
+                }
             }
-            if arc.slot == f.last_slot() && arc.to != f.dst {
-                continue; // final slot must deliver into the destination
-            }
-            if arc.kind == ArcKind::Transit && (arc.to == f.src || arc.from == f.dst) {
-                // Flow re-entering the source or leaving the destination can
-                // always be trimmed from an optimal solution (trim the path
-                // at its first destination arrival / last source departure
-                // and bridge with free storage arcs), so these variables are
-                // pruned for speed without affecting the optimum.
-                continue;
-            }
-            if !config.allow_relay_storage
-                && arc.kind == ArcKind::Storage
-                && arc.from != f.src
-                && arc.from != f.dst
-            {
-                continue; // ablation: no storage at intermediate relays
-            }
-            let v = m.add_var(
-                format!("M[{}][{}->{}@{}]", f.id, arc.from.0, arc.to.0, arc.slot),
-                0.0,
-                f64::INFINITY,
-            );
-            per_arc.insert(id, v);
         }
         mvars.push(per_arc);
     }
@@ -266,25 +292,27 @@ pub fn build_postcard_problem(
     let mut xvars = BTreeMap::new();
     let mut obj = LinExpr::new();
     for link in network.links() {
-        let x = m.add_var(
-            format!("X[{}->{}]", link.from.0, link.to.0),
-            ledger.peak(link.from, link.to),
-            f64::INFINITY,
-        );
+        let x = m.add_anon_var(ledger.peak(link.from, link.to), f64::INFINITY);
         xvars.insert((link.from.0, link.to.0), x);
         obj.add_term(x, link.price);
     }
     m.set_objective(obj);
 
-    // Capacity (7) and charged-volume envelopes, per transit arc.
+    // Capacity (7) and charged-volume envelopes, per transit arc. Every
+    // file's variables are in arc order, so one cursor per file walks them
+    // alongside the arcs.
+    let mut cursor = vec![0usize; files.len()];
     for (id, arc) in graph.arcs() {
-        if arc.kind != ArcKind::Transit {
-            continue;
-        }
+        let transit = arc.kind == ArcKind::Transit;
         let mut load = LinExpr::new();
-        for per_arc in &mvars {
-            if let Some(&v) = per_arc.get(&id) {
-                load.add_term(v, 1.0);
+        for (per_arc, at) in mvars.iter().zip(&mut cursor) {
+            if let Some(&(var_arc, v)) = per_arc.get(*at) {
+                if var_arc == id {
+                    *at += 1;
+                    if transit {
+                        load.add_term(v, 1.0);
+                    }
+                }
             }
         }
         if load.is_empty() {
@@ -297,20 +325,27 @@ pub fn build_postcard_problem(
         m.leq(env, -used);
     }
 
-    // Conservation (8), per file per node per window layer.
-    for (k, f) in files.iter().enumerate() {
+    // Conservation (8), per file per node per window layer, reading each
+    // node's arcs from one index and each file's variables from a dense
+    // arc → variable map (cleared again after the file).
+    let node_arcs = graph.node_arcs();
+    let mut var_of: Vec<Option<Variable>> = vec![None; graph.num_arcs()];
+    for (f, per_arc) in files.iter().zip(&mvars) {
+        for &(id, v) in per_arc {
+            var_of[id.index()] = Some(v);
+        }
         for slot in f.first_slot()..=f.last_slot() {
             for dc in network.dcs() {
                 let node = TimeNode { dc, layer: slot };
                 let mut expr = LinExpr::new();
-                for (id, _) in graph.arcs_out(node) {
-                    if let Some(&v) = mvars[k].get(&id) {
+                for id in node_arcs.outgoing(node) {
+                    if let Some(v) = var_of[id.index()] {
                         expr.add_term(v, 1.0);
                     }
                 }
                 if slot > f.first_slot() {
-                    for (id, _) in graph.arcs_in(node) {
-                        if let Some(&v) = mvars[k].get(&id) {
+                    for id in node_arcs.incoming(node) {
+                        if let Some(v) = var_of[id.index()] {
                             expr.add_term(v, -1.0);
                         }
                     }
@@ -328,6 +363,9 @@ pub fn build_postcard_problem(
                 m.eq(expr, rhs);
             }
         }
+        for &(id, _) in per_arc {
+            var_of[id.index()] = None;
+        }
     }
 
     Ok(PostcardProblem { model: m, graph, files: files.to_vec(), mvars, xvars })
@@ -336,6 +374,7 @@ pub fn build_postcard_problem(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use postcard_lp::Relation;
     use postcard_net::{DcId, FileId, NetworkBuilder};
 
     fn d(i: usize) -> DcId {
@@ -350,6 +389,290 @@ mod tests {
             .link(d(1), d(0), 1.0, 1000.0)
             .link(d(0), d(2), 3.0, 1000.0)
             .build()
+    }
+
+    type Reference = (Model, Vec<BTreeMap<ArcId, Variable>>, BTreeMap<(usize, usize), Variable>);
+
+    /// The builder before it dropped per-variable names, ordered maps and
+    /// per-node slot scans, kept as the oracle the lean builder must match
+    /// bit for bit.
+    fn build_reference(
+        network: &Network,
+        files: &[TransferRequest],
+        ledger: &TrafficLedger,
+        config: &PostcardConfig,
+    ) -> Result<Reference, PostcardError> {
+        for f in files {
+            for dc in [f.src, f.dst] {
+                if dc.index() >= network.num_dcs() {
+                    return Err(PostcardError::UnknownDatacenter {
+                        dc: dc.index(),
+                        num_dcs: network.num_dcs(),
+                    });
+                }
+            }
+        }
+        let t0 = files.iter().map(|f| f.first_slot()).min().unwrap_or(0);
+        let t_end = files.iter().map(|f| f.last_slot()).max().unwrap_or(t0);
+        let horizon = (t_end - t0 + 1) as usize;
+        let graph = TimeExpandedGraph::with_residual(network, t0, horizon, |l, slot| {
+            Some(ledger.residual(network, l.from, l.to, slot))
+        });
+
+        let mut m = Model::new(Sense::Minimize);
+
+        // Per-file arc variables, created only where constraint (10) allows.
+        let mut mvars: Vec<BTreeMap<ArcId, Variable>> = Vec::with_capacity(files.len());
+        for f in files {
+            let mut per_arc = BTreeMap::new();
+            for (id, arc) in graph.arcs_usable_by(f) {
+                if arc.kind == ArcKind::Transit && arc.capacity <= 0.0 {
+                    continue; // saturated link-slot: no variable needed
+                }
+                if arc.slot == f.last_slot() && arc.to != f.dst {
+                    continue; // final slot must deliver into the destination
+                }
+                if arc.kind == ArcKind::Transit && (arc.to == f.src || arc.from == f.dst) {
+                    // Flow re-entering the source or leaving the destination can
+                    // always be trimmed from an optimal solution (trim the path
+                    // at its first destination arrival / last source departure
+                    // and bridge with free storage arcs), so these variables are
+                    // pruned for speed without affecting the optimum.
+                    continue;
+                }
+                if !config.allow_relay_storage
+                    && arc.kind == ArcKind::Storage
+                    && arc.from != f.src
+                    && arc.from != f.dst
+                {
+                    continue; // ablation: no storage at intermediate relays
+                }
+                let v = m.add_var(
+                    format!("M[{}][{}->{}@{}]", f.id, arc.from.0, arc.to.0, arc.slot),
+                    0.0,
+                    f64::INFINITY,
+                );
+                per_arc.insert(id, v);
+            }
+            mvars.push(per_arc);
+        }
+
+        // Charged-volume variables with the prior peak as floor, and the
+        // objective (6).
+        let mut xvars = BTreeMap::new();
+        let mut obj = LinExpr::new();
+        for link in network.links() {
+            let x = m.add_var(
+                format!("X[{}->{}]", link.from.0, link.to.0),
+                ledger.peak(link.from, link.to),
+                f64::INFINITY,
+            );
+            xvars.insert((link.from.0, link.to.0), x);
+            obj.add_term(x, link.price);
+        }
+        m.set_objective(obj);
+
+        // Capacity (7) and charged-volume envelopes, per transit arc.
+        for (id, arc) in graph.arcs() {
+            if arc.kind != ArcKind::Transit {
+                continue;
+            }
+            let mut load = LinExpr::new();
+            for per_arc in &mvars {
+                if let Some(&v) = per_arc.get(&id) {
+                    load.add_term(v, 1.0);
+                }
+            }
+            if load.is_empty() {
+                continue;
+            }
+            m.leq(load.clone(), arc.capacity);
+            let used = ledger.volume(arc.from, arc.to, arc.slot);
+            let mut env = load;
+            env.add_term(xvars[&(arc.from.0, arc.to.0)], -1.0);
+            m.leq(env, -used);
+        }
+
+        // Conservation (8), per file per node per window layer.
+        for (k, f) in files.iter().enumerate() {
+            for slot in f.first_slot()..=f.last_slot() {
+                for dc in network.dcs() {
+                    let node = TimeNode { dc, layer: slot };
+                    let mut expr = LinExpr::new();
+                    for (id, _) in graph.arcs_out(node) {
+                        if let Some(&v) = mvars[k].get(&id) {
+                            expr.add_term(v, 1.0);
+                        }
+                    }
+                    if slot > f.first_slot() {
+                        for (id, _) in graph.arcs_in(node) {
+                            if let Some(&v) = mvars[k].get(&id) {
+                                expr.add_term(v, -1.0);
+                            }
+                        }
+                    }
+                    let rhs = if slot == f.first_slot() && dc == f.src { f.size_gb } else { 0.0 };
+                    if expr.is_empty() {
+                        // postcard-analyze: allow(PA101) — rhs is 0.0 or a size.
+                        if rhs != 0.0 {
+                            // The source has no usable outgoing arcs at release:
+                            // structurally infeasible.
+                            return Err(PostcardError::Infeasible);
+                        }
+                        continue;
+                    }
+                    m.eq(expr, rhs);
+                }
+            }
+        }
+
+        Ok((m, mvars, xvars))
+    }
+
+    /// Everything of a model the solver reads, as bits: per-variable
+    /// bounds, objective terms, and per row its relation, rhs and terms.
+    type Fingerprint =
+        (Vec<(u64, u64)>, Vec<(usize, u64)>, Vec<(Relation, u64, Vec<(usize, u64)>)>);
+
+    fn fingerprint(m: &Model) -> Fingerprint {
+        let bits = |terms: &LinExpr| -> Vec<(usize, u64)> {
+            terms.iter().map(|(v, c)| (v.index(), c.to_bits())).collect()
+        };
+        let bounds = m
+            .variables()
+            .map(|v| {
+                let (lo, hi) = m.bounds(v);
+                (lo.to_bits(), hi.to_bits())
+            })
+            .collect();
+        let rows = m
+            .constraints()
+            .map(|(_, c)| (c.relation(), c.rhs().to_bits(), bits(c.expr())))
+            .collect();
+        (bounds, bits(m.objective_expr()), rows)
+    }
+
+    /// A scaled Fig. 4–7 slot: a complete 3–6 DC network at 30 or 100
+    /// GB/slot with U[1,10] prices, maybe one dead link, a ledger of
+    /// earlier traffic (some link-slots saturated) and a batch of 1–8
+    /// files released at or just after the current slot.
+    fn random_slot(seed: u64) -> (Network, Vec<TransferRequest>, TrafficLedger, PostcardConfig) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(3..=6);
+        let cap = if rng.gen_range(0..2) == 0 { 30.0 } else { 100.0 };
+        let mut net = Network::complete_with_prices(n, cap, |_, _| rng.gen_range(1.0..=10.0));
+        let pair = |rng: &mut StdRng| {
+            let src = rng.gen_range(0..n);
+            let dst = (src + rng.gen_range(1..n)) % n;
+            (d(src), d(dst))
+        };
+        let dead = (rng.gen_range(0..2) == 0).then(|| pair(&mut rng));
+        if let Some((a, b)) = dead {
+            net.set_capacity(a, b, 0.0);
+        }
+        let now = rng.gen_range(0..4u64);
+        let mut ledger = TrafficLedger::new(n);
+        for _ in 0..rng.gen_range(0..12) {
+            let (a, b) = pair(&mut rng);
+            ledger.record(a, b, rng.gen_range(0..now + 8), rng.gen_range(0.0..=1.2 * cap));
+        }
+        let files = (0..rng.gen_range(1..=8u64))
+            .map(|k| {
+                let (src, dst) = match dead {
+                    // A deadline-1 file across the dead link has no usable
+                    // arc out of its source: structurally infeasible.
+                    Some(link) if k == 0 && rng.gen_range(0..3) == 0 => link,
+                    _ => pair(&mut rng),
+                };
+                let deadline =
+                    if k == 0 && dead == Some((src, dst)) { 1 } else { rng.gen_range(1..=8) };
+                TransferRequest::new(
+                    FileId(k),
+                    src,
+                    dst,
+                    rng.gen_range(1.0..=100.0),
+                    deadline,
+                    now + rng.gen_range(0..2),
+                )
+            })
+            .collect();
+        let config =
+            PostcardConfig { allow_relay_storage: rng.gen_range(0..3) != 0, ..Default::default() };
+        (net, files, ledger, config)
+    }
+
+    fn matches_reference(
+        net: &Network,
+        files: &[TransferRequest],
+        ledger: &TrafficLedger,
+        config: &PostcardConfig,
+    ) -> Result<(), String> {
+        let lean = build_postcard_problem(net, files, ledger, config);
+        let reference = build_reference(net, files, ledger, config);
+        match (lean, reference) {
+            (Ok(p), Ok((m, mvars, xvars))) => {
+                let want: Vec<Vec<(ArcId, Variable)>> =
+                    mvars.into_iter().map(|per_arc| per_arc.into_iter().collect()).collect();
+                if p.mvars != want || p.xvars != xvars {
+                    return Err("variable maps differ".into());
+                }
+                if fingerprint(&p.model) != fingerprint(&m) {
+                    return Err("models differ".into());
+                }
+                for v in m.variables() {
+                    if p.var_label(v) != m.var_name(v) {
+                        return Err(format!("label {} != {}", p.var_label(v), m.var_name(v)));
+                    }
+                }
+                Ok(())
+            }
+            (Err(a), Err(b)) if a == b => Ok(()),
+            (a, b) => Err(format!("outcomes differ: {:?} vs {:?}", a.err(), b.err())),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn lean_builder_is_bit_identical_to_the_reference(seed in 0u64..1_000_000) {
+            let (net, files, ledger, config) = random_slot(seed);
+            let verdict = matches_reference(&net, &files, &ledger, &config);
+            proptest::prop_assert!(verdict.is_ok(), "seed {seed}: {}", verdict.unwrap_err());
+        }
+    }
+
+    #[test]
+    fn lean_builder_matches_the_reference_on_infeasible_and_malformed_batches() {
+        // Dead link, deadline 1: the source has no usable arc at release.
+        let mut net = Network::complete(3, 2.0, 30.0);
+        net.set_capacity(d(0), d(1), 0.0);
+        let ledger = TrafficLedger::new(3);
+        let config = PostcardConfig::default();
+        let files = [TransferRequest::new(FileId(1), d(0), d(1), 5.0, 1, 0)];
+        assert_eq!(
+            build_postcard_problem(&net, &files, &ledger, &config).unwrap_err(),
+            PostcardError::Infeasible
+        );
+        matches_reference(&net, &files, &ledger, &config).unwrap();
+        let unknown = [TransferRequest::new(FileId(1), d(0), d(5), 5.0, 2, 0)];
+        matches_reference(&net, &unknown, &ledger, &config).unwrap();
+        matches_reference(&net, &[], &ledger, &config).unwrap();
+    }
+
+    #[test]
+    fn var_label_names_arc_and_charged_variables() {
+        let net = fig1_net();
+        let files = [TransferRequest::new(FileId(1), d(1), d(2), 6.0, 3, 0)];
+        let ledger = TrafficLedger::new(3);
+        let p = build_postcard_problem(&net, &files, &ledger, &PostcardConfig::default()).unwrap();
+        let (id, v) = p.mvars[0][0];
+        let arc = p.graph.arc(id);
+        assert_eq!(p.var_label(v), format!("M[file#1][{}->{}@{}]", arc.from.0, arc.to.0, arc.slot));
+        assert_eq!(p.var_label(p.xvars[&(1, 2)]), "X[1->2]");
+        assert_eq!(p.model.var_name(v), format!("x{}", v.index()));
     }
 
     #[test]
@@ -490,7 +813,7 @@ mod tests {
         assert_eq!(p.mvars.len(), 1);
         assert_eq!(p.xvars.len(), net.num_links());
         // Every arc variable's slot lies inside the file's window (Eq. 10).
-        for &id in p.mvars[0].keys() {
+        for &(id, _) in &p.mvars[0] {
             assert!(files[0].active_in(p.graph.arc(id).slot));
         }
         // Solving the assembled problem matches the one-shot API.

@@ -24,6 +24,7 @@ use crate::error::PostcardError;
 use crate::scheduler::{Decision, Scheduler};
 use postcard_net::{ChargingScheme, FileId, Network, TrafficLedger, TransferRequest};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One batch's admission verdict (see [`admit`]).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -151,7 +152,10 @@ pub struct ControllerState {
 #[derive(Debug)]
 pub struct OnlineController<S> {
     scheduler: S,
-    network: Network,
+    /// Shared with the sharded runtime's workers, which only read it; a
+    /// mutation through [`OnlineController::network_mut`] copies it only
+    /// while a worker still holds the old one.
+    network: Arc<Network>,
     ledger: TrafficLedger,
     cost_history: Vec<f64>,
     total_accepted: usize,
@@ -173,7 +177,7 @@ impl<S: Scheduler> OnlineController<S> {
         let ledger = TrafficLedger::new(network.num_dcs());
         Self {
             scheduler,
-            network,
+            network: Arc::new(network),
             ledger,
             cost_history: Vec::new(),
             total_accepted: 0,
@@ -238,10 +242,16 @@ impl<S: Scheduler> OnlineController<S> {
         &self.network
     }
 
+    /// The network as the one shared handle the sharded runtime hands its
+    /// workers, so a slot passes it on without copying it.
+    pub fn shared_network(&self) -> &Arc<Network> {
+        &self.network
+    }
+
     /// Mutable access to the network (service runtimes apply link
     /// degradations here).
     pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.network
+        Arc::make_mut(&mut self.network)
     }
 
     /// Snapshots the controller's complete mutable state (see
@@ -264,7 +274,7 @@ impl<S: Scheduler> OnlineController<S> {
     pub fn from_state(network: Network, scheduler: S, state: ControllerState) -> Self {
         Self {
             scheduler,
-            network,
+            network: Arc::new(network),
             ledger: state.ledger,
             cost_history: state.cost_history,
             total_accepted: state.total_accepted,

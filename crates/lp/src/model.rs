@@ -5,6 +5,7 @@ use crate::expr::{LinExpr, Variable};
 use crate::simplex::{SimplexOptions, SimplexSolver};
 use crate::solution::Solution;
 use crate::standard::StandardForm;
+use std::borrow::Cow;
 
 /// Optimization direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -113,6 +114,13 @@ impl Model {
         Variable(idx)
     }
 
+    /// Adds an unnamed variable with the given bounds. [`Model::var_name`]
+    /// renders it as `x<index>`; builders that create thousands of
+    /// variables per solve use this to skip formatting a name for each.
+    pub fn add_anon_var(&mut self, lower: f64, upper: f64) -> Variable {
+        self.add_var(String::new(), lower, upper)
+    }
+
     /// Adds `count` variables sharing bounds, named `prefix[0..count)`.
     pub fn add_vars(
         &mut self,
@@ -134,9 +142,13 @@ impl Model {
         self.constraints.len()
     }
 
-    /// Name of a variable.
-    pub fn var_name(&self, v: Variable) -> &str {
-        &self.names[v.0]
+    /// Name of a variable; an unnamed one ([`Model::add_anon_var`]) reads
+    /// `x<index>`.
+    pub fn var_name(&self, v: Variable) -> Cow<'_, str> {
+        match self.names[v.0].as_str() {
+            "" => Cow::Owned(format!("x{}", v.0)),
+            name => Cow::Borrowed(name),
+        }
     }
 
     /// `(lower, upper)` bounds of a variable.
@@ -211,26 +223,6 @@ impl Model {
         (0..self.names.len()).map(Variable)
     }
 
-    /// Builds a column-wise view of the constraint matrix: entry `v` holds
-    /// the `(constraint, coefficient)` pairs variable `v` appears in, with
-    /// zero coefficients excluded. One sweep over every stored term; the
-    /// static-analysis passes use this to reason about whole columns without
-    /// re-scanning rows per variable. Terms referencing out-of-range
-    /// variable handles are skipped (they are reported by
-    /// [`Model::validate`] instead).
-    pub fn columns(&self) -> Vec<Vec<(ConstraintId, f64)>> {
-        let mut cols = vec![Vec::new(); self.names.len()];
-        for (id, con) in self.constraints() {
-            for (v, c) in con.expr().iter() {
-                // postcard-analyze: allow(PA101) — exact-zero sparsity test.
-                if c != 0.0 && v.0 < cols.len() {
-                    cols[v.0].push((id, c));
-                }
-            }
-        }
-        cols
-    }
-
     /// Validates the model (bounds, NaNs, handle ranges).
     ///
     /// # Errors
@@ -244,12 +236,12 @@ impl Model {
             let (lo, hi) = (self.lower[i], self.upper[i]);
             if lo.is_nan() || hi.is_nan() {
                 return Err(LpError::NotANumber {
-                    context: format!("bounds of `{}`", self.names[i]),
+                    context: format!("bounds of `{}`", self.var_name(Variable(i))),
                 });
             }
             if lo > hi {
                 return Err(LpError::InvalidBounds {
-                    name: self.names[i].clone(),
+                    name: self.var_name(Variable(i)).into_owned(),
                     lower: lo,
                     upper: hi,
                 });
@@ -424,6 +416,21 @@ mod tests {
         let vs = m.add_vars("f", 3, 0.0, 1.0);
         assert_eq!(m.num_vars(), 3);
         assert_eq!(m.var_name(vs[2]), "f[2]");
+    }
+
+    #[test]
+    fn anonymous_vars_render_their_index() {
+        let mut m = Model::new(Sense::Minimize);
+        m.add_var("named", 0.0, 1.0);
+        let anon = m.add_anon_var(0.0, 1.0);
+        assert_eq!(m.var_name(anon), "x1");
+        m.set_objective(LinExpr::from(anon));
+        m.leq(LinExpr::from(anon), 1.0);
+        let bad = m.add_anon_var(2.0, 1.0);
+        assert!(matches!(
+            m.validate(),
+            Err(LpError::InvalidBounds { ref name, .. }) if name == "x2" && bad.index() == 2
+        ));
     }
 
     #[test]

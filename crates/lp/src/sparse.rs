@@ -48,28 +48,65 @@ impl CscBuilder {
 
     /// Compresses the accumulated triplets into a [`CscMatrix`].
     ///
-    /// Triplets sharing a coordinate are summed; entries that sum to exactly
-    /// zero are still stored (they are harmless and rare in practice).
-    pub fn build(mut self) -> CscMatrix {
-        self.triplets.sort_unstable_by_key(|&(r, c, _)| (c, r));
+    /// A stable counting pass scatters the triplets by column in push
+    /// order, so a caller that pushes rows in ascending order (as
+    /// `StandardForm::from_model` does) gets each column's rows ascending
+    /// without a sort. A column pushed out of row order is sorted on its
+    /// own. Triplets sharing a coordinate are summed in push order; entries
+    /// that sum to exactly zero are still stored (they are harmless and
+    /// rare in practice).
+    pub fn build(self) -> CscMatrix {
+        let nnz = self.triplets.len();
         let mut col_ptr = vec![0usize; self.cols + 1];
-        let mut row_idx: Vec<usize> = Vec::with_capacity(self.triplets.len());
-        let mut values: Vec<f64> = Vec::with_capacity(self.triplets.len());
-        let mut last: Option<(usize, usize)> = None;
-        for (r, c, v) in self.triplets {
-            match values.last_mut() {
-                Some(tail) if last == Some((c, r)) => *tail += v,
-                _ => {
-                    row_idx.push(r);
-                    values.push(v);
-                    col_ptr[c + 1] += 1;
-                    last = Some((c, r));
-                }
-            }
+        for &(_, c, _) in &self.triplets {
+            col_ptr[c + 1] += 1;
         }
         for c in 0..self.cols {
             col_ptr[c + 1] += col_ptr[c];
         }
+        let mut next = col_ptr[..self.cols].to_vec();
+        let mut row_idx = vec![0usize; nnz];
+        let mut values = vec![0.0; nnz];
+        for (r, c, v) in self.triplets {
+            row_idx[next[c]] = r;
+            values[next[c]] = v;
+            next[c] += 1;
+        }
+        drop(next);
+
+        // Order each column by row and merge duplicates, compacting in
+        // place; `start` is the column's old offset, `col_ptr[c]` its new.
+        let mut out = 0;
+        let mut start = 0;
+        for c in 0..self.cols {
+            let end = col_ptr[c + 1];
+            if row_idx[start..end].windows(2).any(|w| w[0] >= w[1]) {
+                let mut column: Vec<(usize, f64)> = row_idx[start..end]
+                    .iter()
+                    .copied()
+                    .zip(values[start..end].iter().copied())
+                    .collect();
+                column.sort_by_key(|&(r, _)| r);
+                for (k, (r, v)) in column.into_iter().enumerate() {
+                    row_idx[start + k] = r;
+                    values[start + k] = v;
+                }
+            }
+            col_ptr[c] = out;
+            for k in start..end {
+                if out > col_ptr[c] && row_idx[out - 1] == row_idx[k] {
+                    values[out - 1] += values[k];
+                } else {
+                    row_idx[out] = row_idx[k];
+                    values[out] = values[k];
+                    out += 1;
+                }
+            }
+            start = end;
+        }
+        col_ptr[self.cols] = out;
+        row_idx.truncate(out);
+        values.truncate(out);
         CscMatrix { rows: self.rows, cols: self.cols, col_ptr, row_idx, values }
     }
 }
@@ -215,6 +252,70 @@ mod tests {
         let m = CscMatrix::zeros(3, 3);
         assert_eq!(m.nnz(), 0);
         assert_eq!(m.mat_vec(&[1.0; 3]), vec![0.0; 3]);
+    }
+
+    /// The sort-based compression `build` replaced, kept as an oracle.
+    fn build_by_sort(
+        rows: usize,
+        cols: usize,
+        mut triplets: Vec<(usize, usize, f64)>,
+    ) -> CscMatrix {
+        triplets.retain(|t| t.2 != 0.0);
+        triplets.sort_unstable_by_key(|&(r, c, _)| (c, r));
+        let mut col_ptr = vec![0usize; cols + 1];
+        let mut row_idx = Vec::new();
+        let mut values: Vec<f64> = Vec::new();
+        let mut last = None;
+        for (r, c, v) in triplets {
+            match values.last_mut() {
+                Some(tail) if last == Some((c, r)) => *tail += v,
+                _ => {
+                    row_idx.push(r);
+                    values.push(v);
+                    col_ptr[c + 1] += 1;
+                    last = Some((c, r));
+                }
+            }
+        }
+        for c in 0..cols {
+            col_ptr[c + 1] += col_ptr[c];
+        }
+        CscMatrix { rows, cols, col_ptr, row_idx, values }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn counting_build_matches_the_sort_build(
+            rows in 1usize..8,
+            cols in 1usize..8,
+            raw in proptest::collection::vec((0usize..64, 0usize..64, -3i32..=3), 0..60),
+        ) {
+            // Small integer values keep every duplicate sum exact, so the
+            // two summation orders agree bit for bit.
+            let triplets: Vec<(usize, usize, f64)> =
+                raw.iter().map(|&(r, c, v)| (r % rows, c % cols, f64::from(v))).collect();
+            let mut b = CscBuilder::new(rows, cols);
+            for &(r, c, v) in &triplets {
+                b.push(r, c, v);
+            }
+            let built = b.build();
+            proptest::prop_assert_eq!(built, build_by_sort(rows, cols, triplets));
+        }
+    }
+
+    #[test]
+    fn out_of_order_rows_and_duplicates_compress() {
+        let mut b = CscBuilder::new(3, 2);
+        b.push(2, 1, 1.0);
+        b.push(0, 1, 2.0);
+        b.push(2, 1, 4.0);
+        b.push(1, 0, 8.0);
+        let m = b.build();
+        assert_eq!(m.nnz(), 3);
+        assert_eq!(m.column(1).collect::<Vec<_>>(), vec![(0, 2.0), (2, 5.0)]);
+        assert_eq!(m.column(0).collect::<Vec<_>>(), vec![(1, 8.0)]);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use charging::{
 pub use file::{FileId, TransferRequest, TENANT_BITS};
 pub use ledger::TrafficLedger;
 pub use plan::{PlanEntry, PlanViolation, TransferPlan};
-pub use timeexp::{Arc, ArcId, ArcKind, TimeExpandedGraph, TimeNode};
+pub use timeexp::{Arc, ArcId, ArcKind, NodeArcs, TimeExpandedGraph, TimeNode};
 pub use topology::{split_csv_fields, DcId, LinkView, Network, NetworkBuilder};
 
 /// Numeric tolerance for plan validation and conservation checks.

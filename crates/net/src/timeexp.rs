@@ -239,6 +239,38 @@ impl TimeExpandedGraph {
             .filter(move |(_, a)| a.to == node.dc)
     }
 
+    /// Indexes every in-window arc by its tail and head node in one pass,
+    /// so a caller visiting every node (conservation rows) reads each
+    /// node's arcs directly instead of scanning the whole slot per node.
+    /// [`NodeArcs::outgoing`] and [`NodeArcs::incoming`] list the same arcs, in the
+    /// same order, as [`TimeExpandedGraph::arcs_out`] and
+    /// [`TimeExpandedGraph::arcs_in`]; arcs whose datacenter lies outside
+    /// `[0, num_dcs)` are not indexed.
+    pub fn node_arcs(&self) -> NodeArcs {
+        let buckets = self.num_slots * self.num_dcs;
+        let bucket =
+            |off: usize, dc: DcId| (dc.0 < self.num_dcs).then(|| off * self.num_dcs + dc.0);
+        let in_window = || {
+            self.by_slot
+                .iter()
+                .enumerate()
+                .flat_map(|(off, ids)| ids.iter().map(move |&id| (off, id, &self.arcs[id.0])))
+        };
+        NodeArcs {
+            t0: self.t0,
+            num_slots: self.num_slots,
+            num_dcs: self.num_dcs,
+            outgoing: Csr::group(
+                buckets,
+                in_window().filter_map(|(off, id, arc)| Some((bucket(off, arc.from)?, id))),
+            ),
+            incoming: Csr::group(
+                buckets,
+                in_window().filter_map(|(off, id, arc)| Some((bucket(off, arc.to)?, id))),
+            ),
+        }
+    }
+
     /// All layers of the expansion (`num_slots + 1` boundaries).
     pub fn layers(&self) -> impl Iterator<Item = u64> {
         self.t0..=self.t0 + self.num_slots as u64
@@ -250,6 +282,74 @@ impl TimeExpandedGraph {
         file: &'a TransferRequest,
     ) -> impl Iterator<Item = (ArcId, &'a Arc)> {
         self.arcs().filter(move |(_, a)| a.usable_by(file))
+    }
+}
+
+/// Per-node arc lists of one [`TimeExpandedGraph`], built by
+/// [`TimeExpandedGraph::node_arcs`].
+#[derive(Debug, Clone)]
+pub struct NodeArcs {
+    t0: u64,
+    num_slots: usize,
+    num_dcs: usize,
+    /// Bucket `(slot offset, tail dc)`.
+    outgoing: Csr,
+    /// Bucket `(slot offset, head dc)`.
+    incoming: Csr,
+}
+
+impl NodeArcs {
+    /// The arcs leaving node `i^layer` (as [`TimeExpandedGraph::arcs_out`]).
+    pub fn outgoing(&self, node: TimeNode) -> &[ArcId] {
+        match self.bucket(node.dc, node.layer) {
+            Some(b) => self.outgoing.bucket(b),
+            None => &[],
+        }
+    }
+
+    /// The arcs entering node `i^layer` (as [`TimeExpandedGraph::arcs_in`]).
+    pub fn incoming(&self, node: TimeNode) -> &[ArcId] {
+        match node.layer.checked_sub(1).and_then(|slot| self.bucket(node.dc, slot)) {
+            Some(b) => self.incoming.bucket(b),
+            None => &[],
+        }
+    }
+
+    fn bucket(&self, dc: DcId, slot: u64) -> Option<usize> {
+        let off = slot.checked_sub(self.t0)? as usize;
+        (off < self.num_slots && dc.0 < self.num_dcs).then(|| off * self.num_dcs + dc.0)
+    }
+}
+
+/// Ids grouped into buckets; bucket `b` is `ids[start[b]..start[b + 1]]`.
+#[derive(Debug, Clone)]
+struct Csr {
+    start: Vec<usize>,
+    ids: Vec<ArcId>,
+}
+
+impl Csr {
+    /// Groups `(bucket, id)` pairs by bucket with a counting pass, keeping
+    /// their order within each bucket.
+    fn group(buckets: usize, items: impl Iterator<Item = (usize, ArcId)> + Clone) -> Self {
+        let mut start = vec![0; buckets + 1];
+        for (b, _) in items.clone() {
+            start[b + 1] += 1;
+        }
+        for b in 1..=buckets {
+            start[b] += start[b - 1];
+        }
+        let mut next = start.clone();
+        let mut ids = vec![ArcId(0); start[buckets]];
+        for (b, id) in items {
+            ids[next[b]] = id;
+            next[b] += 1;
+        }
+        Self { start, ids }
+    }
+
+    fn bucket(&self, b: usize) -> &[ArcId] {
+        &self.ids[self.start[b]..self.start[b + 1]]
     }
 }
 
@@ -336,6 +436,22 @@ mod tests {
         assert!(ins.iter().all(|(_, a)| a.slot == 0 && a.to == DcId(1)));
         // Layer 0 has no incoming arcs.
         assert_eq!(g.arcs_in(TimeNode { dc: DcId(0), layer: 0 }).count(), 0);
+    }
+
+    #[test]
+    fn node_arcs_match_the_scanning_iterators() {
+        let g = TimeExpandedGraph::with_residual(&net(), 4, 3, |_, slot| Some(slot as f64));
+        let idx = g.node_arcs();
+        for layer in 2..=8 {
+            for dc in 0..4 {
+                let node = TimeNode { dc: DcId(dc), layer };
+                let out: Vec<ArcId> = g.arcs_out(node).map(|(id, _)| id).collect();
+                let into: Vec<ArcId> = g.arcs_in(node).map(|(id, _)| id).collect();
+                assert_eq!(idx.outgoing(node), out, "out of {dc}^{layer}");
+                assert_eq!(idx.incoming(node), into, "into {dc}^{layer}");
+            }
+        }
+        assert_eq!(idx.outgoing(TimeNode { dc: DcId(1), layer: 5 }).len(), 3);
     }
 
     #[test]

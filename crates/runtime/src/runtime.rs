@@ -577,7 +577,7 @@ impl Runtime {
                 vec![solve_shard(chain, 0, network, ledger, &batch, &directives)]
             }
             Some(engine) => engine.run_slot(
-                self.controller.network(),
+                self.controller.shared_network(),
                 self.controller.ledger(),
                 &planner.partition(&batch),
                 &directives,
@@ -862,6 +862,7 @@ impl Runtime {
 mod tests {
     use super::*;
     use postcard_net::{FileId, NetworkBuilder, TransferRequest};
+    use std::sync::Arc;
 
     fn d(i: usize) -> DcId {
         DcId(i)
@@ -918,6 +919,21 @@ mod tests {
         rt.run_slot().unwrap();
         assert_eq!(rt.controller().network().capacity(d(1), d(2)), Some(5.0));
         assert_eq!(rt.metrics().counter("degradations_applied"), 1);
+    }
+
+    #[test]
+    fn sharded_slots_share_the_network_until_a_fault_changes_it() {
+        let faults = FaultPlan::none().degrade(2, d(1), d(2), 5.0);
+        let config = RuntimeConfig { shards: 2, ..Default::default() };
+        let mut rt = Runtime::new(net(), arrivals(), faults, 3, config).unwrap();
+        let shared = Arc::as_ptr(rt.controller().shared_network());
+        rt.run_slot().unwrap();
+        rt.run_slot().unwrap();
+        // The workers read the controller's own network and let go of it.
+        assert_eq!(Arc::as_ptr(rt.controller().shared_network()), shared);
+        assert_eq!(Arc::strong_count(rt.controller().shared_network()), 1);
+        rt.run_slot().unwrap();
+        assert_eq!(rt.controller().network().capacity(d(1), d(2)), Some(5.0));
     }
 
     #[test]

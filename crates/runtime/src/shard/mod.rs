@@ -40,6 +40,7 @@ use crate::fallback::FallbackChain;
 use crate::runtime::RuntimeConfig;
 use postcard_net::{Network, TrafficLedger, TransferRequest};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// How a batch is partitioned into shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -138,7 +139,7 @@ impl ShardEngine {
     /// [`postcard_core::OnlineController::commit_reconciled`]).
     pub fn run_slot(
         &mut self,
-        network: &Network,
+        network: &Arc<Network>,
         base: &TrafficLedger,
         batches: &[Vec<TransferRequest>],
         directives: &SlotDirectives,

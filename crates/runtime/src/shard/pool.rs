@@ -114,9 +114,10 @@ pub fn solve_shard(
     solve
 }
 
-/// One slot's worth of work for a single shard worker. The network and
-/// base ledger are shared across the slot's jobs via [`Arc`]; each worker
-/// admits onto its own copy of the base.
+/// One slot's worth of work for a single shard worker. The network is the
+/// controller's own shared handle and the base ledger is shared across the
+/// slot's jobs, both via [`Arc`]; each worker admits onto its own copy of
+/// the base.
 struct Job {
     network: Arc<Network>,
     base: Arc<TrafficLedger>,
@@ -140,20 +141,17 @@ impl Worker {
         let (job_tx, job_rx) = mpsc::channel::<Job>();
         let (result_tx, result_rx) = mpsc::channel::<ShardSolve>();
         let handle = std::thread::spawn(move || {
-            while let Ok(job) = job_rx.recv() {
+            while let Ok(Job { network, base, batch, directives }) = job_rx.recv() {
                 // Other shards (and the reconciler) commit to the central
                 // ledger behind this chain's ALAP residual grid; rebase it
                 // from the job's ledger every time.
                 chain.mark_alap_dirty();
-                let mut overlay = Arc::unwrap_or_clone(job.base);
-                let solve = solve_shard(
-                    &mut chain,
-                    shard,
-                    &job.network,
-                    &mut overlay,
-                    &job.batch,
-                    &job.directives,
-                );
+                let mut overlay = Arc::unwrap_or_clone(base);
+                let solve =
+                    solve_shard(&mut chain, shard, &network, &mut overlay, &batch, &directives);
+                // Let go of the shared network before answering, so a fault
+                // the runtime applies next slot edits it in place.
+                drop(network);
                 if result_tx.send(solve).is_err() {
                     // The pool is gone; nothing left to answer to.
                     break;
@@ -241,13 +239,12 @@ impl WorkerPool {
     /// the old spawn-skip did.
     pub fn solve_parallel(
         &mut self,
-        network: &Network,
+        network: &Arc<Network>,
         base: &TrafficLedger,
         batches: &[Vec<TransferRequest>],
         directives: &SlotDirectives,
     ) -> Vec<ShardSolve> {
         assert_eq!(self.workers.len(), batches.len(), "one batch per shard");
-        let network = Arc::new(network.clone());
         let base = Arc::new(base.clone());
         // Fan the whole slot out first so the workers run concurrently…
         let posted: Vec<bool> = batches
@@ -258,7 +255,7 @@ impl WorkerPool {
                     return false;
                 }
                 self.workers[shard].post(Job {
-                    network: Arc::clone(&network),
+                    network: Arc::clone(network),
                     base: Arc::clone(&base),
                     batch: batch.clone(),
                     directives: directives.clone(),
@@ -286,13 +283,13 @@ impl WorkerPool {
     pub fn solve_one(
         &mut self,
         shard: usize,
-        network: &Network,
+        network: &Arc<Network>,
         base: &TrafficLedger,
         batch: &[TransferRequest],
         directives: &SlotDirectives,
     ) -> ShardSolve {
         self.workers[shard].post(Job {
-            network: Arc::new(network.clone()),
+            network: Arc::clone(network),
             base: Arc::new(base.clone()),
             batch: batch.to_vec(),
             directives: directives.clone(),
@@ -312,8 +309,13 @@ mod tests {
     }
 
     /// Two disjoint 2-DC clusters.
-    fn net() -> Network {
-        NetworkBuilder::new(4).link(d(0), d(1), 2.0, 100.0).link(d(2), d(3), 3.0, 100.0).build()
+    fn net() -> Arc<Network> {
+        Arc::new(
+            NetworkBuilder::new(4)
+                .link(d(0), d(1), 2.0, 100.0)
+                .link(d(2), d(3), 3.0, 100.0)
+                .build(),
+        )
     }
 
     fn chain() -> FallbackChain {

@@ -29,6 +29,7 @@ use postcard_core::Decision;
 use postcard_flow::decompose_flow;
 use postcard_flow::FlowViolation;
 use postcard_net::{Network, PlanViolation, TrafficLedger, TransferRequest};
+use std::sync::Arc;
 
 /// Validates one tentative decision against the working ledger; on failure
 /// returns attribution lines naming the over-committed links and the
@@ -97,7 +98,7 @@ fn validate_decision(
 /// per-shard resolutions (same order); the caller applies the surviving
 /// commits to the real ledger.
 pub fn reconcile(
-    network: &Network,
+    network: &Arc<Network>,
     base: &TrafficLedger,
     solves: Vec<ShardSolve>,
     pool: &mut WorkerPool,
@@ -175,10 +176,12 @@ mod tests {
 
     #[test]
     fn disjoint_shards_merge_without_conflicts() {
-        let net = NetworkBuilder::new(4)
-            .link(d(0), d(1), 2.0, 100.0)
-            .link(d(2), d(3), 3.0, 100.0)
-            .build();
+        let net = Arc::new(
+            NetworkBuilder::new(4)
+                .link(d(0), d(1), 2.0, 100.0)
+                .link(d(2), d(3), 3.0, 100.0)
+                .build(),
+        );
         let base = TrafficLedger::new(4);
         let batches = vec![
             vec![TransferRequest::new(FileId(1), d(0), d(1), 6.0, 3, 0)],
@@ -196,7 +199,7 @@ mod tests {
     #[test]
     fn shared_link_over_commit_is_detected_and_resolved() {
         // One capacity-10 link; each shard alone would claim all of it.
-        let net = NetworkBuilder::new(2).link(d(0), d(1), 1.0, 10.0).build();
+        let net = Arc::new(NetworkBuilder::new(2).link(d(0), d(1), 1.0, 10.0).build());
         let base = TrafficLedger::new(2);
         let batches = vec![
             vec![TransferRequest::new(FileId(1), d(0), d(1), 10.0, 1, 0)],
@@ -235,7 +238,7 @@ mod tests {
     fn partial_shared_capacity_is_split_across_the_merge_order() {
         // Capacity 10, two 6-GB single-slot files from different shards:
         // shard 0 wins, shard 1's re-solve must reject (only 4 GB left).
-        let net = NetworkBuilder::new(2).link(d(0), d(1), 1.0, 10.0).build();
+        let net = Arc::new(NetworkBuilder::new(2).link(d(0), d(1), 1.0, 10.0).build());
         let base = TrafficLedger::new(2);
         let batches = vec![
             vec![TransferRequest::new(FileId(1), d(0), d(1), 6.0, 1, 0)],
