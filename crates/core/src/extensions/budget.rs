@@ -7,12 +7,12 @@
 //! in the paper, an LP here thanks to the same `max`-linearization used by
 //! the main formulation.
 
+use super::{delivered, delivered_requests, delivery_vars, inject};
 use crate::error::PostcardError;
-use postcard_lp::{LinExpr, Model, Sense, SimplexOptions, Status, Variable};
-use postcard_net::{
-    ArcId, ArcKind, FileId, Network, TimeExpandedGraph, TimeNode, TrafficLedger, TransferPlan,
-    TransferRequest,
-};
+use crate::formulation::{capacity_and_envelope, charged_vars, extract_plan, lay_out, rows};
+use crate::PostcardConfig;
+use postcard_lp::{Model, Sense, SimplexOptions, Status};
+use postcard_net::{FileId, Network, TrafficLedger, TransferPlan, TransferRequest};
 use std::collections::BTreeMap;
 
 /// Result of [`solve_budget_constrained`].
@@ -32,15 +32,7 @@ impl BudgetSolution {
     /// The requests rewritten to delivered sizes (see
     /// [`crate::extensions::bulk::BulkSolution::delivered_requests`]).
     pub fn delivered_requests(&self, files: &[TransferRequest]) -> Vec<TransferRequest> {
-        files
-            .iter()
-            .filter_map(|f| {
-                let y = self.delivered.get(&f.id).copied().unwrap_or(0.0);
-                (y > 1e-6).then(|| {
-                    TransferRequest::new(f.id, f.src, f.dst, y, f.deadline_slots, f.release_slot)
-                })
-            })
-            .collect()
+        delivered_requests(&self.delivered, files)
     }
 }
 
@@ -60,16 +52,10 @@ pub fn solve_budget_constrained(
     ledger: &TrafficLedger,
     budget_per_slot: f64,
 ) -> Result<BudgetSolution, PostcardError> {
-    for f in files {
-        for dc in [f.src, f.dst] {
-            if dc.index() >= network.num_dcs() {
-                return Err(PostcardError::UnknownDatacenter {
-                    dc: dc.index(),
-                    num_dcs: network.num_dcs(),
-                });
-            }
-        }
-    }
+    let mut m = Model::new(Sense::Maximize);
+    let (graph, mvars) = lay_out(&mut m, network, files, &PostcardConfig::default(), |l, slot| {
+        ledger.residual(network, l.from, l.to, slot)
+    })?;
     let current_bill = ledger.cost_per_slot(network);
     if budget_per_slot < current_bill - 1e-9 {
         return Err(PostcardError::Infeasible);
@@ -82,174 +68,43 @@ pub fn solve_budget_constrained(
             cost_per_slot: current_bill,
         });
     }
-    let t0 = files.iter().map(|f| f.first_slot()).min().unwrap_or(0);
-    let t_end = files.iter().map(|f| f.last_slot()).max().unwrap_or(t0);
-    let horizon = (t_end - t0 + 1) as usize;
-    let graph = TimeExpandedGraph::with_residual(network, t0, horizon, |l, slot| {
-        Some(ledger.residual(network, l.from, l.to, slot))
-    });
+    let (yvars, total) = delivery_vars(&mut m, files);
+    m.set_objective(total.clone());
+    let (xvars, bill) = charged_vars(&mut m, network, ledger);
+    m.leq(bill.clone(), budget_per_slot);
+    let envelope = capacity_and_envelope(ledger, &xvars);
+    rows(&mut m, network, &graph, files, &mvars, envelope, inject(&yvars))?;
 
-    let mut m = Model::new(Sense::Maximize);
-    let mut mvars: Vec<BTreeMap<ArcId, Variable>> = Vec::with_capacity(files.len());
-    for f in files {
-        let mut per_arc = BTreeMap::new();
-        for (id, arc) in graph.arcs_usable_by(f) {
-            if arc.kind == ArcKind::Transit && arc.capacity <= 0.0 {
-                continue;
-            }
-            if arc.slot == f.last_slot() && arc.to != f.dst {
-                continue;
-            }
-            if arc.kind == ArcKind::Transit && (arc.to == f.src || arc.from == f.dst) {
-                continue; // prunable without affecting the optimum (see formulation.rs)
-            }
-            let v = m.add_var(
-                format!("M[{}][{}->{}@{}]", f.id, arc.from.0, arc.to.0, arc.slot),
-                0.0,
-                f64::INFINITY,
-            );
-            per_arc.insert(id, v);
-        }
-        mvars.push(per_arc);
+    let max_delivery = m.solve_with(&SimplexOptions::default())?;
+    match max_delivery.status() {
+        Status::Optimal => {}
+        Status::Infeasible => return Err(PostcardError::Infeasible),
+        Status::Unbounded => unreachable!("deliveries bounded by file sizes"),
     }
-    let yvars: Vec<Variable> =
-        files.iter().map(|f| m.add_var(format!("y[{}]", f.id), 0.0, f.size_gb)).collect();
-    let mut obj = LinExpr::new();
-    for &y in &yvars {
-        obj.add_term(y, 1.0);
-    }
-    m.set_objective(obj);
-
-    // Charged volumes with floors, and the budget row.
-    let mut xvars = BTreeMap::new();
-    let mut bill = LinExpr::new();
-    for link in network.links() {
-        let x = m.add_var(
-            format!("X[{}->{}]", link.from.0, link.to.0),
-            ledger.peak(link.from, link.to),
-            f64::INFINITY,
-        );
-        xvars.insert((link.from.0, link.to.0), x);
-        bill.add_term(x, link.price);
-    }
-    m.leq(bill, budget_per_slot);
-
-    // Capacity + envelopes per transit arc.
-    for (id, arc) in graph.arcs() {
-        if arc.kind != ArcKind::Transit {
-            continue;
-        }
-        let mut load = LinExpr::new();
-        for per_arc in &mvars {
-            if let Some(&v) = per_arc.get(&id) {
-                load.add_term(v, 1.0);
-            }
-        }
-        if load.is_empty() {
-            continue;
-        }
-        m.leq(load.clone(), arc.capacity);
-        let used = ledger.volume(arc.from, arc.to, arc.slot);
-        let mut env = load;
-        env.add_term(xvars[&(arc.from.0, arc.to.0)], -1.0);
-        m.leq(env, -used);
-    }
-
-    // Conservation with variable delivery.
-    for (k, f) in files.iter().enumerate() {
-        for slot in f.first_slot()..=f.last_slot() {
-            for dc in network.dcs() {
-                let node = TimeNode { dc, layer: slot };
-                let mut expr = LinExpr::new();
-                for (id, _) in graph.arcs_out(node) {
-                    if let Some(&v) = mvars[k].get(&id) {
-                        expr.add_term(v, 1.0);
-                    }
-                }
-                if slot > f.first_slot() {
-                    for (id, _) in graph.arcs_in(node) {
-                        if let Some(&v) = mvars[k].get(&id) {
-                            expr.add_term(v, -1.0);
-                        }
-                    }
-                }
-                if slot == f.first_slot() && dc == f.src {
-                    expr.add_term(yvars[k], -1.0);
-                }
-                if !expr.is_empty() {
-                    m.eq(expr, 0.0);
-                }
-            }
-        }
-    }
-
-    let sol = m.solve_with(&SimplexOptions::default())?;
     // Lexicographic second pass: among all maximum-delivery solutions, pick
     // one with the smallest bill (the maximizer itself has no pressure to
     // spread load below the budget).
-    let sol = if sol.status() == Status::Optimal {
-        let total = sol.objective();
-        let mut m2 = m.clone();
-        let mut sum_y = LinExpr::new();
-        for &y in &yvars {
-            sum_y.add_term(y, 1.0);
-        }
-        m2.geq(sum_y, total - 1e-9 * (1.0 + total));
-        m2.set_sense(Sense::Minimize);
-        let mut bill2 = LinExpr::new();
-        for link in network.links() {
-            bill2.add_term(xvars[&(link.from.0, link.to.0)], link.price);
-        }
-        m2.set_objective(bill2);
-        let sol2 = m2.solve_with(&SimplexOptions::default())?;
-        if sol2.status() == Status::Optimal {
-            sol2
-        } else {
-            sol
-        }
-    } else {
-        sol
-    };
-    match sol.status() {
-        Status::Optimal => {
-            let mut plan = TransferPlan::new();
-            for (k, f) in files.iter().enumerate() {
-                for (&id, &v) in &mvars[k] {
-                    let value = sol.value(v);
-                    if value > 1e-9 {
-                        let arc = graph.arc(id);
-                        plan.add(f.id, arc.slot, arc.from, arc.to, value);
-                    }
-                }
-            }
-            let delivered: BTreeMap<FileId, f64> =
-                files.iter().zip(&yvars).map(|(f, &y)| (f.id, sol.value(y).max(0.0))).collect();
-            // The bill at the optimum: X variables sit at their binding
-            // levels, but a maximizer has no pressure to push them down, so
-            // recompute the *true* bill from the plan peaks and floors.
-            let cost_per_slot = network
-                .links()
-                .map(|l| {
-                    let peak = ledger.peak(l.from, l.to);
-                    let mut max_load = peak;
-                    for slot in t0..=t_end {
-                        let load = ledger.volume(l.from, l.to, slot)
-                            + plan.link_slot_total(l.from, l.to, slot);
-                        max_load = max_load.max(load);
-                    }
-                    l.price * max_load
-                })
-                .sum();
-            Ok(BudgetSolution {
-                plan,
-                total_delivered: delivered.values().sum(),
-                delivered,
-                cost_per_slot,
-            })
-        }
-        Status::Infeasible => Err(PostcardError::Infeasible),
-        Status::Unbounded => unreachable!("deliveries bounded by file sizes"),
-    }
+    let max = max_delivery.objective();
+    m.geq(total, max - 1e-9 * (1.0 + max));
+    m.set_sense(Sense::Minimize);
+    m.set_objective(bill);
+    let cheapest = m.solve_with(&SimplexOptions::default())?;
+    let sol = if cheapest.status() == Status::Optimal { cheapest } else { max_delivery };
+    let plan = extract_plan(&graph, files, &mvars, &sol);
+    let delivered = delivered(files, &yvars, &sol);
+    // The bill at the optimum: X variables sit at their binding levels, but
+    // a maximizer has no pressure to push them down, so recompute the *true*
+    // bill from the plan peaks and floors.
+    let cost_per_slot = network
+        .links()
+        .map(|l| {
+            let loads = (graph.first_slot()..=graph.last_slot()).map(|slot| {
+                ledger.volume(l.from, l.to, slot) + plan.link_slot_total(l.from, l.to, slot)
+            });
+            l.price * loads.fold(ledger.peak(l.from, l.to), f64::max)
+        })
+        .sum();
+    Ok(BudgetSolution { plan, total_delivered: delivered.values().sum(), delivered, cost_per_slot })
 }
 
 #[cfg(test)]

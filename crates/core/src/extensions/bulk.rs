@@ -7,12 +7,12 @@
 //! within each file's deadline; store-and-forward is what makes night-valley
 //! stitching across time zones possible.
 
+use super::{delivered, delivered_requests, delivery_vars, inject};
 use crate::error::PostcardError;
-use postcard_lp::{LinExpr, Model, Sense, SimplexOptions, Status, Variable};
-use postcard_net::{
-    ArcId, ArcKind, FileId, Network, TimeExpandedGraph, TimeNode, TrafficLedger, TransferPlan,
-    TransferRequest,
-};
+use crate::formulation::{extract_plan, lay_out, rows};
+use crate::PostcardConfig;
+use postcard_lp::{Model, Sense, SimplexOptions, Status};
+use postcard_net::{Arc, FileId, Network, TrafficLedger, TransferPlan, TransferRequest};
 use std::collections::BTreeMap;
 
 /// Which capacity a bulk transfer may consume.
@@ -42,15 +42,7 @@ impl BulkSolution {
     /// negligible delivery dropped) — pass these to
     /// [`TransferPlan::validate`] to check the plan.
     pub fn delivered_requests(&self, files: &[TransferRequest]) -> Vec<TransferRequest> {
-        files
-            .iter()
-            .filter_map(|f| {
-                let y = self.delivered.get(&f.id).copied().unwrap_or(0.0);
-                (y > 1e-6).then(|| {
-                    TransferRequest::new(f.id, f.src, f.dst, y, f.deadline_slots, f.release_slot)
-                })
-            })
-            .collect()
+        delivered_requests(&self.delivered, files)
     }
 }
 
@@ -68,16 +60,6 @@ pub fn solve_bulk_max_transfer(
     ledger: &TrafficLedger,
     mode: BulkCapacityMode,
 ) -> Result<BulkSolution, PostcardError> {
-    for f in files {
-        for dc in [f.src, f.dst] {
-            if dc.index() >= network.num_dcs() {
-                return Err(PostcardError::UnknownDatacenter {
-                    dc: dc.index(),
-                    num_dcs: network.num_dcs(),
-                });
-            }
-        }
-    }
     if files.is_empty() {
         return Ok(BulkSolution {
             plan: TransferPlan::new(),
@@ -85,113 +67,34 @@ pub fn solve_bulk_max_transfer(
             total_delivered: 0.0,
         });
     }
-    let t0 = files.iter().map(|f| f.first_slot()).min().unwrap_or(0);
-    let t_end = files.iter().map(|f| f.last_slot()).max().unwrap_or(t0);
-    let horizon = (t_end - t0 + 1) as usize;
-    let graph = TimeExpandedGraph::with_residual(network, t0, horizon, |l, slot| {
+    let mut m = Model::new(Sense::Maximize);
+    let (graph, mvars) = lay_out(&mut m, network, files, &PostcardConfig::default(), |l, slot| {
         let residual = ledger.residual(network, l.from, l.to, slot);
-        Some(match mode {
+        match mode {
             BulkCapacityMode::AnyResidual => residual,
             BulkCapacityMode::PaidLeftoverOnly => {
                 let headroom =
                     (ledger.peak(l.from, l.to) - ledger.volume(l.from, l.to, slot)).max(0.0);
                 residual.min(headroom)
             }
-        })
-    });
-
-    let mut m = Model::new(Sense::Maximize);
-    let mut mvars: Vec<BTreeMap<ArcId, Variable>> = Vec::with_capacity(files.len());
-    for f in files {
-        let mut per_arc = BTreeMap::new();
-        for (id, arc) in graph.arcs_usable_by(f) {
-            if arc.kind == ArcKind::Transit && arc.capacity <= 0.0 {
-                continue;
-            }
-            if arc.slot == f.last_slot() && arc.to != f.dst {
-                continue;
-            }
-            if arc.kind == ArcKind::Transit && (arc.to == f.src || arc.from == f.dst) {
-                continue; // prunable without affecting the optimum (see formulation.rs)
-            }
-            let v = m.add_var(
-                format!("M[{}][{}->{}@{}]", f.id, arc.from.0, arc.to.0, arc.slot),
-                0.0,
-                f64::INFINITY,
-            );
-            per_arc.insert(id, v);
         }
-        mvars.push(per_arc);
-    }
-    // Delivered-volume variables and the objective.
-    let yvars: Vec<Variable> =
-        files.iter().map(|f| m.add_var(format!("y[{}]", f.id), 0.0, f.size_gb)).collect();
-    let mut obj = LinExpr::new();
-    for &y in &yvars {
-        obj.add_term(y, 1.0);
-    }
-    m.set_objective(obj);
-
-    // Capacity per transit arc.
-    for (id, arc) in graph.arcs() {
-        if arc.kind != ArcKind::Transit {
-            continue;
-        }
-        let mut load = LinExpr::new();
-        for per_arc in &mvars {
-            if let Some(&v) = per_arc.get(&id) {
-                load.add_term(v, 1.0);
-            }
-        }
-        if !load.is_empty() {
-            m.leq(load, arc.capacity);
-        }
-    }
-
-    // Conservation with variable delivery: the source emits exactly `y_k`.
-    for (k, f) in files.iter().enumerate() {
-        for slot in f.first_slot()..=f.last_slot() {
-            for dc in network.dcs() {
-                let node = TimeNode { dc, layer: slot };
-                let mut expr = LinExpr::new();
-                for (id, _) in graph.arcs_out(node) {
-                    if let Some(&v) = mvars[k].get(&id) {
-                        expr.add_term(v, 1.0);
-                    }
-                }
-                if slot > f.first_slot() {
-                    for (id, _) in graph.arcs_in(node) {
-                        if let Some(&v) = mvars[k].get(&id) {
-                            expr.add_term(v, -1.0);
-                        }
-                    }
-                }
-                if slot == f.first_slot() && dc == f.src {
-                    expr.add_term(yvars[k], -1.0);
-                }
-                if !expr.is_empty() {
-                    m.eq(expr, 0.0);
-                }
-            }
-        }
-    }
+    })?;
+    let (yvars, total) = delivery_vars(&mut m, files);
+    m.set_objective(total);
+    let capacity = |m: &mut Model, arc: &Arc, load| {
+        m.leq(load, arc.capacity);
+    };
+    rows(&mut m, network, &graph, files, &mvars, capacity, inject(&yvars))?;
 
     let sol = m.solve_with(&SimplexOptions::default())?;
     match sol.status() {
         Status::Optimal => {
-            let mut plan = TransferPlan::new();
-            for (k, f) in files.iter().enumerate() {
-                for (&id, &v) in &mvars[k] {
-                    let value = sol.value(v);
-                    if value > 1e-9 {
-                        let arc = graph.arc(id);
-                        plan.add(f.id, arc.slot, arc.from, arc.to, value);
-                    }
-                }
-            }
-            let delivered: BTreeMap<FileId, f64> =
-                files.iter().zip(&yvars).map(|(f, &y)| (f.id, sol.value(y).max(0.0))).collect();
-            Ok(BulkSolution { plan, total_delivered: delivered.values().sum(), delivered })
+            let delivered = delivered(files, &yvars, &sol);
+            Ok(BulkSolution {
+                plan: extract_plan(&graph, files, &mvars, &sol),
+                total_delivered: delivered.values().sum(),
+                delivered,
+            })
         }
         Status::Infeasible => unreachable!("delivering nothing is always feasible"),
         Status::Unbounded => unreachable!("deliveries are bounded by file sizes"),

@@ -24,12 +24,15 @@
 //! so delivery-by-deadline is implied by conservation (a telescoping sum
 //! pushes all `F_k` across the last layer, where only destination-bound arcs
 //! exist).
+//!
+//! The builder's crate-private pieces also assemble the Sec. VI problems in
+//! [`crate::extensions`], which differ only in data passed to them.
 
 use crate::error::PostcardError;
-use postcard_lp::{LinExpr, Model, Sense, SimplexOptions, Status, Variable};
+use postcard_lp::{LinExpr, Model, Sense, SimplexOptions, Solution, Status, Variable};
 use postcard_net::{
-    Arc, ArcId, ArcKind, Network, TimeExpandedGraph, TimeNode, TrafficLedger, TransferPlan,
-    TransferRequest,
+    Arc, ArcId, ArcKind, LinkView, Network, TimeExpandedGraph, TimeNode, TrafficLedger,
+    TransferPlan, TransferRequest,
 };
 use std::collections::BTreeMap;
 
@@ -156,22 +159,10 @@ impl PostcardProblem {
     /// # Errors
     ///
     /// [`PostcardError::Infeasible`] when the LP was infeasible.
-    pub fn map_solution(
-        &self,
-        sol: &postcard_lp::Solution,
-    ) -> Result<PostcardSolution, PostcardError> {
+    pub fn map_solution(&self, sol: &Solution) -> Result<PostcardSolution, PostcardError> {
         match sol.status() {
             Status::Optimal => {
-                let mut plan = TransferPlan::new();
-                for (k, f) in self.files.iter().enumerate() {
-                    for &(id, v) in &self.mvars[k] {
-                        let value = sol.value(v);
-                        if value > 1e-9 {
-                            let arc = self.graph.arc(id);
-                            plan.add(f.id, arc.slot, arc.from, arc.to, value);
-                        }
-                    }
-                }
+                let plan = extract_plan(&self.graph, &self.files, &self.mvars, sol);
                 let charged: BTreeMap<(usize, usize), f64> =
                     self.xvars.iter().map(|(&k, &x)| (k, sol.value(x))).collect();
                 Ok(PostcardSolution {
@@ -252,29 +243,44 @@ pub fn build_postcard_problem(
     ledger: &TrafficLedger,
     config: &PostcardConfig,
 ) -> Result<PostcardProblem, PostcardError> {
-    for f in files {
-        for dc in [f.src, f.dst] {
-            if dc.index() >= network.num_dcs() {
-                return Err(PostcardError::UnknownDatacenter {
-                    dc: dc.index(),
-                    num_dcs: network.num_dcs(),
-                });
-            }
-        }
+    let mut m = Model::new(Sense::Minimize);
+    let (graph, mvars) = lay_out(&mut m, network, files, config, |l, slot| {
+        ledger.residual(network, l.from, l.to, slot)
+    })?;
+    // The objective (6) is the bill.
+    let (xvars, bill) = charged_vars(&mut m, network, ledger);
+    m.set_objective(bill);
+    let envelope = capacity_and_envelope(ledger, &xvars);
+    rows(&mut m, network, &graph, files, &mvars, envelope, |_, f, _| f.size_gb)?;
+    Ok(PostcardProblem { model: m, graph, files: files.to_vec(), mvars, xvars })
+}
+
+/// Per file (batch order), its arc variables `M_ij^k(n)` in arc order.
+pub(crate) type WindowVars = Vec<Vec<(ArcId, Variable)>>;
+
+/// Checks that every file names known datacenters, expands `network` over
+/// the batch's horizon (one slot for an empty batch) with each link-slot
+/// offering `capacity(link, slot)` clamped at 0, and adds to `m` the arc
+/// variables `M_ij^k(n)` that constraint (10) allows: per file (batch
+/// order), in arc order. A file's window lies inside the expansion, whose
+/// arcs are numbered slot by slot.
+pub(crate) fn lay_out(
+    m: &mut Model,
+    network: &Network,
+    files: &[TransferRequest],
+    config: &PostcardConfig,
+    mut capacity: impl FnMut(LinkView, u64) -> f64,
+) -> Result<(TimeExpandedGraph, WindowVars), PostcardError> {
+    let num_dcs = network.num_dcs();
+    if let Some(dc) = files.iter().flat_map(|f| [f.src, f.dst]).find(|dc| dc.index() >= num_dcs) {
+        return Err(PostcardError::UnknownDatacenter { dc: dc.index(), num_dcs });
     }
     let t0 = files.iter().map(|f| f.first_slot()).min().unwrap_or(0);
     let t_end = files.iter().map(|f| f.last_slot()).max().unwrap_or(t0);
     let horizon = (t_end - t0 + 1) as usize;
-    let graph = TimeExpandedGraph::with_residual(network, t0, horizon, |l, slot| {
-        Some(ledger.residual(network, l.from, l.to, slot))
-    });
-
-    let mut m = Model::new(Sense::Minimize);
-
-    // Per-file arc variables, created only where constraint (10) allows, in
-    // arc order. A file's window lies inside the expansion, whose arcs are
-    // numbered slot by slot.
-    let mut mvars: Vec<Vec<(ArcId, Variable)>> = Vec::with_capacity(files.len());
+    let graph =
+        TimeExpandedGraph::with_residual(network, t0, horizon, |l, slot| Some(capacity(l, slot)));
+    let mut mvars = Vec::with_capacity(files.len());
     for f in files {
         let mut per_arc = Vec::new();
         for slot in f.first_slot()..=f.last_slot() {
@@ -286,51 +292,86 @@ pub fn build_postcard_problem(
         }
         mvars.push(per_arc);
     }
+    Ok((graph, mvars))
+}
 
-    // Charged-volume variables with the prior peak as floor, and the
-    // objective (6).
+/// Charged-volume variables `X_ij` per link with the prior peak as floor,
+/// and the bill `Σ a_ij · X_ij`.
+pub(crate) fn charged_vars(
+    m: &mut Model,
+    network: &Network,
+    ledger: &TrafficLedger,
+) -> (BTreeMap<(usize, usize), Variable>, LinExpr) {
     let mut xvars = BTreeMap::new();
-    let mut obj = LinExpr::new();
+    let mut bill = LinExpr::new();
     for link in network.links() {
         let x = m.add_anon_var(ledger.peak(link.from, link.to), f64::INFINITY);
         xvars.insert((link.from.0, link.to.0), x);
-        obj.add_term(x, link.price);
+        bill.add_term(x, link.price);
     }
-    m.set_objective(obj);
+    (xvars, bill)
+}
 
-    // Capacity (7) and charged-volume envelopes, per transit arc. Every
-    // file's variables are in arc order, so one cursor per file walks them
-    // alongside the arcs.
-    let mut cursor = vec![0usize; files.len()];
+/// Capacity (7) and the charged-volume envelope
+/// `X_ij ≥ usage_ij(n) + Σ_k M_ijn^k`, as the transit-arc rows of [`rows`].
+pub(crate) fn capacity_and_envelope<'a>(
+    ledger: &'a TrafficLedger,
+    xvars: &'a BTreeMap<(usize, usize), Variable>,
+) -> impl FnMut(&mut Model, &Arc, LinExpr) + 'a {
+    move |m, arc, load| {
+        m.leq(load.clone(), arc.capacity);
+        let mut env = load;
+        env.add_term(xvars[&(arc.from.0, arc.to.0)], -1.0);
+        m.leq(env, -ledger.volume(arc.from, arc.to, arc.slot));
+    }
+}
+
+/// Adds the rows over the laid-out arc variables: first, per transit arc
+/// some file has a variable on (in arc order), `transit(m, arc, load)` with
+/// its load `Σ_k M_ijn^k`; then conservation (8) per file per node per
+/// window layer. `source(k, f, row)` injects file `k` at its release row
+/// and returns that row's rhs: `F_k` for fixed delivery, or 0 after adding
+/// a delivered volume `−y_k` to `row`.
+///
+/// # Errors
+///
+/// [`PostcardError::Infeasible`] when a release row has no terms but a
+/// non-zero rhs: the source has no usable outgoing arc at release.
+pub(crate) fn rows(
+    m: &mut Model,
+    network: &Network,
+    graph: &TimeExpandedGraph,
+    files: &[TransferRequest],
+    mvars: &[Vec<(ArcId, Variable)>],
+    mut transit: impl FnMut(&mut Model, &Arc, LinExpr),
+    source: impl Fn(usize, &TransferRequest, &mut LinExpr) -> f64,
+) -> Result<(), PostcardError> {
+    // Every file's variables are in arc order, so one cursor per file walks
+    // them alongside the arcs.
+    let mut cursor = vec![0usize; mvars.len()];
     for (id, arc) in graph.arcs() {
-        let transit = arc.kind == ArcKind::Transit;
+        let is_transit = arc.kind == ArcKind::Transit;
         let mut load = LinExpr::new();
         for (per_arc, at) in mvars.iter().zip(&mut cursor) {
             if let Some(&(var_arc, v)) = per_arc.get(*at) {
                 if var_arc == id {
                     *at += 1;
-                    if transit {
+                    if is_transit {
                         load.add_term(v, 1.0);
                     }
                 }
             }
         }
-        if load.is_empty() {
-            continue;
+        if !load.is_empty() {
+            transit(m, arc, load);
         }
-        m.leq(load.clone(), arc.capacity);
-        let used = ledger.volume(arc.from, arc.to, arc.slot);
-        let mut env = load;
-        env.add_term(xvars[&(arc.from.0, arc.to.0)], -1.0);
-        m.leq(env, -used);
     }
 
-    // Conservation (8), per file per node per window layer, reading each
-    // node's arcs from one index and each file's variables from a dense
-    // arc → variable map (cleared again after the file).
+    // Conservation reads each node's arcs from one index and each file's
+    // variables from a dense arc → variable map (cleared after the file).
     let node_arcs = graph.node_arcs();
     let mut var_of: Vec<Option<Variable>> = vec![None; graph.num_arcs()];
-    for (f, per_arc) in files.iter().zip(&mvars) {
+    for (k, (f, per_arc)) in files.iter().zip(mvars).enumerate() {
         for &(id, v) in per_arc {
             var_of[id.index()] = Some(v);
         }
@@ -343,19 +384,19 @@ pub fn build_postcard_problem(
                         expr.add_term(v, 1.0);
                     }
                 }
+                let mut rhs = 0.0;
                 if slot > f.first_slot() {
                     for id in node_arcs.incoming(node) {
                         if let Some(v) = var_of[id.index()] {
                             expr.add_term(v, -1.0);
                         }
                     }
+                } else if dc == f.src {
+                    rhs = source(k, f, &mut expr);
                 }
-                let rhs = if slot == f.first_slot() && dc == f.src { f.size_gb } else { 0.0 };
                 if expr.is_empty() {
                     // postcard-analyze: allow(PA101) — rhs is 0.0 or a size.
                     if rhs != 0.0 {
-                        // The source has no usable outgoing arcs at release:
-                        // structurally infeasible.
                         return Err(PostcardError::Infeasible);
                     }
                     continue;
@@ -367,8 +408,28 @@ pub fn build_postcard_problem(
             var_of[id.index()] = None;
         }
     }
+    Ok(())
+}
 
-    Ok(PostcardProblem { model: m, graph, files: files.to_vec(), mvars, xvars })
+/// The plan an optimal LP solution moves: every arc variable above 1e-9,
+/// per file in arc order.
+pub(crate) fn extract_plan(
+    graph: &TimeExpandedGraph,
+    files: &[TransferRequest],
+    mvars: &[Vec<(ArcId, Variable)>],
+    sol: &Solution,
+) -> TransferPlan {
+    let mut plan = TransferPlan::new();
+    for (f, per_arc) in files.iter().zip(mvars) {
+        for &(id, v) in per_arc {
+            let value = sol.value(v);
+            if value > 1e-9 {
+                let arc = graph.arc(id);
+                plan.add(f.id, arc.slot, arc.from, arc.to, value);
+            }
+        }
+    }
+    plan
 }
 
 #[cfg(test)]

@@ -242,12 +242,6 @@ impl<S: Scheduler> OnlineController<S> {
         &self.network
     }
 
-    /// The network as the one shared handle the sharded runtime hands its
-    /// workers, so a slot passes it on without copying it.
-    pub fn shared_network(&self) -> &Arc<Network> {
-        &self.network
-    }
-
     /// Mutable access to the network (service runtimes apply link
     /// degradations here).
     pub fn network_mut(&mut self) -> &mut Network {
@@ -307,11 +301,13 @@ impl<S: Scheduler> OnlineController<S> {
         (self.accepted_volume, self.rejected_volume)
     }
 
-    /// The scheduler together with the network and committed ledger it
-    /// schedules against, borrowed at once so a caller can run [`admit`] on
-    /// the controller's own state and account for the result with
-    /// [`OnlineController::record_booked`].
-    pub fn scheduler_and_state(&mut self) -> (&mut S, &Network, &mut TrafficLedger) {
+    /// The scheduler together with the network and the committed ledger it
+    /// schedules against, borrowed at once so a caller can book admissions
+    /// onto the controller's own ledger and account for them with
+    /// [`OnlineController::record_booked`]. The network comes as the one
+    /// shared handle the sharded runtime hands its workers, so a slot
+    /// passes it on without copying it.
+    pub fn scheduler_and_state(&mut self) -> (&mut S, &Arc<Network>, &mut TrafficLedger) {
         (&mut self.scheduler, &self.network, &mut self.ledger)
     }
 
@@ -340,23 +336,8 @@ impl<S: Scheduler> OnlineController<S> {
         Ok(self.record_booked(slot, [&admission]))
     }
 
-    /// Commits admissions decided against copies of the ledger as this
-    /// slot's single controller step: books every decision in order, then
-    /// records the step as [`OnlineController::record_booked`] does.
-    ///
-    /// The sharded runtime admits per-shard batches in parallel and merges
-    /// them outside the controller; it commits the merged result here, in
-    /// its fixed reconciliation order. Debug builds validate every decision
-    /// against the ledger state in front of it, which re-checks the
-    /// reconciler's ordering.
-    pub fn commit_reconciled(&mut self, slot: u64, admissions: &[&Admission]) -> StepReport {
-        for (files, decision) in admissions.iter().flat_map(|a| &a.commits) {
-            book(self.scheduler.name(), &self.network, decision, files, &mut self.ledger);
-        }
-        self.record_booked(slot, admissions.iter().copied())
-    }
-
-    /// Records admissions already booked onto the ledger (by [`admit`] on
+    /// Records admissions already booked onto the ledger (by [`admit`] or
+    /// the sharded runtime's reconciler, through
     /// [`OnlineController::scheduler_and_state`]) as this slot's single
     /// controller step: the decision log, the admission accounting and the
     /// cost history.
@@ -513,24 +494,6 @@ mod tests {
         let mut ctl = OnlineController::new(net(), DirectScheduler);
         let f = TransferRequest::new(FileId(1), d(1), d(2), 6.0, 3, 0);
         let _ = ctl.step(3, &[f]);
-    }
-
-    #[test]
-    fn commit_reconciled_matches_a_plain_step() {
-        // A reconciled commit of the same decision the scheduler would make
-        // must leave the controller in exactly the state step() produces.
-        let f = TransferRequest::new(FileId(1), d(1), d(2), 6.0, 3, 0);
-        let mut stepped = OnlineController::new(net(), PostcardScheduler::new());
-        let report = stepped.step(0, &[f]).unwrap();
-
-        let admission =
-            admit(&mut PostcardScheduler::new(), &net(), &[f], &mut TrafficLedger::new(3)).unwrap();
-        let mut merged = OnlineController::new(net(), PostcardScheduler::new());
-        let merged_report = merged.commit_reconciled(0, &[&admission]);
-
-        assert_eq!(merged_report.accepted, report.accepted);
-        assert_eq!(merged_report.cost_per_slot.to_bits(), report.cost_per_slot.to_bits());
-        assert_eq!(merged.export_state(), stepped.export_state());
     }
 
     /// Finds every multi-file batch infeasible, then sends single files

@@ -15,10 +15,10 @@
 //! one shard (the default) that shard is the controller's own fallback
 //! chain, which books its admission onto the committed ledger in place,
 //! and with more the shards solve in parallel and merge through the
-//! reconciler (see [`crate::shard`]). Either way the slot ends in one
-//! requeue, one controller step ([`OnlineController::record_booked`], after
-//! [`OnlineController::commit_reconciled`] books the merged shards) and one
-//! metrics record.
+//! reconciler, which books the merged shards onto the committed ledger
+//! (see [`crate::shard`]). Either way the slot ends in one requeue, one
+//! controller step ([`OnlineController::record_booked`]) and one metrics
+//! record.
 //!
 //! Batches a slot could not schedule — strict analysis rejected them for
 //! transient reasons, or the whole chain hard-failed — are *not* thrown
@@ -48,9 +48,7 @@ use crate::shard::{
 };
 use crate::snapshot::{RuntimeSnapshot, SNAPSHOT_VERSION};
 use postcard_analyze::check_problem;
-use postcard_core::{
-    build_postcard_problem, Admission, OnlineController, PostcardConfig, StepReport,
-};
+use postcard_core::{build_postcard_problem, OnlineController, PostcardConfig, StepReport};
 use postcard_net::{ChargingScheme, DcId, Network, TransferRequest};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -571,17 +569,12 @@ impl Runtime {
             SlotDirectives { slot, forced: self.faults.timeouts_at(slot), skip_alap: reopt_now };
         let planner = ShardPlanner::new(self.config.shard_by, self.config.shards);
         let started = WallStopwatch::start();
+        let (chain, network, ledger) = self.controller.scheduler_and_state();
         let solves = match self.engine.as_mut() {
-            None => {
-                let (chain, network, ledger) = self.controller.scheduler_and_state();
-                vec![solve_shard(chain, 0, network, ledger, &batch, &directives)]
+            None => vec![solve_shard(chain, 0, network, ledger, &batch, &directives)],
+            Some(engine) => {
+                engine.run_slot(network, ledger, &planner.partition(&batch), &directives)
             }
-            Some(engine) => engine.run_slot(
-                self.controller.shared_network(),
-                self.controller.ledger(),
-                &planner.partition(&batch),
-                &directives,
-            ),
         };
         let solve_wall = started.elapsed_secs();
 
@@ -603,16 +596,10 @@ impl Runtime {
         }
 
         // One controller step for the whole slot, so the cost history stays
-        // slot-aligned. The single shard booked its admission onto the
-        // ledger in place; the shards' merged decisions land on it here,
-        // in shard order.
-        let admitted: Vec<&Admission> =
-            solves.iter().filter(|s| !s.degraded).map(|s| &s.admission).collect();
-        let report = if self.engine.is_some() {
-            self.controller.commit_reconciled(slot, &admitted)
-        } else {
-            self.controller.record_booked(slot, admitted)
-        };
+        // slot-aligned. The admissions are already booked on the ledger: in
+        // place by the single shard, in shard order by the reconciler.
+        let admitted = solves.iter().filter(|s| !s.degraded).map(|s| &s.admission);
+        let report = self.controller.record_booked(slot, admitted);
 
         // (4) Metrics.
         let chosen_tier = self.record_slot_metrics(slot, &solves, &report, reopt_now, solve_wall);
@@ -926,12 +913,12 @@ mod tests {
         let faults = FaultPlan::none().degrade(2, d(1), d(2), 5.0);
         let config = RuntimeConfig { shards: 2, ..Default::default() };
         let mut rt = Runtime::new(net(), arrivals(), faults, 3, config).unwrap();
-        let shared = Arc::as_ptr(rt.controller().shared_network());
+        let shared = Arc::as_ptr(rt.controller.scheduler_and_state().1);
         rt.run_slot().unwrap();
         rt.run_slot().unwrap();
         // The workers read the controller's own network and let go of it.
-        assert_eq!(Arc::as_ptr(rt.controller().shared_network()), shared);
-        assert_eq!(Arc::strong_count(rt.controller().shared_network()), 1);
+        assert_eq!(Arc::as_ptr(rt.controller.scheduler_and_state().1), shared);
+        assert_eq!(Arc::strong_count(rt.controller.scheduler_and_state().1), 1);
         rt.run_slot().unwrap();
         assert_eq!(rt.controller().network().capacity(d(1), d(2)), Some(5.0));
     }

@@ -133,20 +133,21 @@ impl ShardEngine {
     /// re-solves, then shard-state (billing attribution) updates. Returns
     /// the per-shard resolutions (index = shard).
     ///
-    /// `base` is the central committed ledger *before* this slot; every
-    /// worker admits onto its own copy of it, and the caller commits the
-    /// admissions of the non-degraded shards to it afterwards (through
-    /// [`postcard_core::OnlineController::commit_reconciled`]).
+    /// `ledger` is the central committed ledger. Every worker admits onto
+    /// its own copy of it as of the slot start; the merge then books the
+    /// admissions of the non-degraded shards onto it, in shard order, and
+    /// the caller records them with
+    /// [`postcard_core::OnlineController::record_booked`].
     pub fn run_slot(
         &mut self,
         network: &Arc<Network>,
-        base: &TrafficLedger,
+        ledger: &mut TrafficLedger,
         batches: &[Vec<TransferRequest>],
         directives: &SlotDirectives,
     ) -> Vec<ShardSolve> {
-        let solves = self.pool.solve_parallel(network, base, batches, directives);
+        let solves = self.pool.solve_parallel(network, ledger, batches, directives);
         let resolutions =
-            reconcile::reconcile(network, base, solves, &mut self.pool, batches, directives);
+            reconcile::reconcile(network, ledger, solves, &mut self.pool, batches, directives);
         for solve in resolutions.iter().filter(|s| !s.degraded) {
             self.states[solve.shard].record(&solve.admission, directives.slot);
         }

@@ -9,12 +9,13 @@
 //! 1. Shards are visited in **fixed index order** (the seeded shard
 //!    ordering — shard indices are assigned by the pure partition key, so
 //!    the order is a property of the workload, not of thread timing).
-//! 2. Each shard's tentative decisions are validated against a working
-//!    ledger that already contains every earlier shard's merged traffic
-//!    (capacity, conservation, delivery — the full Eq. 7–10 check).
+//! 2. Each shard's tentative decisions are validated against the
+//!    committed ledger, which already holds every earlier shard's merged
+//!    traffic (capacity, conservation, delivery — the full Eq. 7–10
+//!    check), and booked onto it if they pass.
 //! 3. A shard whose tentative plan no longer validates is **re-solved
-//!    serially** against the working ledger, so it sees exactly what
-//!    earlier shards committed. Its re-solve is final: by construction it
+//!    serially** against that ledger, so it sees exactly what earlier
+//!    shards committed. Its re-solve is final: by construction it
 //!    validates against the state it solved on.
 //!
 //! On tenant-disjoint workloads no link is shared, step 2 never fails, and
@@ -31,19 +32,19 @@ use postcard_flow::FlowViolation;
 use postcard_net::{Network, PlanViolation, TrafficLedger, TransferRequest};
 use std::sync::Arc;
 
-/// Validates one tentative decision against the working ledger; on failure
+/// Validates one tentative decision against the ledger merged so far; on failure
 /// returns attribution lines naming the over-committed links and the
 /// contending transfers.
 fn validate_decision(
     network: &Network,
-    working: &TrafficLedger,
+    merged: &TrafficLedger,
     files: &[TransferRequest],
     decision: &Decision,
     shard: usize,
 ) -> Result<(), Vec<String>> {
     match decision {
         Decision::Plan(plan) => {
-            let violations = plan.validate(network, files, |i, j, s| working.volume(i, j, s));
+            let violations = plan.validate(network, files, |i, j, s| merged.volume(i, j, s));
             if violations.is_empty() {
                 return Ok(());
             }
@@ -59,7 +60,7 @@ fn validate_decision(
                 .collect())
         }
         Decision::Rates(rates) => {
-            let violations = rates.validate(network, files, |i, j, s| working.volume(i, j, s));
+            let violations = rates.validate(network, files, |i, j, s| merged.volume(i, j, s));
             if violations.is_empty() {
                 return Ok(());
             }
@@ -93,19 +94,18 @@ fn validate_decision(
     }
 }
 
-/// Merges tentative shard solves in fixed shard order, re-solving shards
-/// whose optimistic plans over-committed shared links. Returns the final
-/// per-shard resolutions (same order); the caller applies the surviving
-/// commits to the real ledger.
+/// Merges tentative shard solves onto the committed `ledger` in fixed
+/// shard order, re-solving shards whose optimistic plans over-committed
+/// shared links against it. Returns the final per-shard resolutions (same
+/// order), whose commits are then booked on `ledger`, each once.
 pub fn reconcile(
     network: &Arc<Network>,
-    base: &TrafficLedger,
+    ledger: &mut TrafficLedger,
     solves: Vec<ShardSolve>,
     pool: &mut WorkerPool,
     batches: &[Vec<TransferRequest>],
     directives: &pool::SlotDirectives,
 ) -> Vec<ShardSolve> {
-    let mut working = base.clone();
     let mut resolved = Vec::with_capacity(solves.len());
     for solve in solves {
         if solve.degraded {
@@ -115,7 +115,7 @@ pub fn reconcile(
         let mut diagnostics = Vec::new();
         let valid =
             solve.admission.commits.iter().all(|(files, decision)| {
-                match validate_decision(network, &working, files, decision, solve.shard) {
+                match validate_decision(network, ledger, files, decision, solve.shard) {
                     Ok(()) => true,
                     Err(mut lines) => {
                         diagnostics.append(&mut lines);
@@ -125,28 +125,28 @@ pub fn reconcile(
             });
         if valid {
             for (files, decision) in &solve.admission.commits {
-                decision.apply_to_ledger(files, &mut working);
+                decision.apply_to_ledger(files, ledger);
             }
             resolved.push(solve);
             continue;
         }
 
         // Conflict: this shard's optimism lost. Re-solve it serially against
-        // the working ledger (which contains every earlier shard's merged
-        // traffic); the re-solve is deterministic — same chain on the same
-        // long-lived worker, same batch, fixed position in the merge order.
+        // the ledger (which holds every earlier shard's merged traffic); the
+        // re-solve is deterministic — same chain on the same long-lived
+        // worker, same batch, fixed position in the merge order.
         let shard = solve.shard;
-        let resolve = pool.solve_one(shard, network, &working, &batches[shard], directives);
+        let resolve = pool.solve_one(shard, network, ledger, &batches[shard], directives);
         debug_assert!(
             resolve.degraded
                 || resolve.admission.commits.iter().all(|(files, decision)| validate_decision(
-                    network, &working, files, decision, shard
+                    network, ledger, files, decision, shard
                 )
                 .is_ok()),
-            "a re-solve against the working ledger must validate against it"
+            "a re-solve against the ledger must validate against it"
         );
         for (files, decision) in &resolve.admission.commits {
-            decision.apply_to_ledger(files, &mut working);
+            decision.apply_to_ledger(files, ledger);
         }
         resolved.push(ShardSolve {
             conflicted: true,
@@ -182,15 +182,21 @@ mod tests {
                 .link(d(2), d(3), 3.0, 100.0)
                 .build(),
         );
-        let base = TrafficLedger::new(4);
+        let mut ledger = TrafficLedger::new(4);
         let batches = vec![
             vec![TransferRequest::new(FileId(1), d(0), d(1), 6.0, 3, 0)],
             vec![TransferRequest::new(FileId(2), d(2), d(3), 9.0, 3, 0)],
         ];
         let mut pool = two_shard_pool();
-        let solves = pool.solve_parallel(&net, &base, &batches, &pool::SlotDirectives::plain(0));
-        let resolved =
-            reconcile(&net, &base, solves, &mut pool, &batches, &pool::SlotDirectives::plain(0));
+        let solves = pool.solve_parallel(&net, &ledger, &batches, &pool::SlotDirectives::plain(0));
+        let resolved = reconcile(
+            &net,
+            &mut ledger,
+            solves,
+            &mut pool,
+            &batches,
+            &pool::SlotDirectives::plain(0),
+        );
         assert!(resolved.iter().all(|s| !s.conflicted && !s.degraded));
         assert_eq!(resolved[0].admission.accepted().copied().collect::<Vec<_>>(), batches[0]);
         assert_eq!(resolved[1].admission.accepted().copied().collect::<Vec<_>>(), batches[1]);
@@ -200,18 +206,24 @@ mod tests {
     fn shared_link_over_commit_is_detected_and_resolved() {
         // One capacity-10 link; each shard alone would claim all of it.
         let net = Arc::new(NetworkBuilder::new(2).link(d(0), d(1), 1.0, 10.0).build());
-        let base = TrafficLedger::new(2);
+        let mut ledger = TrafficLedger::new(2);
         let batches = vec![
             vec![TransferRequest::new(FileId(1), d(0), d(1), 10.0, 1, 0)],
             vec![TransferRequest::new(FileId(2), d(0), d(1), 10.0, 1, 0)],
         ];
         let mut pool = two_shard_pool();
-        let solves = pool.solve_parallel(&net, &base, &batches, &pool::SlotDirectives::plain(0));
+        let solves = pool.solve_parallel(&net, &ledger, &batches, &pool::SlotDirectives::plain(0));
         // Both optimistic solves admit their file (each saw an empty link).
         assert_eq!(solves[0].admission.accepted().copied().collect::<Vec<_>>(), batches[0]);
         assert_eq!(solves[1].admission.accepted().copied().collect::<Vec<_>>(), batches[1]);
-        let resolved =
-            reconcile(&net, &base, solves, &mut pool, &batches, &pool::SlotDirectives::plain(0));
+        let resolved = reconcile(
+            &net,
+            &mut ledger,
+            solves,
+            &mut pool,
+            &batches,
+            &pool::SlotDirectives::plain(0),
+        );
         // Shard 0 keeps its plan; shard 1's re-solve finds no room and
         // rejects — the merged view never over-commits the link.
         assert!(!resolved[0].conflicted);
@@ -224,13 +236,15 @@ mod tests {
             "{:?}",
             resolved[1].diagnostics
         );
-        // Replay the merged commits: capacity is respected.
-        let mut ledger = base.clone();
+        // The merged commits are booked on the ledger once each, and
+        // capacity is respected.
+        let mut replayed = TrafficLedger::new(2);
         for s in &resolved {
             for (files, decision) in &s.admission.commits {
-                decision.apply_to_ledger(files, &mut ledger);
+                decision.apply_to_ledger(files, &mut replayed);
             }
         }
+        assert_eq!(ledger, replayed);
         assert!(ledger.volume(d(0), d(1), 0) <= 10.0 + 1e-9);
     }
 
@@ -239,15 +253,21 @@ mod tests {
         // Capacity 10, two 6-GB single-slot files from different shards:
         // shard 0 wins, shard 1's re-solve must reject (only 4 GB left).
         let net = Arc::new(NetworkBuilder::new(2).link(d(0), d(1), 1.0, 10.0).build());
-        let base = TrafficLedger::new(2);
+        let mut ledger = TrafficLedger::new(2);
         let batches = vec![
             vec![TransferRequest::new(FileId(1), d(0), d(1), 6.0, 1, 0)],
             vec![TransferRequest::new(FileId(2), d(0), d(1), 6.0, 1, 0)],
         ];
         let mut pool = two_shard_pool();
-        let solves = pool.solve_parallel(&net, &base, &batches, &pool::SlotDirectives::plain(0));
-        let resolved =
-            reconcile(&net, &base, solves, &mut pool, &batches, &pool::SlotDirectives::plain(0));
+        let solves = pool.solve_parallel(&net, &ledger, &batches, &pool::SlotDirectives::plain(0));
+        let resolved = reconcile(
+            &net,
+            &mut ledger,
+            solves,
+            &mut pool,
+            &batches,
+            &pool::SlotDirectives::plain(0),
+        );
         assert_eq!(resolved[0].admission.accepted().copied().collect::<Vec<_>>(), batches[0]);
         assert!(resolved[1].conflicted);
         assert_eq!(resolved[1].admission.rejected, batches[1]);

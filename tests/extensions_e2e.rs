@@ -3,7 +3,9 @@
 use postcard::core::extensions::{
     solve_budget_constrained, solve_bulk_max_transfer, BulkCapacityMode,
 };
+use postcard::core::{solve_postcard, PostcardError};
 use postcard::net::{DcId, FileId, Network, TrafficLedger, TransferRequest};
+use postcard::sim::{Scenario, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -136,4 +138,127 @@ fn budget_with_generous_cap_beats_bulk_paid_only() {
             .unwrap();
     let spend = solve_budget_constrained(&network, &files, &ledger, 1e9).unwrap();
     assert!(spend.total_delivered >= free.total_delivered - 1e-6);
+}
+
+// Cross-checks between the three LPs on one time expansion: the Postcard
+// LP (fixed delivery, minimum bill) and the Sec. VI bulk and budget
+// problems (maximum delivery under a capacity rule or a bill cap).
+
+/// Seeded instances, the same with busy links (earlier traffic in the
+/// files' windows, so residual capacity binds), and scaled Fig. 7 slot 6
+/// (seed 7) over the ledger its earlier slots' Postcard plans leave behind.
+fn cross_check_cases() -> Vec<(String, Network, Vec<TransferRequest>, TrafficLedger)> {
+    let mut cases: Vec<_> = (60..72u64)
+        .map(|seed| {
+            let (network, files, ledger) = instance(seed);
+            (format!("seed {seed}"), network, files, ledger)
+        })
+        .collect();
+    for seed in 72..96u64 {
+        let (network, files, mut ledger) = instance(seed);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for l in network.links() {
+            for slot in 0..4 {
+                ledger.record(l.from, l.to, slot, rng.gen_range(20.0..=40.0));
+            }
+        }
+        cases.push((format!("busy seed {seed}"), network, files, ledger));
+    }
+    let scenario = Scenario::fig7().scaled_down();
+    let network = scenario.network(7);
+    let mut workload = scenario.workload(7);
+    let mut ledger = TrafficLedger::new(network.num_dcs());
+    for slot in 0..6 {
+        if let Ok(sol) = solve_postcard(&network, &workload.batch(slot), &ledger) {
+            sol.plan.apply_to_ledger(&mut ledger);
+        }
+    }
+    let files = workload.batch(6);
+    assert!(!files.is_empty(), "the Fig. 7 slot must carry files");
+    cases.push(("scaled fig7 slot 6".into(), network, files, ledger));
+    cases
+}
+
+fn relative_gap(a: f64, b: f64) -> f64 {
+    (a - b).abs() / b.abs().max(1.0)
+}
+
+#[test]
+fn budget_at_the_postcard_optimum_delivers_every_file_at_that_bill() {
+    let mut feasible = 0;
+    for (name, network, files, ledger) in cross_check_cases() {
+        let Ok(postcard) = solve_postcard(&network, &files, &ledger) else { continue };
+        feasible += 1;
+        let optimum = postcard.cost_per_slot;
+        let sol = solve_budget_constrained(&network, &files, &ledger, optimum * (1.0 + 1e-9))
+            .unwrap_or_else(|e| panic!("{name}: {e:?}"));
+        for f in &files {
+            let y = sol.delivered[&f.id];
+            assert!(
+                relative_gap(y, f.size_gb) <= 1e-6,
+                "{name}: {} delivers {y} of {}",
+                f.id,
+                f.size_gb
+            );
+        }
+        assert!(
+            relative_gap(sol.cost_per_slot, optimum) <= 1e-6,
+            "{name}: budget bill {} vs Postcard optimum {optimum}",
+            sol.cost_per_slot
+        );
+    }
+    assert!(feasible >= 15, "only {feasible} cases were Postcard-feasible");
+}
+
+#[test]
+fn bulk_on_any_residual_delivers_every_postcard_feasible_batch() {
+    let mut feasible = 0;
+    for (name, network, files, ledger) in cross_check_cases() {
+        if solve_postcard(&network, &files, &ledger).is_err() {
+            continue;
+        }
+        feasible += 1;
+        let total: f64 = files.iter().map(|f| f.size_gb).sum();
+        let sol = solve_bulk_max_transfer(&network, &files, &ledger, BulkCapacityMode::AnyResidual)
+            .unwrap();
+        assert!(
+            relative_gap(sol.total_delivered, total) <= 1e-6,
+            "{name}: bulk delivers {} of {total}",
+            sol.total_delivered
+        );
+    }
+    assert!(feasible >= 15, "only {feasible} cases were Postcard-feasible");
+}
+
+#[test]
+fn budget_at_the_sunk_bill_delivers_what_bulk_on_paid_leftover_does() {
+    // With every price positive, a budget equal to the sunk bill keeps
+    // every charged volume at its floor: the same capacity rule as
+    // paid-leftover bulk, so the same maximum delivery.
+    for (name, network, files, ledger) in cross_check_cases() {
+        assert!(network.links().all(|l| l.price > 0.0), "{name}: a free link");
+        let sunk = ledger.cost_per_slot(&network);
+        let budget = solve_budget_constrained(&network, &files, &ledger, sunk).unwrap();
+        let bulk =
+            solve_bulk_max_transfer(&network, &files, &ledger, BulkCapacityMode::PaidLeftoverOnly)
+                .unwrap();
+        assert!(
+            (budget.total_delivered - bulk.total_delivered).abs() <= 1e-6,
+            "{name}: budget delivers {}, paid-leftover bulk {}",
+            budget.total_delivered,
+            bulk.total_delivered
+        );
+    }
+}
+
+#[test]
+fn extensions_reject_an_unknown_datacenter_as_postcard_does() {
+    let (network, mut files, ledger) = instance(0);
+    files.push(TransferRequest::new(FileId(99), DcId(1), DcId(7), 10.0, 2, 0));
+    let expected = PostcardError::UnknownDatacenter { dc: 7, num_dcs: 5 };
+    assert_eq!(solve_postcard(&network, &files, &ledger).unwrap_err(), expected);
+    for mode in [BulkCapacityMode::AnyResidual, BulkCapacityMode::PaidLeftoverOnly] {
+        assert_eq!(solve_bulk_max_transfer(&network, &files, &ledger, mode).unwrap_err(), expected);
+    }
+    assert_eq!(solve_budget_constrained(&network, &files, &ledger, 1e9).unwrap_err(), expected);
 }
