@@ -101,6 +101,9 @@ With --shards N each slot's batch is partitioned by --shard-by (tenant: the
 FileId's high bits; region: the source datacenter), every shard solves in
 parallel on its own worker thread, and a deterministic reconciliation pass
 merges the plans into the one billing ledger (metric: shard_conflicts).
+`gen-trace` files and the figure presets are all tenant 0, so shard them by
+region: --shards N>1 under the tenant key is refused when no file carries a
+nonzero tenant.
 With --charging p<q>:<window> the provider bills the q-th percentile of each
 link's per-slot volumes over aligned billing windows of <window> slots
 (e.g. p95:288) instead of the running peak. The headroom rung is prepended
@@ -108,7 +111,7 @@ to the tier chain: bursts are served out of each window's free top-(100-q)%
 slots before any LP runs (metric: headroom_declined when no budget exists).
 --price-change reprices a link mid-run at a slot boundary; --maintain takes
 a link down for [start, end) and restores its pre-outage capacity exactly.
-Checkpoints become a manifest plus per-shard snapshot files next to it.
+A sharded checkpoint is the same single snapshot file.
 Real per-slot solve wall time is kept out of the (deterministic) snapshotted
 metrics; export it with --wall-metrics-out (solve_wall_seconds, plus
 solve_wall_seconds_shard<i> per shard).
@@ -351,6 +354,9 @@ fn simulate(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     if !service && shards != 1 {
         return Err(CliError::Usage("--shards needs --service".into()));
     }
+    if shards > 1 && shard_by == ShardBy::Tenant {
+        return Err(tenant_key_needs_tenants(shards, "the figure presets"));
+    }
     for base in bases {
         let mut scenario = if paper_scale { base } else { base.scaled_down() };
         if let Some(r) = runs_override {
@@ -384,6 +390,15 @@ fn parse_shard_flags(args: &Args) -> Result<(usize, ShardBy), CliError> {
         None => ShardBy::Tenant,
     };
     Ok((shards, shard_by))
+}
+
+/// The usage error for `--shards N>1` under the tenant key on a workload
+/// whose files all belong to tenant 0: one shard would get every batch.
+fn tenant_key_needs_tenants(shards: usize, source: &str) -> CliError {
+    CliError::Usage(format!(
+        "--shards {shards} --shard-by tenant: every file in {source} belongs to tenant 0, \
+         so one shard would get every batch; use --shard-by region"
+    ))
 }
 
 /// Parses a comma-separated tier list (e.g. `postcard,flow-lp`).
@@ -545,6 +560,12 @@ fn serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         Network::from_csv(&std::fs::read_to_string(&network_path)?).map_err(CliError::Run)?;
     let arrivals =
         ArrivalSchedule::from_csv(&std::fs::read_to_string(&trace_path)?).map_err(CliError::Run)?;
+    if shards > 1
+        && shard_by == ShardBy::Tenant
+        && arrivals.requests().iter().all(|r| r.id.tenant() == 0)
+    {
+        return Err(tenant_key_needs_tenants(shards, &trace_path));
+    }
     let config = RuntimeConfig {
         tiers,
         slot_budget_us: budget_ms.saturating_mul(1000),
@@ -922,6 +943,30 @@ mod tests {
     }
 
     #[test]
+    fn tenant_sharding_of_single_tenant_workloads_is_refused() {
+        let net_path = tmp("tenant0_net.csv");
+        let trace_path = tmp("tenant0_trace.csv");
+        run_cli(&["gen-network", "--dcs", "4", "--capacity", "500", "--out", &net_path]).unwrap();
+        run_cli(&["gen-trace", "--dcs", "4", "--slots", "3", "--out", &trace_path]).unwrap();
+        let serve = ["serve", "--network", &net_path, "--trace", &trace_path, "--shards", "3"];
+        let err = run_cli(&serve);
+        assert!(
+            matches!(err, Err(CliError::Usage(ref m)) if m.contains("--shard-by region")),
+            "{err:?}"
+        );
+        let mut by_region = serve.to_vec();
+        by_region.extend_from_slice(&["--shard-by", "region"]);
+        assert!(run_cli(&by_region).unwrap().contains("finished"));
+
+        let simulate = ["simulate", "--setting", "fig6", "--service", "--shards", "2"];
+        let err = run_cli(&simulate);
+        assert!(
+            matches!(err, Err(CliError::Usage(ref m)) if m.contains("--shard-by region")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn serve_single_shard_reproduces_unsharded_outputs() {
         let net_path = tmp("shard1_net.csv");
         let trace_path = tmp("shard1_trace.csv");
@@ -952,6 +997,7 @@ mod tests {
         let net_path = tmp("shard_crash_net.csv");
         let trace_path = tmp("shard_crash_trace.csv");
         let dir = tmp("shard_crash_ckpts");
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let ckpt = format!("{dir}/shard.ckpt.json");
         let m_full = tmp("shard_crash_full.json");
@@ -989,16 +1035,16 @@ mod tests {
         sharded(&["--metrics-out", &m_full, "--wall-metrics-out", &wall]);
         let wall_csv = std::fs::read_to_string(&wall).unwrap();
         assert!(wall_csv.contains("solve_wall_seconds"), "{wall_csv}");
-        // Crash after slot 3, then resume from the manifest.
+        // Crash after slot 3, then resume from the checkpoint.
         sharded(&["--checkpoint", &ckpt, "--stop-after-slot", "3"]);
-        // The checkpoint wrote per-shard snapshot files next to the manifest.
+        // The checkpoint is one file: no per-shard files next to it.
         let shard_files: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())
             .map(|e| e.file_name().to_string_lossy().into_owned())
             .filter(|n| n.contains(".shard"))
             .collect();
-        assert!(!shard_files.is_empty(), "no shard snapshot files in {dir}");
+        assert!(shard_files.is_empty(), "shard files next to the checkpoint: {shard_files:?}");
         let out = run_cli(&["resume", "--checkpoint", &ckpt, "--metrics-out", &m_resumed]).unwrap();
         assert!(out.contains("finished"), "{out}");
         let full = std::fs::read_to_string(&m_full).unwrap();

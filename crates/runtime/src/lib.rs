@@ -2,7 +2,7 @@
 //!
 //! The other crates answer "what should the traffic plan be?"; this crate
 //! answers "how do you *operate* that controller as a long-running
-//! service?" Four concerns, one module each:
+//! service?" Five concerns, one module each:
 //!
 //! * [`fallback`] — a solver fallback chain ([`FallbackChain`]): Postcard
 //!   LP, then the flow LP, then the greedy allocator, with a per-slot solve
@@ -19,11 +19,12 @@
 //! * [`faults`] — deterministic fault injection ([`FaultPlan`]): scheduled
 //!   link degradations and forced solver timeouts, replayed identically by
 //!   resumed runs;
-//! * [`shard`] — the sharded multi-tenant engine ([`ShardEngine`]): each
-//!   slot's batch partitioned by tenant or source region, per-shard solves
-//!   run in parallel on worker threads, merged deterministically into the
-//!   one billing ledger, and checkpointed as per-shard snapshot files
-//!   behind a manifest (`serve --shards N --shard-by tenant|region`).
+//! * [`shard`] — the sharded multi-tenant step ([`shard::WorkerPool`] plus
+//!   [`shard::reconcile`]): each slot's batch partitioned by tenant or
+//!   source region, per-shard solves run in parallel on worker threads and
+//!   merged deterministically into the one billing ledger, which the
+//!   ordinary snapshot checkpoints (`serve --shards N --shard-by
+//!   tenant|region`).
 //!
 //! [`Runtime`] drives the slot loop: degrade links, admit arrivals through
 //! a bounded [`AdmissionQueue`], schedule via the chain, record metrics,
@@ -78,5 +79,5 @@ pub use faults::{FaultPlan, ForcedTimeout, LinkDegradation};
 pub use metrics::{HistogramSummary, MetricsRegistry};
 pub use queue::{AdmissionQueue, QueuedRequest};
 pub use runtime::{Runtime, RuntimeConfig, RuntimeError, SlotOutcome};
-pub use shard::{ShardBy, ShardEngine, ShardPlanner, ShardRef, ShardSnapshot, ShardState};
+pub use shard::{ShardBy, ShardPlanner};
 pub use snapshot::{RuntimeSnapshot, SNAPSHOT_VERSION};

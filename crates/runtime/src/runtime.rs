@@ -43,9 +43,8 @@ use crate::faults::{FaultPlan, LinkDegradation};
 use crate::metrics::MetricsRegistry;
 use crate::queue::{AdmissionQueue, QueuedRequest};
 use crate::shard::pool::solve_shard;
-use crate::shard::{
-    manifest, ShardBy, ShardEngine, ShardPlanner, ShardSolve, ShardState, SlotDirectives,
-};
+use crate::shard::reconcile::reconcile;
+use crate::shard::{ShardBy, ShardPlanner, ShardSolve, SlotDirectives, WorkerPool};
 use crate::snapshot::{RuntimeSnapshot, SNAPSHOT_VERSION};
 use postcard_analyze::check_problem;
 use postcard_core::{build_postcard_problem, OnlineController, PostcardConfig, StepReport};
@@ -178,8 +177,8 @@ pub struct Runtime {
     faults: FaultPlan,
     queue: AdmissionQueue,
     metrics: MetricsRegistry,
-    /// `Some` iff `config.shards > 1`.
-    engine: Option<ShardEngine>,
+    /// The shard workers, `Some` iff `config.shards > 1`.
+    pool: Option<WorkerPool>,
     /// Real wall-clock solve-time histograms. Deliberately a *separate*
     /// registry: wall times differ run to run, and folding them into the
     /// snapshotted metrics would break bit-identical resume.
@@ -230,15 +229,14 @@ impl Runtime {
         // just its release slot — a late release with a multi-slot window
         // used to get its tail slots only via the requeue extension.
         let num_slots = num_slots.max(arrivals.horizon_slots());
-        let engine = (config.shards > 1).then(|| ShardEngine::new(&config, network.num_dcs()));
         Ok(Self {
+            pool: shard_pool(&config),
             controller: OnlineController::new(network, chain).with_charging(config.charging),
             queue: AdmissionQueue::new(config.queue_capacity),
             config,
             arrivals,
             faults,
             metrics: MetricsRegistry::new(),
-            engine,
             wall_metrics: MetricsRegistry::new(),
             pending_restores: Vec::new(),
             next_slot: 0,
@@ -278,24 +276,7 @@ impl Runtime {
     ///
     /// Reports unreadable/malformed snapshots or an invalid stored config.
     pub fn resume(path: &Path) -> Result<Self, RuntimeError> {
-        let snap = RuntimeSnapshot::load(path).map_err(RuntimeError::Snapshot)?;
-        // For a sharded checkpoint the file is the manifest: restore the
-        // per-shard billing-attribution states from the files it references
-        // before the engine is rebuilt.
-        let states = if snap.config.shards > 1 && !snap.shard_refs.is_empty() {
-            Some(
-                manifest::load_shard_states(path, &snap.shard_refs, snap.config.shards)
-                    .map_err(RuntimeError::Snapshot)?,
-            )
-        } else {
-            None
-        };
-        let mut rt = Self::from_snapshot(snap)?;
-        if let Some(states) = states {
-            let engine = ShardEngine::with_states(&rt.config, states);
-            rt.engine = Some(engine);
-        }
-        Ok(rt)
+        Self::from_snapshot(RuntimeSnapshot::load(path).map_err(RuntimeError::Snapshot)?)
     }
 
     /// Rebuilds a service from an in-memory snapshot (see
@@ -313,15 +294,9 @@ impl Runtime {
         let chain = FallbackChain::new(&snap.config);
         let mut queue = AdmissionQueue::new(snap.config.queue_capacity);
         queue.restore(snap.queue, snap.queue_dropped);
-        // In-memory resume gets fresh (zeroed) shard states: the global
-        // controller state above is complete, so *decisions* are unaffected;
-        // only per-shard billing attribution restarts from zero. The
-        // file-based [`Runtime::resume`] restores attribution too, from the
-        // manifest's shard files.
-        let engine =
-            (snap.config.shards > 1).then(|| ShardEngine::new(&snap.config, network.num_dcs()));
         let charging = snap.config.charging;
         Ok(Self {
+            pool: shard_pool(&snap.config),
             controller: OnlineController::from_state(network, chain, snap.controller)
                 .with_charging(charging),
             queue,
@@ -329,7 +304,6 @@ impl Runtime {
             arrivals: snap.arrivals,
             faults: snap.faults,
             metrics: snap.metrics,
-            engine,
             wall_metrics: MetricsRegistry::new(),
             pending_restores: snap.pending_restores,
             next_slot: snap.next_slot,
@@ -352,33 +326,20 @@ impl Runtime {
             queue_dropped: self.queue.dropped(),
             controller: self.controller.export_state(),
             metrics: self.metrics.clone(),
-            // Filled by `manifest::save_sharded` at write time (the refs
-            // name the stamped files that actually land on disk).
-            shard_refs: Vec::new(),
             pending_restores: self.pending_restores.clone(),
             next_slot: self.next_slot,
             num_slots: self.num_slots,
         }
     }
 
-    /// Writes a snapshot to `path` (atomic; see [`RuntimeSnapshot::save`]).
-    /// Sharded runtimes write the manifest protocol instead: per-shard
-    /// snapshot files first (unchanged shards skipped), then the manifest,
-    /// then an orphan sweep (see [`manifest::save_sharded`]).
+    /// Writes a snapshot to `path` (atomic; see [`RuntimeSnapshot::save`]),
+    /// one file whatever the shard count.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
-    pub fn checkpoint(&mut self, path: &Path) -> Result<(), RuntimeError> {
-        let snap = self.snapshot();
-        match self.engine.as_mut() {
-            Some(engine) => {
-                let states = engine.states().to_vec();
-                manifest::save_sharded(path, snap, &states, engine.saved_stamps_mut())
-                    .map_err(RuntimeError::Snapshot)
-            }
-            None => snap.save(path).map_err(RuntimeError::Snapshot),
-        }
+    pub fn checkpoint(&self, path: &Path) -> Result<(), RuntimeError> {
+        self.snapshot().save(path).map_err(RuntimeError::Snapshot)
     }
 
     /// Sends a batch the slot could not schedule back to the backlog:
@@ -570,10 +531,12 @@ impl Runtime {
         let planner = ShardPlanner::new(self.config.shard_by, self.config.shards);
         let started = WallStopwatch::start();
         let (chain, network, ledger) = self.controller.scheduler_and_state();
-        let solves = match self.engine.as_mut() {
+        let solves = match self.pool.as_mut() {
             None => vec![solve_shard(chain, 0, network, ledger, &batch, &directives)],
-            Some(engine) => {
-                engine.run_slot(network, ledger, &planner.partition(&batch), &directives)
+            Some(pool) => {
+                let batches = planner.partition(&batch);
+                let solves = pool.solve_parallel(network, ledger, &batches, &directives);
+                reconcile(network, ledger, solves, pool, &batches, &directives)
             }
         };
         let solve_wall = started.elapsed_secs();
@@ -648,7 +611,7 @@ impl Runtime {
         reopt_now: bool,
         solve_wall: f64,
     ) -> Option<TierKind> {
-        let sharded = self.engine.is_some();
+        let sharded = self.pool.is_some();
         let solved: Vec<&ShardSolve> = solves.iter().filter(|s| s.batch_len > 0).collect();
         self.metrics.inc("slots_total", 1);
         let degraded = solves.iter().filter(|s| s.degraded).count() as u64;
@@ -823,12 +786,6 @@ impl Runtime {
         &self.wall_metrics
     }
 
-    /// Per-shard billing-attribution states, `None` on an unsharded
-    /// runtime.
-    pub fn shard_states(&self) -> Option<&[ShardState]> {
-        self.engine.as_ref().map(|e| e.states())
-    }
-
     /// The runtime configuration.
     pub fn config(&self) -> &RuntimeConfig {
         &self.config
@@ -843,6 +800,13 @@ impl Runtime {
     pub fn final_cost_per_slot(&self) -> f64 {
         self.controller.cost_per_slot()
     }
+}
+
+/// One worker per shard, each owning its shard's fallback chain; `None` for
+/// an unsharded run, whose one shard is the controller's own chain.
+fn shard_pool(config: &RuntimeConfig) -> Option<WorkerPool> {
+    (config.shards > 1)
+        .then(|| WorkerPool::new((0..config.shards).map(|_| FallbackChain::new(config)).collect()))
 }
 
 #[cfg(test)]

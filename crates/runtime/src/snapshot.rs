@@ -41,9 +41,12 @@ use std::path::Path;
 /// `pending_restores` (capacities to put back when maintenance windows
 /// end — the restore value is only known once the outage starts, so a run
 /// killed mid-maintenance needs it to resume bit-identically). Later,
-/// `RuntimeConfig` lost `warm_start` and `incremental` without a version
-/// bump: fields are looked up by name and extra keys are ignored, so v8
-/// checkpoints that still carry them load.
+/// `RuntimeConfig` lost `warm_start` and `incremental`, and the snapshot
+/// lost `shard_refs` (a sharded checkpoint is now this one file), all
+/// without a version bump: fields are looked up by name and extra keys are
+/// ignored, so v8 checkpoints that still carry them load. The
+/// `<stem>.shard<i>-<stamp>.json` files older sharded checkpoints wrote
+/// next to the snapshot are no longer read and can be deleted by hand.
 pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// One directed link, flattened for serialization.
@@ -89,11 +92,6 @@ pub struct RuntimeSnapshot {
     /// Maintenance restores still owed: the capacity each link returns to
     /// (and when) for outages in progress at the snapshot boundary.
     pub pending_restores: Vec<crate::faults::LinkDegradation>,
-    /// Manifest entries for per-shard snapshot files (empty for unsharded
-    /// runs). The manifest still carries the full global state above, so a
-    /// resumed run's *decisions* never depend on the shard files; the refs
-    /// restore per-shard billing attribution.
-    pub shard_refs: Vec<crate::shard::ShardRef>,
     /// The first slot the continuation must run.
     pub next_slot: u64,
     /// One past the last slot of the run.
@@ -226,7 +224,6 @@ mod tests {
                 to: 2,
                 capacity: 100.0,
             }],
-            shard_refs: Vec::new(),
             next_slot: 2,
             num_slots: 10,
         }
@@ -262,8 +259,8 @@ mod tests {
 
     #[test]
     fn old_versions_fail_with_version_error_not_missing_field() {
-        // A v5 file lacks the `shard_refs` field (and `shards` /
-        // `shard_by` in the config). The version must be probed *before*
+        // A v5 file lacks `pending_restores` (and `shards`, `shard_by` and
+        // `charging` in the config). The version must be probed *before*
         // the typed decode, so the user sees the real problem, not a
         // decoding artifact.
         for old in [3, 4, 5, 7] {

@@ -19,9 +19,10 @@
 //! because the queue contents (and requeue counts) travel in the checkpoint.
 //! Snapshot v5 extends that to the queue's overflow accounting
 //! (`queue_dropped`) and to runs with the ALAP fast-path rung enabled.
-//! Snapshot v6 adds the shard manifest (`shard_refs` plus the `shards` /
-//! `shard_by` config fields), so v5 and older snapshots are rejected by the
-//! version probe; sharded crash/resume is exercised in `tests/shard.rs`.
+//! Snapshot v6 adds the `shards` / `shard_by` config fields, and v8 the
+//! billing-window state, so v7 and older snapshots are rejected by the
+//! version probe. A sharded checkpoint is the same one snapshot file;
+//! sharded crash/resume is exercised in `tests/shard.rs`.
 
 use postcard::net::{DcId, FileId, Network, TransferRequest};
 use postcard::runtime::{
@@ -291,50 +292,24 @@ fn zero_capacity_outage_removes_link_from_the_slot_schedule() {
     }
 }
 
-/// Loads a committed fixture that freezes an older format's framing. Only
-/// the `version` field matters: the probe must reject it *before* the typed
-/// decode, with the documented error, instead of a confusing missing-field
-/// message about fields that format never had.
-fn assert_old_fixture_rejected(version: u32, fixture: &str) {
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(fixture);
-    let err = RuntimeSnapshot::load(&path).unwrap_err();
-    let expected = format!("snapshot version {version} unsupported (expected 8)");
-    assert!(err.contains(&expected), "{fixture}: {err}");
-    assert!(!err.contains("missing field"), "{fixture}: {err}");
-    // The operator-facing entry point surfaces the same diagnosis.
-    let err = Runtime::resume(&path).unwrap_err();
-    let expected = format!("snapshot version {version} unsupported");
-    assert!(err.to_string().contains(&expected), "{fixture}: {err}");
-}
-
-#[test]
-fn committed_v3_snapshot_fixture_fails_with_version_error() {
-    // v3: the original committed fixture.
-    assert_old_fixture_rejected(3, "snapshot_v3.json");
-}
-
-#[test]
-fn committed_v4_snapshot_fixture_fails_with_version_error() {
-    // v4 carried the queue contents but not the `queue_dropped` counter
-    // (or the ALAP config knobs).
-    assert_old_fixture_rejected(4, "snapshot_v4.json");
-}
-
-#[test]
-fn committed_v5_snapshot_fixture_fails_with_version_error() {
-    // v5 predates the shard manifest: no `shard_refs`, and its config lacks
-    // `shards` / `shard_by`.
-    assert_old_fixture_rejected(5, "snapshot_v5.json");
-}
-
 #[test]
 fn committed_v7_snapshot_fixture_fails_with_version_error() {
     // v7 predates the billing-window work: its config has no `charging`, its
     // fault plan no `price_changes` / `maintenance`, and the snapshot no
     // `pending_restores`. Generated by the actual v7 binary (a real mid-run
-    // checkpoint, not hand-written JSON).
-    assert_old_fixture_rejected(7, "snapshot_v7.json");
+    // checkpoint, not hand-written JSON). Only the `version` field matters:
+    // the probe must reject it *before* the typed decode, with the
+    // documented error, instead of a confusing missing-field message about
+    // fields that format never had.
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join("snapshot_v7.json");
+    let err = RuntimeSnapshot::load(&path).unwrap_err();
+    assert!(err.contains("snapshot version 7 unsupported (expected 8)"), "{err}");
+    assert!(!err.contains("missing field"), "{err}");
+    // The operator-facing entry point surfaces the same diagnosis.
+    let err = Runtime::resume(&path).unwrap_err();
+    assert!(err.to_string().contains("snapshot version 7 unsupported"), "{err}");
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //!    reconciler's fixed-order validation plus serial re-solve never lets
 //!    the merged ledger exceed any link capacity in any slot.
 //! 3. **Crash-safety** — killing a 4-shard run mid-stream and resuming
-//!    from the snapshot manifest (v6: manifest + per-shard files)
+//!    from its checkpoint (one snapshot file, as for an unsharded run)
 //!    reproduces the uninterrupted run bit for bit.
 //!
 //! Determinism of the parallel solve (same instance → same bits,
@@ -18,9 +18,7 @@
 //! byproduct of the bit-exact comparisons in the other tests.
 
 use postcard::net::{DcId, FileId, NetworkBuilder, TransferRequest};
-use postcard::runtime::{
-    ArrivalSchedule, FaultPlan, Runtime, RuntimeConfig, RuntimeSnapshot, ShardBy,
-};
+use postcard::runtime::{ArrivalSchedule, FaultPlan, Runtime, RuntimeConfig, ShardBy};
 use postcard::sim::{trace_to_arrivals, TenantScenario};
 use proptest::prelude::*;
 
@@ -195,18 +193,16 @@ fn four_shard_kill_and_resume_matches_uninterrupted_run() {
         }
         drop(victim); // the crash: no graceful shutdown, no final checkpoint
 
-        // The manifest references one stamped snapshot file per shard, all
-        // present on disk next to it.
-        let manifest = RuntimeSnapshot::load(&path).unwrap();
-        assert_eq!(manifest.shard_refs.len(), 4, "kill at {kill_at}: manifest incomplete");
-        for shard_ref in &manifest.shard_refs {
-            let file = path.parent().unwrap().join(&shard_ref.file);
-            assert!(file.exists(), "kill at {kill_at}: missing {}", shard_ref.file);
-        }
+        // The kill point left exactly one checkpoint file: no per-shard
+        // files next to it.
+        assert_eq!(
+            files_of(&path),
+            vec![path.clone()],
+            "kill at {kill_at}: a sharded checkpoint is one file"
+        );
 
         let mut resumed = Runtime::resume(&path).unwrap();
         assert_eq!(resumed.next_slot(), kill_at);
-        assert_eq!(resumed.shard_states().map(<[_]>::len), Some(4));
         resumed.run_to_end().unwrap();
 
         assert_eq!(
@@ -232,23 +228,74 @@ fn four_shard_kill_and_resume_matches_uninterrupted_run() {
             "kill at {kill_at}: metrics diverged"
         );
 
-        // Clean up the manifest and its shard files.
-        if let Some(dir) = path.parent() {
-            for entry in std::fs::read_dir(dir).unwrap().flatten() {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                if name.starts_with(&format!("kill4_{kill_at}")) {
-                    std::fs::remove_file(entry.path()).ok();
-                }
-            }
-        }
+        std::fs::remove_file(&path).ok();
     }
+    std::fs::remove_file(&full_path).ok();
+}
 
-    if let Some(dir) = full_path.parent() {
-        for entry in std::fs::read_dir(dir).unwrap().flatten() {
-            if entry.file_name().to_string_lossy().starts_with("kill4_full") {
-                std::fs::remove_file(entry.path()).ok();
-            }
-        }
+/// The files next to checkpoint `path` whose names start with its stem and
+/// a dot (the checkpoint itself and anything written beside it), sorted.
+fn files_of(path: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let dir = path.parent().unwrap();
+    let stem = format!("{}.", path.file_stem().unwrap().to_string_lossy());
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .filter(|e| e.file_name().to_string_lossy().starts_with(&stem))
+        .map(|e| e.path())
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn sharded_checkpoint_with_stale_shard_refs_resumes_without_its_shard_files() {
+    // Sharded checkpoints used to name per-shard files under a `shard_refs`
+    // key. Such a file still loads: the key is ignored, the per-shard files
+    // it names are never read, and the run finishes exactly like the
+    // uninterrupted one.
+    let num_slots = TenantScenario::quad().num_slots;
+    let (network, arrivals, _) = quad_instance(23);
+    let config = RuntimeConfig { shards: 4, shard_by: ShardBy::Tenant, ..Default::default() };
+    let full = run_runtime(network.clone(), arrivals.clone(), num_slots, config.clone());
+
+    let mut victim = Runtime::new(network, arrivals, FaultPlan::none(), num_slots, config).unwrap();
+    for _ in 0..3 {
+        victim.run_slot().unwrap().expect("slot within the run");
+    }
+    let json = victim.snapshot().to_json();
+    drop(victim);
+    let refs: Vec<String> = (0..4)
+        .map(|i| format!(r#"{{"shard": {i}, "file": "stale_refs.shard{i}-3.json", "stamp": 3}}"#))
+        .collect();
+    // The manifest writer put the key right before `next_slot`; whatever
+    // the current writer emits for it (nothing) gives way to four refs.
+    let old = json
+        .lines()
+        .filter(|l| !l.contains("\"shard_refs\""))
+        .collect::<Vec<_>>()
+        .join("\n")
+        .replacen(
+            "\"next_slot\":",
+            &format!("\"shard_refs\": [{}],\n  \"next_slot\":", refs.join(", ")),
+            1,
+        );
+    assert_ne!(old, json, "the checkpoint must carry the stale key");
+    let path = ckpt_path("stale_refs.json");
+    std::fs::write(&path, old).unwrap();
+    // The shard files the refs name are gone.
+    assert_eq!(files_of(&path), vec![path.clone()]);
+
+    let mut resumed = Runtime::resume(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(resumed.next_slot(), 3);
+    resumed.run_to_end().unwrap();
+
+    assert_eq!(resumed.controller().export_state(), full.controller().export_state());
+    assert_eq!(resumed.metrics().to_json(), full.metrics().to_json());
+    assert_eq!(resumed.cost_history().len(), full.cost_history().len());
+    for (a, b) in resumed.cost_history().iter().zip(full.cost_history()) {
+        assert_eq!(a.to_bits(), b.to_bits());
     }
 }
 
