@@ -691,7 +691,7 @@ fn check_threads_and_channels(
         }
         let (message, help) = match what {
             ThreadUse::Spawn => (
-                "thread spawn outside the shard worker pool",
+                "thread spawn outside shard/pool.rs",
                 "shard/pool.rs is the one sanctioned parallelism site (results merged in \
                  fixed shard-index order); ad-hoc threads make scheduling observable",
             ),

@@ -99,7 +99,7 @@ full LP every N slots and rebases the residual grid from its schedule
 (metric: lp_reoptimizations); 0 (default) disables re-optimization.
 With --shards N each slot's batch is partitioned by --shard-by (tenant: the
 FileId's high bits; region: the source datacenter), every shard solves in
-parallel on its own worker thread, and a deterministic reconciliation pass
+parallel on its own thread, and a deterministic reconciliation pass
 merges the plans into the one billing ledger (metric: shard_conflicts).
 `gen-trace` files and the figure presets are all tenant 0, so shard them by
 region: --shards N>1 under the tenant key is refused when no file carries a
@@ -462,24 +462,14 @@ fn drive_service(
         } else if let Some(tier) = outcome.chosen_tier {
             let slot = outcome.report.slot;
             let cfg = rt.config();
-            // The headroom rung declining is routine (no free slots to
-            // burn), so narration measures "fell back" from the first
-            // *scheduling* tier, not the rung itself.
-            let first_scheduling = cfg
-                .tiers
-                .iter()
-                .copied()
-                .find(|t| *t != TierKind::Headroom)
-                .unwrap_or(cfg.tiers[0]);
             // A scheduled re-optimization slot lands on an LP tier by
-            // design — narrate it as such, not as a fallback.
-            let scheduled_reopt = first_scheduling == TierKind::Alap
-                && cfg.reopt_every > 0
-                && slot > 0
-                && slot % cfg.reopt_every == 0;
-            if scheduled_reopt && tier != TierKind::Alap {
+            // design — narrate it as such, not as a fallback. The headroom
+            // rung declining is routine (no free slots to burn), so
+            // narration measures "fell back" from the first *scheduling*
+            // tier, not the rung itself.
+            if cfg.is_reopt_slot(slot) && tier != TierKind::Alap {
                 writeln!(out, "slot {slot}: re-optimized with {tier}")?;
-            } else if tier != cfg.tiers[0] && tier != first_scheduling {
+            } else if tier != cfg.tiers[0] && tier != cfg.first_scheduling_tier() {
                 writeln!(out, "slot {slot}: fell back to {tier}")?;
             }
         }

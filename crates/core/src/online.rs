@@ -24,7 +24,6 @@ use crate::error::PostcardError;
 use crate::scheduler::{Decision, Scheduler};
 use postcard_net::{ChargingScheme, FileId, Network, TrafficLedger, TransferRequest};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// One batch's admission verdict (see [`admit`]).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -152,10 +151,7 @@ pub struct ControllerState {
 #[derive(Debug)]
 pub struct OnlineController<S> {
     scheduler: S,
-    /// Shared with the sharded runtime's workers, which only read it; a
-    /// mutation through [`OnlineController::network_mut`] copies it only
-    /// while a worker still holds the old one.
-    network: Arc<Network>,
+    network: Network,
     ledger: TrafficLedger,
     cost_history: Vec<f64>,
     total_accepted: usize,
@@ -177,7 +173,7 @@ impl<S: Scheduler> OnlineController<S> {
         let ledger = TrafficLedger::new(network.num_dcs());
         Self {
             scheduler,
-            network: Arc::new(network),
+            network,
             ledger,
             cost_history: Vec::new(),
             total_accepted: 0,
@@ -245,7 +241,7 @@ impl<S: Scheduler> OnlineController<S> {
     /// Mutable access to the network (service runtimes apply link
     /// degradations here).
     pub fn network_mut(&mut self) -> &mut Network {
-        Arc::make_mut(&mut self.network)
+        &mut self.network
     }
 
     /// Snapshots the controller's complete mutable state (see
@@ -268,7 +264,7 @@ impl<S: Scheduler> OnlineController<S> {
     pub fn from_state(network: Network, scheduler: S, state: ControllerState) -> Self {
         Self {
             scheduler,
-            network: Arc::new(network),
+            network,
             ledger: state.ledger,
             cost_history: state.cost_history,
             total_accepted: state.total_accepted,
@@ -304,10 +300,8 @@ impl<S: Scheduler> OnlineController<S> {
     /// The scheduler together with the network and the committed ledger it
     /// schedules against, borrowed at once so a caller can book admissions
     /// onto the controller's own ledger and account for them with
-    /// [`OnlineController::record_booked`]. The network comes as the one
-    /// shared handle the sharded runtime hands its workers, so a slot
-    /// passes it on without copying it.
-    pub fn scheduler_and_state(&mut self) -> (&mut S, &Arc<Network>, &mut TrafficLedger) {
+    /// [`OnlineController::record_booked`].
+    pub fn scheduler_and_state(&mut self) -> (&mut S, &Network, &mut TrafficLedger) {
         (&mut self.scheduler, &self.network, &mut self.ledger)
     }
 

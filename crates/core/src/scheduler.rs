@@ -45,9 +45,9 @@ pub struct SolveStats {
 /// A routing/scheduling policy for one batch of simultaneously released
 /// files.
 ///
-/// `Send` is a supertrait so schedulers (and chains of them) can be moved
-/// into worker threads — the sharded runtime solves per-shard subproblems on
-/// a `std::thread` pool. Every scheduler here is plain data, so the bound
+/// `Send` is a supertrait so schedulers (and chains of them) can be lent to
+/// other threads — the sharded runtime solves per-shard subproblems on
+/// scoped `std::thread`s. Every scheduler here is plain data, so the bound
 /// costs nothing.
 pub trait Scheduler: Send {
     /// Short human-readable name (used in reports and benchmarks).

@@ -12,7 +12,9 @@
 //!    wins against it are conservative).
 
 use crate::assignment::FlowAssignment;
-use crate::lp_flows::{max_concurrent_flow, min_cost_multicommodity, Commodity};
+use crate::lp_flows::{
+    conservation_rows, link_vars, max_concurrent_flow, min_cost_multicommodity, Commodity,
+};
 use postcard_lp::{Basis, LinExpr, LpError, Model, Sense, Status};
 use postcard_net::{DcId, FileId, Network, TrafficLedger, TransferRequest};
 use std::collections::BTreeMap;
@@ -226,18 +228,9 @@ pub fn unified_flow_lp_warm(
     let hi = files.iter().map(|f| f.last_slot()).max().unwrap_or(lo);
 
     let mut m = Model::new(Sense::Minimize);
+    let commodities = commodities_of(files);
     // Rate variables.
-    let mut fvars = BTreeMap::new();
-    for (k, f) in files.iter().enumerate() {
-        for link in network.links() {
-            let v = m.add_var(
-                format!("f[{}][{}->{}]", f.id, link.from.0, link.to.0),
-                0.0,
-                f64::INFINITY,
-            );
-            fvars.insert((k, link.from.0, link.to.0), v);
-        }
-    }
+    let fvars = link_vars(&mut m, network, &commodities);
     // Charged-volume variables with their prior floor.
     let mut xvars = BTreeMap::new();
     let mut obj = LinExpr::new();
@@ -253,28 +246,7 @@ pub fn unified_flow_lp_warm(
     m.set_objective(obj);
 
     // Conservation (instantaneous) per file.
-    for (k, f) in files.iter().enumerate() {
-        for node in network.dcs() {
-            let mut expr = LinExpr::new();
-            for link in network.links() {
-                let v = fvars[&(k, link.from.0, link.to.0)];
-                if link.from == node {
-                    expr.add_term(v, 1.0);
-                }
-                if link.to == node {
-                    expr.add_term(v, -1.0);
-                }
-            }
-            let rhs = if node == f.src {
-                f.desired_rate()
-            } else if node == f.dst {
-                -f.desired_rate()
-            } else {
-                0.0
-            };
-            m.eq(expr, rhs);
-        }
-    }
+    conservation_rows(&mut m, network, &commodities, &fvars, None);
 
     // Per-slot capacity and charged-volume envelopes.
     for slot in lo..=hi {

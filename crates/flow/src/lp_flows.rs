@@ -36,9 +36,10 @@ impl McfSolution {
     }
 }
 
-/// Builds per-commodity link-rate variables and conservation constraints
-/// scaled by `scale` (a fixed factor or a λ variable share).
-fn conservation_rows(
+/// Adds each commodity's flow-conservation rows, one per datacenter in
+/// commodity order: net outflow `demand` at the source, `−demand` at the
+/// destination and 0 elsewhere (`±λ · demand` when `lambda` is given).
+pub(crate) fn conservation_rows(
     m: &mut Model,
     network: &Network,
     commodities: &[Commodity],
@@ -95,7 +96,9 @@ fn capacity_rows(
     }
 }
 
-fn link_vars(
+/// Adds one nonnegative rate variable per commodity per link, in commodity
+/// then link order, keyed by `(commodity index, from, to)`.
+pub(crate) fn link_vars(
     m: &mut Model,
     network: &Network,
     commodities: &[Commodity],

@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 
 /// A per-slot stopwatch.
 ///
-/// `Send` is a supertrait so a clock-owning fallback chain can be moved into
-/// a shard worker thread; both clocks here are plain data.
+/// `Send` is a supertrait so a clock-owning fallback chain can be lent to a
+/// shard's scoped thread; both clocks here are plain data.
 pub trait Clock: std::fmt::Debug + Send {
     /// Resets the stopwatch at the start of a slot.
     fn start_slot(&mut self, slot: u64);

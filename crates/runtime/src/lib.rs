@@ -19,12 +19,12 @@
 //! * [`faults`] — deterministic fault injection ([`FaultPlan`]): scheduled
 //!   link degradations and forced solver timeouts, replayed identically by
 //!   resumed runs;
-//! * [`shard`] — the sharded multi-tenant step ([`shard::WorkerPool`] plus
-//!   [`shard::reconcile`]): each slot's batch partitioned by tenant or
-//!   source region, per-shard solves run in parallel on worker threads and
-//!   merged deterministically into the one billing ledger, which the
-//!   ordinary snapshot checkpoints (`serve --shards N --shard-by
-//!   tenant|region`).
+//! * [`shard`] — the sharded multi-tenant step
+//!   ([`shard::pool::solve_parallel`] plus [`shard::reconcile`]): each
+//!   slot's batch partitioned by tenant or source region, per-shard solves
+//!   run in parallel on scoped threads and merged deterministically into
+//!   the one billing ledger, which the ordinary snapshot checkpoints
+//!   (`serve --shards N --shard-by tenant|region`).
 //!
 //! [`Runtime`] drives the slot loop: degrade links, admit arrivals through
 //! a bounded [`AdmissionQueue`], schedule via the chain, record metrics,

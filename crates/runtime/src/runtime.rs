@@ -42,9 +42,9 @@ use crate::fallback::{AttemptOutcome, AttemptRecord, FallbackChain, TierKind};
 use crate::faults::{FaultPlan, LinkDegradation};
 use crate::metrics::MetricsRegistry;
 use crate::queue::{AdmissionQueue, QueuedRequest};
-use crate::shard::pool::solve_shard;
+use crate::shard::pool::{solve_parallel, solve_shard};
 use crate::shard::reconcile::reconcile;
-use crate::shard::{ShardBy, ShardPlanner, ShardSolve, SlotDirectives, WorkerPool};
+use crate::shard::{ShardBy, ShardPlanner, ShardSolve, SlotDirectives};
 use crate::snapshot::{RuntimeSnapshot, SNAPSHOT_VERSION};
 use postcard_analyze::check_problem;
 use postcard_core::{build_postcard_problem, OnlineController, PostcardConfig, StepReport};
@@ -130,6 +130,27 @@ impl RuntimeConfig {
     pub fn slot_budget(&self) -> Duration {
         Duration::from_micros(self.slot_budget_us)
     }
+
+    /// The first *scheduling* tier: the first one that is not the headroom
+    /// rung, which only serves bursts out of free slots and declines
+    /// otherwise (the first tier if every tier is the headroom rung).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty tier list, which [`Runtime::new`] rejects.
+    pub fn first_scheduling_tier(&self) -> TierKind {
+        self.tiers.iter().copied().find(|t| *t != TierKind::Headroom).unwrap_or(self.tiers[0])
+    }
+
+    /// Whether `slot` is a scheduled LP re-optimization: the ALAP rung is
+    /// the first scheduling tier and `slot` is a nonzero multiple of
+    /// [`Self::reopt_every`] (never with `reopt_every == 0`).
+    pub fn is_reopt_slot(&self, slot: u64) -> bool {
+        self.reopt_every > 0
+            && slot > 0
+            && slot.is_multiple_of(self.reopt_every)
+            && self.first_scheduling_tier() == TierKind::Alap
+    }
 }
 
 /// Errors a running service can hit.
@@ -177,8 +198,9 @@ pub struct Runtime {
     faults: FaultPlan,
     queue: AdmissionQueue,
     metrics: MetricsRegistry,
-    /// The shard workers, `Some` iff `config.shards > 1`.
-    pool: Option<WorkerPool>,
+    /// One fallback chain per shard when `config.shards > 1`; empty for an
+    /// unsharded run, whose one shard is the controller's own chain.
+    shard_chains: Vec<FallbackChain>,
     /// Real wall-clock solve-time histograms. Deliberately a *separate*
     /// registry: wall times differ run to run, and folding them into the
     /// snapshotted metrics would break bit-identical resume.
@@ -230,7 +252,7 @@ impl Runtime {
         // used to get its tail slots only via the requeue extension.
         let num_slots = num_slots.max(arrivals.horizon_slots());
         Ok(Self {
-            pool: shard_pool(&config),
+            shard_chains: shard_chains(&config),
             controller: OnlineController::new(network, chain).with_charging(config.charging),
             queue: AdmissionQueue::new(config.queue_capacity),
             config,
@@ -270,13 +292,20 @@ impl Runtime {
     }
 
     /// Restores a service from a snapshot file; stepping the result
-    /// continues exactly where the snapshotted run left off.
+    /// continues exactly where the snapshotted run left off. A run that
+    /// checkpoints keeps checkpointing to `path`, the file it resumed from,
+    /// not to the path the snapshot was first written under: the file may
+    /// have been copied or moved since.
     ///
     /// # Errors
     ///
     /// Reports unreadable/malformed snapshots or an invalid stored config.
     pub fn resume(path: &Path) -> Result<Self, RuntimeError> {
-        Self::from_snapshot(RuntimeSnapshot::load(path).map_err(RuntimeError::Snapshot)?)
+        let mut snap = RuntimeSnapshot::load(path).map_err(RuntimeError::Snapshot)?;
+        if snap.config.checkpoint_path.is_some() {
+            snap.config.checkpoint_path = Some(path.to_string_lossy().into_owned());
+        }
+        Self::from_snapshot(snap)
     }
 
     /// Rebuilds a service from an in-memory snapshot (see
@@ -296,7 +325,7 @@ impl Runtime {
         queue.restore(snap.queue, snap.queue_dropped);
         let charging = snap.config.charging;
         Ok(Self {
-            pool: shard_pool(&snap.config),
+            shard_chains: shard_chains(&snap.config),
             controller: OnlineController::from_state(network, chain, snap.controller)
                 .with_charging(charging),
             queue,
@@ -517,27 +546,20 @@ impl Runtime {
         // shards solve in parallel and merge through the reconciler. On a
         // scheduled re-optimization slot the ALAP rung is skipped, so the
         // full LP re-plans the batch; the residual grid is rebased
-        // afterwards. The headroom rung (prepended under percentile
-        // charging) sits ahead of everything, so "ALAP-first" means the
-        // first *scheduling* tier.
-        let alap_first =
-            self.config.tiers.iter().find(|t| **t != TierKind::Headroom) == Some(&TierKind::Alap);
-        let reopt_now = alap_first
-            && self.config.reopt_every > 0
-            && slot > 0
-            && slot.is_multiple_of(self.config.reopt_every);
+        // afterwards.
+        let reopt_now = self.config.is_reopt_slot(slot);
         let directives =
             SlotDirectives { slot, forced: self.faults.timeouts_at(slot), skip_alap: reopt_now };
         let planner = ShardPlanner::new(self.config.shard_by, self.config.shards);
         let started = WallStopwatch::start();
         let (chain, network, ledger) = self.controller.scheduler_and_state();
-        let solves = match self.pool.as_mut() {
-            None => vec![solve_shard(chain, 0, network, ledger, &batch, &directives)],
-            Some(pool) => {
-                let batches = planner.partition(&batch);
-                let solves = pool.solve_parallel(network, ledger, &batches, &directives);
-                reconcile(network, ledger, solves, pool, &batches, &directives)
-            }
+        let solves = if self.shard_chains.is_empty() {
+            vec![solve_shard(chain, 0, network, ledger, &batch, &directives)]
+        } else {
+            let chains = &mut self.shard_chains;
+            let batches = planner.partition(&batch);
+            let solves = solve_parallel(chains, network, ledger, &batches, &directives);
+            reconcile(network, ledger, solves, chains, &batches, &directives)
         };
         let solve_wall = started.elapsed_secs();
 
@@ -611,7 +633,7 @@ impl Runtime {
         reopt_now: bool,
         solve_wall: f64,
     ) -> Option<TierKind> {
-        let sharded = self.pool.is_some();
+        let sharded = !self.shard_chains.is_empty();
         let solved: Vec<&ShardSolve> = solves.iter().filter(|s| s.batch_len > 0).collect();
         self.metrics.inc("slots_total", 1);
         let degraded = solves.iter().filter(|s| s.degraded).count() as u64;
@@ -644,13 +666,8 @@ impl Runtime {
             let declined = solved
                 .iter()
                 .any(|s| s.records.iter().any(|r| r.outcome == AttemptOutcome::Declined));
-            let expected_first = self
-                .config
-                .tiers
-                .iter()
-                .copied()
-                .find(|t| *t != TierKind::Headroom || !declined)
-                .unwrap_or(self.config.tiers[0]);
+            let expected_first =
+                if declined { self.config.first_scheduling_tier() } else { self.config.tiers[0] };
             if tier != expected_first && !reopt_now {
                 self.metrics.inc("slots_on_fallback_tier", 1);
             }
@@ -802,18 +819,20 @@ impl Runtime {
     }
 }
 
-/// One worker per shard, each owning its shard's fallback chain; `None` for
-/// an unsharded run, whose one shard is the controller's own chain.
-fn shard_pool(config: &RuntimeConfig) -> Option<WorkerPool> {
-    (config.shards > 1)
-        .then(|| WorkerPool::new((0..config.shards).map(|_| FallbackChain::new(config)).collect()))
+/// One fallback chain per shard; none for an unsharded run, whose one shard
+/// is the controller's own chain.
+fn shard_chains(config: &RuntimeConfig) -> Vec<FallbackChain> {
+    if config.shards > 1 {
+        (0..config.shards).map(|_| FallbackChain::new(config)).collect()
+    } else {
+        Vec::new()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use postcard_net::{FileId, NetworkBuilder, TransferRequest};
-    use std::sync::Arc;
 
     fn d(i: usize) -> DcId {
         DcId(i)
@@ -870,21 +889,6 @@ mod tests {
         rt.run_slot().unwrap();
         assert_eq!(rt.controller().network().capacity(d(1), d(2)), Some(5.0));
         assert_eq!(rt.metrics().counter("degradations_applied"), 1);
-    }
-
-    #[test]
-    fn sharded_slots_share_the_network_until_a_fault_changes_it() {
-        let faults = FaultPlan::none().degrade(2, d(1), d(2), 5.0);
-        let config = RuntimeConfig { shards: 2, ..Default::default() };
-        let mut rt = Runtime::new(net(), arrivals(), faults, 3, config).unwrap();
-        let shared = Arc::as_ptr(rt.controller.scheduler_and_state().1);
-        rt.run_slot().unwrap();
-        rt.run_slot().unwrap();
-        // The workers read the controller's own network and let go of it.
-        assert_eq!(Arc::as_ptr(rt.controller.scheduler_and_state().1), shared);
-        assert_eq!(Arc::strong_count(rt.controller.scheduler_and_state().1), 1);
-        rt.run_slot().unwrap();
-        assert_eq!(rt.controller().network().capacity(d(1), d(2)), Some(5.0));
     }
 
     #[test]

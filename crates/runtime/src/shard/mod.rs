@@ -5,16 +5,16 @@
 //! transfers share link capacity but decompose almost cleanly by owner.
 //! This module exploits that structure: each slot's admitted batch is
 //! partitioned by tenant or source region ([`ShardPlanner`]), every shard's
-//! subproblem runs the full solver fallback chain on its own worker thread
-//! against a snapshot of the central ledger ([`pool`]), and a deterministic
-//! [`reconcile`] pass merges the shard plans back into the single
-//! percentile-billing ledger — validating each shard's decisions against
-//! the traffic already merged ahead of it and re-solving any shard whose
-//! optimistic plan over-committed a shared link.
+//! subproblem runs its own solver fallback chain on a scoped thread against
+//! a copy of the central ledger as of the slot start ([`pool`]), and a
+//! deterministic [`reconcile`] pass merges the shard plans back into the
+//! single percentile-billing ledger — validating each shard's decisions
+//! against the traffic already merged ahead of it and re-solving any shard
+//! whose optimistic plan over-committed a shared link in place on it.
 //!
 //! Determinism is the design constraint that shapes everything here: shard
-//! results are collected in shard-index order, the merge order is fixed,
-//! and conflict re-solves run serially in that same order, so an N-shard
+//! threads are joined in shard-index order, the merge order is fixed, and
+//! conflict re-solves run on the calling thread in that same order, so an N-shard
 //! run produces byte-identical ledgers, metrics, and snapshots on every
 //! execution regardless of thread scheduling. Wall-clock solve times are
 //! the one unavoidably non-deterministic observable; they are exported
@@ -30,7 +30,7 @@ pub mod pool;
 pub mod reconcile;
 
 pub use planner::ShardPlanner;
-pub use pool::{ShardSolve, SlotDirectives, WorkerPool};
+pub use pool::{ShardSolve, SlotDirectives};
 
 use serde::{Deserialize, Serialize};
 

@@ -1,38 +1,28 @@
-//! The `std::thread` worker pool running per-shard solves in parallel.
+//! The one place shard solves run in parallel: [`solve_parallel`] runs a
+//! slot's per-shard admissions on scoped threads.
 //!
-//! Each shard's worker runs the online controller's admission routine
+//! Each shard runs the online controller's admission routine
 //! ([`postcard_core::admit`]: whole-batch solve, then per-file admission in
-//! arrival order on infeasibility) on its own copy of the central ledger
-//! as of the slot start, so it sees only its own tentative commits. The
-//! central ledger is never touched from a worker thread; the reconciler
-//! merges tentative results afterwards in fixed shard order.
+//! arrival order on infeasibility) with its own [`FallbackChain`] on its
+//! own copy of the central ledger as of the slot start, so it sees only
+//! its own tentative commits. The central ledger is never touched from a
+//! shard thread; the reconciler merges the tentative results afterwards in
+//! fixed shard order, and re-solves a conflicting shard in place on the
+//! calling thread with [`solve_shard`].
 //!
-//! Workers are **long-lived**: [`WorkerPool::new`] moves each shard's
-//! [`FallbackChain`] onto its own thread once, and every slot's work is fed
-//! over a per-worker job channel. That keeps each chain, with its
-//! schedulers and their allocations, on one thread for the whole run
-//! instead of re-lending it through scoped borrows each slot. Results are
-//! collected from the per-worker result channels in shard-index order, so
-//! thread *scheduling* affects only wall-clock time, never the merged
-//! outcome. The reconciler's serial
-//! conflict re-solves go through [`WorkerPool::solve_one`], which posts a
-//! job to the owning worker and blocks for its answer — same chain, same
-//! thread, deterministic position in the merge order.
-//!
-//! Shutdown is channel-driven: dropping the pool drops every job sender,
-//! each worker's receive loop ends, and the threads are joined.
+//! The threads live for one slot: they borrow the chains, the network and
+//! the base ledger from the caller and are joined in shard-index order
+//! before [`solve_parallel`] returns, so thread *scheduling* affects only
+//! wall-clock time, never the merged outcome.
 
 use crate::clock::WallStopwatch;
 use crate::fallback::{AttemptRecord, FallbackChain, TierKind};
 use postcard_core::{admit, Admission};
 use postcard_net::{Network, TrafficLedger, TransferRequest};
-use std::sync::mpsc;
-use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Per-slot solve directives shared by every shard of a slot: which slot
 /// is being solved and the fault/re-optimization state that must apply
-/// identically to the parallel solves and any serial conflict re-solve.
+/// identically to the parallel solves and any conflict re-solve.
 #[derive(Debug, Clone, Default)]
 pub struct SlotDirectives {
     /// The slot being solved.
@@ -69,7 +59,7 @@ pub struct ShardSolve {
     /// should be requeued.
     pub degraded: bool,
     /// Set by the reconciler when the optimistic solve over-committed a
-    /// shared link and the shard was re-solved serially.
+    /// shared link and the shard was re-solved in place on the committed ledger.
     pub conflicted: bool,
     /// Human-readable conflict attribution (reconciler-filled).
     pub diagnostics: Vec<String>,
@@ -114,188 +104,48 @@ pub fn solve_shard(
     solve
 }
 
-/// One slot's worth of work for a single shard worker. The network is the
-/// controller's own shared handle and the base ledger is shared across the
-/// slot's jobs, both via [`Arc`]; each worker admits onto its own copy of
-/// the base.
-struct Job {
-    network: Arc<Network>,
-    base: Arc<TrafficLedger>,
-    batch: Vec<TransferRequest>,
-    directives: SlotDirectives,
-}
-
-/// A long-lived shard worker: owns its [`FallbackChain`] on a dedicated
-/// thread and answers one [`ShardSolve`] per [`Job`].
-#[derive(Debug)]
-struct Worker {
-    /// `None` only during teardown — dropping the sender ends the worker's
-    /// receive loop.
-    jobs: Option<mpsc::Sender<Job>>,
-    results: mpsc::Receiver<ShardSolve>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Worker {
-    fn spawn(shard: usize, mut chain: FallbackChain) -> Self {
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
-        let (result_tx, result_rx) = mpsc::channel::<ShardSolve>();
-        let handle = std::thread::spawn(move || {
-            while let Ok(Job { network, base, batch, directives }) = job_rx.recv() {
-                // Other shards (and the reconciler) commit to the central
-                // ledger behind this chain's ALAP residual grid; rebase it
-                // from the job's ledger every time.
-                chain.mark_alap_dirty();
-                let mut overlay = Arc::unwrap_or_clone(base);
-                let solve =
-                    solve_shard(&mut chain, shard, &network, &mut overlay, &batch, &directives);
-                // Let go of the shared network before answering, so a fault
-                // the runtime applies next slot edits it in place.
-                drop(network);
-                if result_tx.send(solve).is_err() {
-                    // The pool is gone; nothing left to answer to.
-                    break;
-                }
-            }
-        });
-        Self { jobs: Some(job_tx), results: result_rx, handle: Some(handle) }
-    }
-
-    fn post(&self, job: Job) {
-        if let Some(jobs) = &self.jobs {
-            // A failed send means the worker thread is gone; the paired
-            // `take()` surfaces its panic when the result is drained.
-            let _ = jobs.send(job);
-        }
-    }
-
-    fn take(&mut self) -> ShardSolve {
-        match self.results.recv() {
-            Ok(solve) => solve,
-            Err(_) => {
-                // The worker died mid-job. Re-raise its panic on the runtime
-                // thread — a poisoned slot must not be partially merged.
-                if let Some(handle) = self.handle.take() {
-                    if let Err(payload) = handle.join() {
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-                // postcard-analyze: allow(PA103) — unreachable unless the
-                // worker leaked its result channel and exited cleanly; a
-                // silent Ok here would merge a slot that was never solved.
-                panic!("shard worker exited without a result");
-            }
-        }
-    }
-}
-
-impl Drop for Worker {
-    fn drop(&mut self) {
-        // Hang up the job channel first so the receive loop ends…
-        self.jobs = None;
-        // …then reap the thread. A panic payload is deliberately swallowed
-        // here: either `take()` already re-raised it, or the pool itself is
-        // being dropped during unwinding and a double panic would abort.
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// The set of long-lived shard workers, one per shard, each owning its
-/// shard's [`FallbackChain`] for the lifetime of the run.
-#[derive(Debug)]
-pub struct WorkerPool {
-    workers: Vec<Worker>,
-}
-
-impl WorkerPool {
-    /// Spawns one persistent worker per chain; `chains[i]` becomes shard
-    /// `i`'s solver state and lives on that worker's thread until the pool
-    /// is dropped.
-    pub fn new(chains: Vec<FallbackChain>) -> Self {
-        Self {
-            workers: chains
-                .into_iter()
-                .enumerate()
-                .map(|(shard, chain)| Worker::spawn(shard, chain))
-                .collect(),
-        }
-    }
-
-    /// Number of shard workers.
-    pub fn len(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// `true` when the pool has no workers.
-    pub fn is_empty(&self) -> bool {
-        self.workers.is_empty()
-    }
-
-    /// Posts every non-empty shard batch to its worker, then collects the
-    /// results in shard-index order. Empty batches never cross a channel:
-    /// the slot stays cheap and the shard's records stay empty, exactly as
-    /// the old spawn-skip did.
-    pub fn solve_parallel(
-        &mut self,
-        network: &Arc<Network>,
-        base: &TrafficLedger,
-        batches: &[Vec<TransferRequest>],
-        directives: &SlotDirectives,
-    ) -> Vec<ShardSolve> {
-        assert_eq!(self.workers.len(), batches.len(), "one batch per shard");
-        let base = Arc::new(base.clone());
-        // Fan the whole slot out first so the workers run concurrently…
-        let posted: Vec<bool> = batches
-            .iter()
+/// Solves every shard whose batch is non-empty on its own scoped thread,
+/// each admitting onto its own copy of `base` with its own chain
+/// (`chains[i]` solves `batches[i]`). The threads are joined in shard
+/// order, so the results come back in shard order whatever the thread
+/// timing; a shard thread's panic is re-raised here, so a poisoned slot is
+/// never merged. An empty batch spawns nothing: its shard's result is empty
+/// and its chain's records stay those of an earlier slot.
+pub fn solve_parallel(
+    chains: &mut [FallbackChain],
+    network: &Network,
+    base: &TrafficLedger,
+    batches: &[Vec<TransferRequest>],
+    directives: &SlotDirectives,
+) -> Vec<ShardSolve> {
+    assert_eq!(chains.len(), batches.len(), "one batch per shard");
+    std::thread::scope(|scope| {
+        let threads: Vec<_> = chains
+            .iter_mut()
+            .zip(batches)
             .enumerate()
-            .map(|(shard, batch)| {
-                if batch.is_empty() {
-                    return false;
-                }
-                self.workers[shard].post(Job {
-                    network: Arc::clone(network),
-                    base: Arc::clone(&base),
-                    batch: batch.clone(),
-                    directives: directives.clone(),
-                });
-                true
+            .map(|(shard, (chain, batch))| {
+                (!batch.is_empty()).then(|| {
+                    scope.spawn(move || {
+                        // Other shards (and the reconciler) commit to the
+                        // central ledger behind this chain's ALAP residual
+                        // grid; rebase it from `base` every slot.
+                        chain.mark_alap_dirty();
+                        let mut overlay = base.clone();
+                        solve_shard(chain, shard, network, &mut overlay, batch, directives)
+                    })
+                })
             })
             .collect();
-        // …then drain in shard-index order for a deterministic merge.
-        posted
+        threads
             .into_iter()
             .enumerate()
-            .map(|(shard, sent)| {
-                if sent {
-                    self.workers[shard].take()
-                } else {
-                    ShardSolve { shard, ..ShardSolve::default() }
-                }
+            .map(|(shard, thread)| match thread {
+                Some(thread) => thread.join().unwrap_or_else(|p| std::panic::resume_unwind(p)),
+                None => ShardSolve { shard, ..ShardSolve::default() },
             })
             .collect()
-    }
-
-    /// Runs one shard's solve on its own worker and blocks for the result —
-    /// the reconciler's serial conflict re-solve path. The job still runs on
-    /// the worker thread, so each chain is only ever used on its own thread.
-    pub fn solve_one(
-        &mut self,
-        shard: usize,
-        network: &Arc<Network>,
-        base: &TrafficLedger,
-        batch: &[TransferRequest],
-        directives: &SlotDirectives,
-    ) -> ShardSolve {
-        self.workers[shard].post(Job {
-            network: Arc::clone(network),
-            base: Arc::new(base.clone()),
-            batch: batch.to_vec(),
-            directives: directives.clone(),
-        });
-        self.workers[shard].take()
-    }
+    })
 }
 
 #[cfg(test)]
@@ -309,13 +159,8 @@ mod tests {
     }
 
     /// Two disjoint 2-DC clusters.
-    fn net() -> Arc<Network> {
-        Arc::new(
-            NetworkBuilder::new(4)
-                .link(d(0), d(1), 2.0, 100.0)
-                .link(d(2), d(3), 3.0, 100.0)
-                .build(),
-        )
+    fn net() -> Network {
+        NetworkBuilder::new(4).link(d(0), d(1), 2.0, 100.0).link(d(2), d(3), 3.0, 100.0).build()
     }
 
     fn chain() -> FallbackChain {
@@ -330,9 +175,9 @@ mod tests {
             vec![TransferRequest::new(FileId(1), d(0), d(1), 6.0, 3, 0)],
             vec![TransferRequest::new(FileId(2), d(2), d(3), 9.0, 3, 0)],
         ];
-        let mut pool = WorkerPool::new(vec![chain(), chain()]);
+        let mut chains_a = [chain(), chain()];
         let mut chains_b = [chain(), chain()];
-        let par = pool.solve_parallel(&net, &base, &batches, &SlotDirectives::plain(0));
+        let par = solve_parallel(&mut chains_a, &net, &base, &batches, &SlotDirectives::plain(0));
         let seq: Vec<_> = chains_b
             .iter_mut()
             .zip(&batches)
@@ -345,52 +190,55 @@ mod tests {
         for (p, s) in par.iter().zip(&seq) {
             assert_eq!(p.admission, s.admission, "decisions must be bit-identical");
         }
+        assert_eq!(base, TrafficLedger::new(4), "the base ledger is only read");
     }
 
     #[test]
-    fn workers_persist_chain_state_across_slots() {
-        // Two slots through the same pool must match two sequential
-        // solve_shard calls on one chain: proof the worker kept its chain
-        // alive between slots instead of resetting it.
+    fn consecutive_slots_match_sequential_solves_on_one_chain() {
+        // Two slots through the same chain must match two sequential
+        // solve_shard calls on one chain.
         let net = net();
-        let base = TrafficLedger::new(4);
         let slot0 = vec![vec![TransferRequest::new(FileId(1), d(0), d(1), 6.0, 3, 0)]];
         let slot1 = vec![vec![TransferRequest::new(FileId(2), d(0), d(1), 4.0, 3, 1)]];
-        let mut pool = WorkerPool::new(vec![chain()]);
+        let mut chains = [chain()];
         let mut c = chain();
-        let mut ledger = base.clone();
-        let p0 = pool.solve_parallel(&net, &ledger, &slot0, &SlotDirectives::plain(0));
+        let mut ledger = TrafficLedger::new(4);
+        let p0 = solve_parallel(&mut chains, &net, &ledger, &slot0, &SlotDirectives::plain(0));
         let s0 = solve_shard(&mut c, 0, &net, &mut ledger, &slot0[0], &SlotDirectives::plain(0));
         assert_eq!(p0[0].admission, s0.admission);
         // `ledger` now holds slot 0's booked traffic.
-        let p1 = pool.solve_parallel(&net, &ledger, &slot1, &SlotDirectives::plain(1));
+        let p1 = solve_parallel(&mut chains, &net, &ledger, &slot1, &SlotDirectives::plain(1));
         let s1 = solve_shard(&mut c, 0, &net, &mut ledger, &slot1[0], &SlotDirectives::plain(1));
         assert_eq!(p1[0].admission, s1.admission, "second-slot decisions must be bit-identical");
     }
 
     #[test]
-    fn empty_shard_batches_skip_the_workers() {
+    fn empty_shard_batches_spawn_nothing() {
         let net = net();
         let base = TrafficLedger::new(4);
         let batches = vec![Vec::new(), Vec::new()];
-        let mut pool = WorkerPool::new(vec![chain(), chain()]);
-        let solves = pool.solve_parallel(&net, &base, &batches, &SlotDirectives::plain(0));
+        let mut chains = [chain(), chain()];
+        let solves = solve_parallel(&mut chains, &net, &base, &batches, &SlotDirectives::plain(0));
         assert!(solves.iter().all(|s| s.admission.commits.is_empty() && s.records.is_empty()));
         assert!(solves.iter().all(|s| !s.degraded));
+        assert_eq!(solves.iter().map(|s| s.shard).collect::<Vec<_>>(), [0, 1]);
+        assert!(chains.iter().all(|c| c.records().is_empty()), "no slot was started");
     }
 
     #[test]
-    fn solve_one_reuses_the_shard_worker() {
+    fn a_shard_thread_panic_is_re_raised_on_the_caller() {
+        // A base ledger over fewer datacenters than the network: reading a
+        // link's booked volume off it indexes out of bounds on the shard
+        // thread.
         let net = net();
-        let base = TrafficLedger::new(4);
-        let batch = vec![TransferRequest::new(FileId(1), d(0), d(1), 6.0, 3, 0)];
-        let mut pool = WorkerPool::new(vec![chain(), chain()]);
-        let solo = pool.solve_one(0, &net, &base, &batch, &SlotDirectives::plain(0));
-        assert_eq!(solo.admission.accepted().copied().collect::<Vec<_>>(), batch);
-        assert!(!solo.degraded);
-        // The same worker answers subsequent requests.
-        let again = pool.solve_one(0, &net, &base, &batch, &SlotDirectives::plain(1));
-        assert_eq!(again.admission.accepted().copied().collect::<Vec<_>>(), batch);
+        let base = TrafficLedger::new(1);
+        let batches =
+            vec![Vec::new(), vec![TransferRequest::new(FileId(2), d(2), d(3), 9.0, 3, 0)]];
+        let mut chains = [chain(), chain()];
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            solve_parallel(&mut chains, &net, &base, &batches, &SlotDirectives::plain(0))
+        }));
+        assert!(result.is_err());
     }
 
     #[test]

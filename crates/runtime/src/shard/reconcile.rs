@@ -1,6 +1,6 @@
 //! Deterministic merge of per-shard plans into the central ledger view.
 //!
-//! Shards solve *optimistically*: each worker sees the full residual
+//! Shards solve *optimistically*: each shard sees the full residual
 //! capacity of every link (a static capacity split would forfeit work
 //! conservation even on disjoint workloads). The price of optimism is that
 //! two shards can together over-commit a link both plans touch. The
@@ -13,10 +13,11 @@
 //!    committed ledger, which already holds every earlier shard's merged
 //!    traffic (capacity, conservation, delivery — the full Eq. 7–10
 //!    check), and booked onto it if they pass.
-//! 3. A shard whose tentative plan no longer validates is **re-solved
-//!    serially** against that ledger, so it sees exactly what earlier
-//!    shards committed. Its re-solve is final: by construction it
-//!    validates against the state it solved on.
+//! 3. A shard whose tentative plan no longer validates is **re-solved in
+//!    place** on that ledger with its own chain, so it sees exactly what
+//!    earlier shards committed. The re-solve books its admission there
+//!    once, as [`postcard_core::admit`] does, and is final: every decision
+//!    it admits was checked against the traffic booked before it.
 //!
 //! On tenant-disjoint workloads no link is shared, step 2 never fails, and
 //! the merge is a pure concatenation — full parallel speedup, and the
@@ -25,12 +26,12 @@
 //! for a rates decision that over-committed `i → j`, the decomposed paths
 //! crossing `i → j` name the contending transfers.
 
-use super::pool::{self, ShardSolve, WorkerPool};
+use super::pool::{solve_shard, ShardSolve, SlotDirectives};
+use crate::fallback::FallbackChain;
 use postcard_core::Decision;
 use postcard_flow::decompose_flow;
 use postcard_flow::FlowViolation;
 use postcard_net::{Network, PlanViolation, TrafficLedger, TransferRequest};
-use std::sync::Arc;
 
 /// Validates one tentative decision against the ledger merged so far; on failure
 /// returns attribution lines naming the over-committed links and the
@@ -95,16 +96,18 @@ fn validate_decision(
 }
 
 /// Merges tentative shard solves onto the committed `ledger` in fixed
-/// shard order, re-solving shards whose optimistic plans over-committed
-/// shared links against it. Returns the final per-shard resolutions (same
+/// shard order: a shard whose decisions still validate is booked as it
+/// stands, and one whose optimistic plan over-committed a shared link is
+/// re-solved in place on `ledger` with its chain (`chains[shard]`, batch
+/// `batches[shard]`). Returns the final per-shard resolutions (same
 /// order), whose commits are then booked on `ledger`, each once.
 pub fn reconcile(
-    network: &Arc<Network>,
+    network: &Network,
     ledger: &mut TrafficLedger,
     solves: Vec<ShardSolve>,
-    pool: &mut WorkerPool,
+    chains: &mut [FallbackChain],
     batches: &[Vec<TransferRequest>],
-    directives: &pool::SlotDirectives,
+    directives: &SlotDirectives,
 ) -> Vec<ShardSolve> {
     let mut resolved = Vec::with_capacity(solves.len());
     for solve in solves {
@@ -131,23 +134,15 @@ pub fn reconcile(
             continue;
         }
 
-        // Conflict: this shard's optimism lost. Re-solve it serially against
-        // the ledger (which holds every earlier shard's merged traffic); the
-        // re-solve is deterministic — same chain on the same long-lived
-        // worker, same batch, fixed position in the merge order.
+        // Conflict: this shard's optimism lost. Re-solve it on the ledger,
+        // which holds every earlier shard's merged traffic: the admission
+        // books each decision there once, or leaves the ledger as it was on
+        // a hard error. The re-solve is deterministic — same chain, same
+        // batch, fixed position in the merge order.
         let shard = solve.shard;
-        let resolve = pool.solve_one(shard, network, ledger, &batches[shard], directives);
-        debug_assert!(
-            resolve.degraded
-                || resolve.admission.commits.iter().all(|(files, decision)| validate_decision(
-                    network, ledger, files, decision, shard
-                )
-                .is_ok()),
-            "a re-solve against the ledger must validate against it"
-        );
-        for (files, decision) in &resolve.admission.commits {
-            decision.apply_to_ledger(files, ledger);
-        }
+        let chain = &mut chains[shard];
+        chain.mark_alap_dirty();
+        let resolve = solve_shard(chain, shard, network, ledger, &batches[shard], directives);
         resolved.push(ShardSolve {
             conflicted: true,
             diagnostics,
@@ -161,42 +156,34 @@ pub fn reconcile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fallback::FallbackChain;
     use crate::runtime::RuntimeConfig;
+    use crate::shard::pool::solve_parallel;
     use postcard_net::{DcId, FileId, NetworkBuilder};
 
     fn d(i: usize) -> DcId {
         DcId(i)
     }
 
-    fn two_shard_pool() -> WorkerPool {
+    fn two_chains() -> [FallbackChain; 2] {
         let config = RuntimeConfig::default();
-        WorkerPool::new(vec![FallbackChain::new(&config), FallbackChain::new(&config)])
+        [FallbackChain::new(&config), FallbackChain::new(&config)]
     }
 
     #[test]
     fn disjoint_shards_merge_without_conflicts() {
-        let net = Arc::new(
-            NetworkBuilder::new(4)
-                .link(d(0), d(1), 2.0, 100.0)
-                .link(d(2), d(3), 3.0, 100.0)
-                .build(),
-        );
+        let net = NetworkBuilder::new(4)
+            .link(d(0), d(1), 2.0, 100.0)
+            .link(d(2), d(3), 3.0, 100.0)
+            .build();
         let mut ledger = TrafficLedger::new(4);
         let batches = vec![
             vec![TransferRequest::new(FileId(1), d(0), d(1), 6.0, 3, 0)],
             vec![TransferRequest::new(FileId(2), d(2), d(3), 9.0, 3, 0)],
         ];
-        let mut pool = two_shard_pool();
-        let solves = pool.solve_parallel(&net, &ledger, &batches, &pool::SlotDirectives::plain(0));
-        let resolved = reconcile(
-            &net,
-            &mut ledger,
-            solves,
-            &mut pool,
-            &batches,
-            &pool::SlotDirectives::plain(0),
-        );
+        let mut chains = two_chains();
+        let directives = SlotDirectives::plain(0);
+        let solves = solve_parallel(&mut chains, &net, &ledger, &batches, &directives);
+        let resolved = reconcile(&net, &mut ledger, solves, &mut chains, &batches, &directives);
         assert!(resolved.iter().all(|s| !s.conflicted && !s.degraded));
         assert_eq!(resolved[0].admission.accepted().copied().collect::<Vec<_>>(), batches[0]);
         assert_eq!(resolved[1].admission.accepted().copied().collect::<Vec<_>>(), batches[1]);
@@ -205,25 +192,19 @@ mod tests {
     #[test]
     fn shared_link_over_commit_is_detected_and_resolved() {
         // One capacity-10 link; each shard alone would claim all of it.
-        let net = Arc::new(NetworkBuilder::new(2).link(d(0), d(1), 1.0, 10.0).build());
+        let net = NetworkBuilder::new(2).link(d(0), d(1), 1.0, 10.0).build();
         let mut ledger = TrafficLedger::new(2);
         let batches = vec![
             vec![TransferRequest::new(FileId(1), d(0), d(1), 10.0, 1, 0)],
             vec![TransferRequest::new(FileId(2), d(0), d(1), 10.0, 1, 0)],
         ];
-        let mut pool = two_shard_pool();
-        let solves = pool.solve_parallel(&net, &ledger, &batches, &pool::SlotDirectives::plain(0));
+        let mut chains = two_chains();
+        let directives = SlotDirectives::plain(0);
+        let solves = solve_parallel(&mut chains, &net, &ledger, &batches, &directives);
         // Both optimistic solves admit their file (each saw an empty link).
         assert_eq!(solves[0].admission.accepted().copied().collect::<Vec<_>>(), batches[0]);
         assert_eq!(solves[1].admission.accepted().copied().collect::<Vec<_>>(), batches[1]);
-        let resolved = reconcile(
-            &net,
-            &mut ledger,
-            solves,
-            &mut pool,
-            &batches,
-            &pool::SlotDirectives::plain(0),
-        );
+        let resolved = reconcile(&net, &mut ledger, solves, &mut chains, &batches, &directives);
         // Shard 0 keeps its plan; shard 1's re-solve finds no room and
         // rejects — the merged view never over-commits the link.
         assert!(!resolved[0].conflicted);
@@ -250,26 +231,34 @@ mod tests {
 
     #[test]
     fn partial_shared_capacity_is_split_across_the_merge_order() {
-        // Capacity 10, two 6-GB single-slot files from different shards:
-        // shard 0 wins, shard 1's re-solve must reject (only 4 GB left).
-        let net = Arc::new(NetworkBuilder::new(2).link(d(0), d(1), 1.0, 10.0).build());
+        // Capacity 10: shard 0 wins and books 6 GB, so shard 1's optimistic
+        // 9-GB batch conflicts. Its re-solve in place on the ledger admits
+        // the 3-GB file alone (4 GB left) and rejects the 6-GB one.
+        let net = NetworkBuilder::new(2).link(d(0), d(1), 1.0, 10.0).build();
         let mut ledger = TrafficLedger::new(2);
         let batches = vec![
             vec![TransferRequest::new(FileId(1), d(0), d(1), 6.0, 1, 0)],
-            vec![TransferRequest::new(FileId(2), d(0), d(1), 6.0, 1, 0)],
+            vec![
+                TransferRequest::new(FileId(2), d(0), d(1), 6.0, 1, 0),
+                TransferRequest::new(FileId(3), d(0), d(1), 3.0, 1, 0),
+            ],
         ];
-        let mut pool = two_shard_pool();
-        let solves = pool.solve_parallel(&net, &ledger, &batches, &pool::SlotDirectives::plain(0));
-        let resolved = reconcile(
-            &net,
-            &mut ledger,
-            solves,
-            &mut pool,
-            &batches,
-            &pool::SlotDirectives::plain(0),
-        );
+        let mut chains = two_chains();
+        let directives = SlotDirectives::plain(0);
+        let solves = solve_parallel(&mut chains, &net, &ledger, &batches, &directives);
+        assert_eq!(solves[1].admission.accepted().count(), 2, "optimism admits both");
+        let resolved = reconcile(&net, &mut ledger, solves, &mut chains, &batches, &directives);
         assert_eq!(resolved[0].admission.accepted().copied().collect::<Vec<_>>(), batches[0]);
         assert!(resolved[1].conflicted);
-        assert_eq!(resolved[1].admission.rejected, batches[1]);
+        assert_eq!(resolved[1].admission.rejected, batches[1][..1]);
+        assert_eq!(resolved[1].admission.accepted().copied().collect::<Vec<_>>(), batches[1][1..]);
+        let mut replayed = TrafficLedger::new(2);
+        for s in &resolved {
+            for (files, decision) in &s.admission.commits {
+                decision.apply_to_ledger(files, &mut replayed);
+            }
+        }
+        assert_eq!(ledger, replayed, "every admitted decision is booked once");
+        assert_eq!(ledger.volume(d(0), d(1), 0), 9.0);
     }
 }

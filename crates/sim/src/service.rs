@@ -104,7 +104,7 @@ fn service_tier(approach: Approach) -> Result<TierKind, RuntimeError> {
 /// seed derivation and paired traces as [`crate::run_scenario`], but every
 /// (approach, run) pair replays through a [`Runtime`] built from `template`
 /// with that approach as its single tier — fallback chain, admission queue,
-/// metrics, and (when `template.shards > 1`) the sharded worker pool included.
+/// metrics, and (when `template.shards > 1`) the sharded step included.
 ///
 /// # Errors
 ///

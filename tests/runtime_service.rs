@@ -403,6 +403,59 @@ fn sparse_checkpoints_replay_the_gap_identically() {
 }
 
 #[test]
+fn resumed_run_checkpoints_to_the_file_it_resumed_from() {
+    // A checkpoint copied elsewhere after its original directory is gone:
+    // the resumed run must keep checkpointing to the copy, not to the path
+    // the snapshot was first written under.
+    const SLOTS: u64 = 8;
+    let (network, arrivals) = instance(29, SLOTS);
+    let dir = ckpt_path("moved_checkpoint");
+    std::fs::remove_dir_all(&dir).ok();
+    let (origin, moved) = (dir.join("origin"), dir.join("moved"));
+    std::fs::create_dir_all(&origin).unwrap();
+    std::fs::create_dir_all(&moved).unwrap();
+    let config = |path: &std::path::Path| RuntimeConfig {
+        checkpoint_every: 2,
+        checkpoint_path: Some(path.to_string_lossy().into_owned()),
+        ..Default::default()
+    };
+    let mut full = Runtime::new(
+        network.clone(),
+        arrivals.clone(),
+        FaultPlan::none(),
+        SLOTS,
+        config(&dir.join("full.json")),
+    )
+    .unwrap();
+    full.run_to_end().unwrap();
+
+    let written = origin.join("ck.json");
+    let mut victim =
+        Runtime::new(network, arrivals, FaultPlan::none(), SLOTS, config(&written)).unwrap();
+    for _ in 0..5 {
+        victim.run_slot().unwrap();
+    }
+    drop(victim); // crash at slot 5; the last checkpoint covered slots 0..4
+    let copy = moved.join("ck.json");
+    std::fs::copy(&written, &copy).unwrap();
+    std::fs::remove_dir_all(&origin).unwrap();
+
+    let mut resumed = Runtime::resume(&copy).unwrap();
+    assert_eq!(resumed.next_slot(), 4);
+    resumed.run_to_end().unwrap();
+    assert_eq!(resumed.cost_history().len(), full.cost_history().len());
+    for (a, b) in resumed.cost_history().iter().zip(full.cost_history()) {
+        assert_eq!(a.to_bits(), b.to_bits());
+    }
+    assert_eq!(resumed.metrics(), full.metrics());
+    assert!(!origin.exists(), "nothing is written under the original path");
+    let rewritten = RuntimeSnapshot::load(&copy).unwrap();
+    assert!(rewritten.next_slot > 4, "the resumed run rewrote the file it resumed from");
+    assert_eq!(rewritten.config.checkpoint_path, Some(copy.to_string_lossy().into_owned()));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn forced_timeouts_never_miss_a_slot_and_are_all_recorded() {
     const SLOTS: u64 = 6;
     let (network, arrivals) = instance(7, SLOTS);

@@ -3,12 +3,13 @@
 //! Every scheduler must produce decisions that pass the independent
 //! validators in `postcard-net` / `postcard-flow`, and the optimizers must
 //! respect their dominance relations: Postcard's feasible set contains
-//! every direct plan, and the unified flow LP optimizes over a superset of
-//! every other flow baseline's solutions.
+//! every plan without relay storage, which in turn contains every direct
+//! plan, and the unified flow LP optimizes over a superset of every other
+//! flow baseline's solutions.
 
 use postcard::core::{
-    solve_postcard, Decision, DirectScheduler, FlowLpScheduler, GreedyScheduler, PostcardScheduler,
-    Scheduler, TwoPhaseScheduler,
+    solve_postcard, Decision, DirectScheduler, FlowLpScheduler, GreedyScheduler, PostcardConfig,
+    PostcardScheduler, Scheduler, TwoPhaseScheduler,
 };
 use postcard::net::{DcId, FileId, Network, TrafficLedger, TransferRequest};
 use rand::rngs::StdRng;
@@ -85,15 +86,31 @@ fn every_scheduler_produces_validated_decisions() {
 
 #[test]
 fn postcard_never_costs_more_than_direct() {
+    // Postcard ≤ no-relay ≤ direct: forbidding relay storage shrinks
+    // Postcard's feasible set, and direct plans (no relays at all) are
+    // still in it.
+    let mut no_relay = PostcardScheduler::with_config(PostcardConfig {
+        allow_relay_storage: false,
+        ..Default::default()
+    });
+    assert_eq!(no_relay.name(), "postcard-no-relay-storage");
     for seed in 100..110u64 {
         let (network, files) = random_instance(seed, 5, 3, 200.0);
         let ledger = TrafficLedger::new(5);
         let postcard = solve_postcard(&network, &files, &ledger).unwrap().cost_per_slot;
+        let no_relay = no_relay
+            .schedule(&network, &files, &ledger)
+            .map(|d| bill_of(&network, &files, &d))
+            .unwrap();
         let direct = DirectScheduler
             .schedule(&network, &files, &ledger)
             .map(|d| bill_of(&network, &files, &d))
             .unwrap();
-        assert!(postcard <= direct + 1e-5, "seed {seed}: postcard {postcard} > direct {direct}");
+        assert!(
+            postcard <= no_relay + 1e-5,
+            "seed {seed}: postcard {postcard} > no-relay {no_relay}"
+        );
+        assert!(no_relay <= direct + 1e-5, "seed {seed}: no-relay {no_relay} > direct {direct}");
     }
 }
 

@@ -95,7 +95,7 @@ proptest! {
     }
 
     /// Same sharded instance solved twice gives bit-identical results:
-    /// worker threads race, but the fixed shard-order reconciliation makes
+    /// shard threads race, but the fixed shard-order reconciliation makes
     /// the merge — and therefore every downstream number — deterministic.
     #[test]
     fn repeated_sharded_runs_are_bit_identical(seed in 0u64..1_000) {
