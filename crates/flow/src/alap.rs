@@ -6,14 +6,17 @@
 //! *residual* view of the time-expanded capacity — per link, per slot, how
 //! much room is left after everything already committed — and admit or
 //! reject each arrival by allocating it As-Late-As-Possible before its
-//! deadline on cheapest residual paths. No LP model is built; a decision
-//! costs `O(links × horizon)` and an optimizer can re-plan periodically in
-//! the background.
+//! deadline on cheapest residual paths. No LP model is built, and an
+//! optimizer can re-plan periodically in the background.
 //!
 //! [`AlapScheduler`] implements that policy over [`ResidualGrid`]:
 //!
 //! * candidate paths come from [`postcard_net::paths::k_cheapest_paths`] (price
-//!   order, deterministic);
+//!   order, deterministic). They depend only on the pair and the link
+//!   prices, so the scheduler computes each `(src, dst)` pair's paths the
+//!   first time the pair is asked for and keeps them until a
+//!   [`AlapScheduler::rebase`] sees a network whose link set or prices
+//!   differ from the ones they were computed on;
 //! * a chunk placed on an `L`-hop path starting at slot `n` crosses hop `h`
 //!   during slot `n + h` — one hop per slot, matching the time-expanded
 //!   conservation rule of [`TransferPlan::validate`] — and must finish by
@@ -25,15 +28,20 @@
 //!   constructive witness that the full LP on the same residual state would
 //!   also be feasible.
 //!
+//! With the pair's paths cached, a decision costs `O(k × window × hops)`
+//! residual lookups (`k` paths, the file's deadline window in slots) plus
+//! the plan it emits. The first decision for a pair after a price change
+//! also runs Yen's algorithm, `O(k × n)` Dijkstra runs over `n` DCs.
+//!
 //! Admission mutates the grid (the placement is reserved); rejection rolls
-//! every trial reservation back. The grid is *derived* state — capacity
-//! minus the committed ledger — so a crashed-and-resumed service rebuilds
-//! it deterministically with [`AlapScheduler::rebase`] instead of
-//! snapshotting it.
+//! every trial reservation back. The grid and the path cache are *derived*
+//! state — capacity minus the committed ledger, and the network's prices —
+//! so a crashed-and-resumed service rebuilds both deterministically with
+//! [`AlapScheduler::rebase`] and lazy path lookups instead of snapshotting
+//! them.
 
 use postcard_net::paths::{k_cheapest_paths, PricedPath};
 use postcard_net::{DcId, Network, TrafficLedger, TransferPlan, TransferRequest};
-use std::collections::BTreeMap;
 
 /// Volume below which a remainder counts as fully placed. Well under
 /// [`postcard_net::VOLUME_TOL`], so plans that strand this much at the
@@ -47,13 +55,17 @@ const DEFAULT_MAX_PATHS: usize = 4;
 ///
 /// `residual(from, to, slot) = capacity(from, to) − reserved(from, to,
 /// slot)`. Slots never written are implicitly at full capacity, so the grid
-/// extends to any horizon without reallocation.
+/// extends to any horizon without reallocation. Both tables are dense over
+/// the `n × n` link index `from * n + to`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResidualGrid {
-    /// Link capacity at the last rebase, `(from, to) → GB/slot`.
-    capacities: BTreeMap<(usize, usize), f64>,
-    /// Reserved volume, `(from, to) → per-slot GB` (index = slot).
-    reserved: BTreeMap<(usize, usize), Vec<f64>>,
+    /// Number of datacenters at the last rebase.
+    n: usize,
+    /// Link capacity at the last rebase in GB/slot; 0 for absent links.
+    capacities: Vec<f64>,
+    /// Reserved volume per link, per slot (index = slot); empty when
+    /// nothing is reserved.
+    reserved: Vec<Vec<f64>>,
 }
 
 impl ResidualGrid {
@@ -69,35 +81,48 @@ impl ResidualGrid {
     /// volumes in `ledger`. After a rebase the grid exactly mirrors
     /// "capacity minus committed traffic" — the canonical residual state.
     pub fn rebase(&mut self, network: &Network, ledger: &TrafficLedger) {
+        let n = network.num_dcs();
+        self.n = n;
         self.capacities.clear();
-        self.reserved.clear();
+        self.capacities.resize(n * n, 0.0);
+        self.reserved.resize_with(n * n, Vec::new);
+        self.reserved.iter_mut().for_each(Vec::clear);
         for l in network.links() {
-            self.capacities.insert((l.from.0, l.to.0), l.capacity);
-            let series = ledger.series(l.from, l.to).to_vec();
-            if !series.is_empty() {
-                self.reserved.insert((l.from.0, l.to.0), series);
-            }
+            let idx = l.from.0 * n + l.to.0;
+            self.capacities[idx] = l.capacity;
+            self.reserved[idx].extend_from_slice(ledger.series(l.from, l.to));
         }
+    }
+
+    /// The dense index of `from → to`, or `None` outside the grid.
+    fn index(&self, from: DcId, to: DcId) -> Option<usize> {
+        (from.0 < self.n && to.0 < self.n).then(|| from.0 * self.n + to.0)
     }
 
     /// Remaining capacity on `from → to` during `slot` (0 for unknown
     /// links; never negative).
     pub fn residual(&self, from: DcId, to: DcId, slot: u64) -> f64 {
-        let Some(&cap) = self.capacities.get(&(from.0, to.0)) else {
+        let Some(idx) = self.index(from, to) else {
             return 0.0;
         };
-        let used = self
-            .reserved
-            .get(&(from.0, to.0))
-            .and_then(|s| s.get(slot as usize))
-            .copied()
-            .unwrap_or(0.0);
-        (cap - used).max(0.0)
+        let used = self.reserved[idx].get(slot as usize).copied().unwrap_or(0.0);
+        (self.capacities[idx] - used).max(0.0)
     }
 
-    /// Reserves `volume` on `from → to` during `slot`.
+    /// The most volume a chunk departing at `start` can carry along `path`
+    /// (minimum residual over the hops at their respective slots).
+    fn bottleneck(&self, path: &PricedPath, start: u64) -> f64 {
+        let mut limit = f64::INFINITY;
+        for (h, &(u, v)) in path.hops.iter().enumerate() {
+            limit = limit.min(self.residual(u, v, start + h as u64));
+        }
+        limit
+    }
+
+    /// Reserves `volume` on `from → to` during `slot`. Only called for
+    /// hops with positive residual, so the link is inside the grid.
     fn reserve(&mut self, from: DcId, to: DcId, slot: u64, volume: f64) {
-        let series = self.reserved.entry((from.0, to.0)).or_default();
+        let series = &mut self.reserved[from.0 * self.n + to.0];
         if series.len() <= slot as usize {
             series.resize(slot as usize + 1, 0.0);
         }
@@ -108,17 +133,69 @@ impl ResidualGrid {
     /// Prunes zeroed tails so a fully rolled-back grid compares equal to the
     /// grid before the attempt.
     fn release(&mut self, from: DcId, to: DcId, slot: u64, volume: f64) {
-        if let Some(series) = self.reserved.get_mut(&(from.0, to.0)) {
-            if let Some(v) = series.get_mut(slot as usize) {
-                *v -= volume;
-            }
-            while series.last().is_some_and(|v| v.abs() < 1e-12) {
-                series.pop();
-            }
-            if series.is_empty() {
-                self.reserved.remove(&(from.0, to.0));
-            }
+        let series = &mut self.reserved[from.0 * self.n + to.0];
+        if let Some(v) = series.get_mut(slot as usize) {
+            *v -= volume;
         }
+        while series.last().is_some_and(|v| v.abs() < 1e-12) {
+            series.pop();
+        }
+    }
+}
+
+/// The bit pattern of the price of link `idx = from * n + to`, or `None`
+/// when `network` has no such link.
+fn price_bits(network: &Network, idx: usize) -> Option<u64> {
+    let n = network.num_dcs();
+    network.price(DcId(idx / n), DcId(idx % n)).map(f64::to_bits)
+}
+
+/// The `k` cheapest paths of each `(src, dst)` pair, computed on first use
+/// and kept while the network's link set and prices stay those they were
+/// computed on.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct PathCache {
+    /// Number of datacenters the table covers.
+    n: usize,
+    /// Price bits of every link `from * n + to` the table was computed
+    /// under; `None` for absent links.
+    prices: Vec<Option<u64>>,
+    /// Cached paths per pair `src * n + dst`; `None` until first asked for.
+    table: Vec<Option<Vec<PricedPath>>>,
+}
+
+impl PathCache {
+    /// Whether `network` has exactly the links and prices the table was
+    /// computed under (compared bit for bit).
+    fn matches(&self, network: &Network) -> bool {
+        self.n == network.num_dcs()
+            && self.prices.iter().enumerate().all(|(idx, &bits)| price_bits(network, idx) == bits)
+    }
+
+    /// Keeps the table if `network` matches it; otherwise empties it and
+    /// records `network`'s links and prices.
+    fn sync(&mut self, network: &Network) {
+        if self.matches(network) {
+            return;
+        }
+        let n = network.num_dcs();
+        self.n = n;
+        self.prices.clear();
+        self.prices.extend((0..n * n).map(|idx| price_bits(network, idx)));
+        self.table.clear();
+        self.table.resize(n * n, None);
+    }
+
+    /// The `k` cheapest paths from `src` to `dst` in `network`, which must
+    /// be the network the table was synced to.
+    fn get(&mut self, network: &Network, src: DcId, dst: DcId, k: usize) -> &[PricedPath] {
+        if self.n != network.num_dcs() {
+            // Never rebased (a default scheduler): adopt this network.
+            self.sync(network);
+        }
+        debug_assert!(self.matches(network), "network repriced without an ALAP rebase");
+        self.table[src.0 * self.n + dst.0]
+            .get_or_insert_with(|| k_cheapest_paths(network, src, dst, k))
     }
 }
 
@@ -156,6 +233,7 @@ struct Reservation {
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlapScheduler {
     grid: ResidualGrid,
+    paths: PathCache,
     max_paths: usize,
 }
 
@@ -163,22 +241,31 @@ impl Default for AlapScheduler {
     /// An empty-grid scheduler; call [`AlapScheduler::rebase`] before the
     /// first admission (an empty grid has no capacity anywhere).
     fn default() -> Self {
-        Self { grid: ResidualGrid::default(), max_paths: DEFAULT_MAX_PATHS }
+        Self {
+            grid: ResidualGrid::default(),
+            paths: PathCache::default(),
+            max_paths: DEFAULT_MAX_PATHS,
+        }
     }
 }
 
 impl AlapScheduler {
     /// A scheduler whose grid starts at `network`'s full capacity.
     pub fn new(network: &Network) -> Self {
-        Self { grid: ResidualGrid::from_network(network), max_paths: DEFAULT_MAX_PATHS }
+        let mut alap = Self::default();
+        alap.rebase(network, &TrafficLedger::new(network.num_dcs()));
+        alap
     }
 
     /// Rebuilds the residual grid from the current network capacities and
-    /// the committed ledger (see [`ResidualGrid::rebase`]). Call after the
-    /// periodic re-optimization pass commits an LP schedule, after link
-    /// degradations, and on resume from a snapshot.
+    /// the committed ledger (see [`ResidualGrid::rebase`]), and drops the
+    /// cached paths if `network`'s link set or prices differ from the ones
+    /// they were computed on. Call after the periodic re-optimization pass
+    /// commits an LP schedule, after link degradations and reprices, and on
+    /// resume from a snapshot.
     pub fn rebase(&mut self, network: &Network, ledger: &TrafficLedger) {
         self.grid.rebase(network, ledger);
+        self.paths.sync(network);
     }
 
     /// The residual grid (read-only; tests and the runtime's metrics peek
@@ -259,7 +346,7 @@ impl AlapScheduler {
         if file.src.0 >= network.num_dcs() || file.dst.0 >= network.num_dcs() {
             return Err(AlapRejection::NoPath);
         }
-        let paths = k_cheapest_paths(network, file.src, file.dst, self.max_paths);
+        let paths = self.paths.get(network, file.src, file.dst, self.max_paths);
         if paths.is_empty() {
             return Err(AlapRejection::NoPath);
         }
@@ -278,7 +365,7 @@ impl AlapScheduler {
                     continue; // path too long to finish here
                 }
                 let start = finish - (hops - 1);
-                let volume = remaining.min(self.bottleneck(path, start));
+                let volume = remaining.min(self.grid.bottleneck(path, start));
                 if volume <= 0.0 {
                     continue;
                 }
@@ -314,16 +401,6 @@ impl AlapScheduler {
             }
         }
         Ok(plan)
-    }
-
-    /// The most volume a chunk departing at `start` can carry along `path`
-    /// (minimum residual over the hops at their respective slots).
-    fn bottleneck(&self, path: &PricedPath, start: u64) -> f64 {
-        let mut limit = f64::INFINITY;
-        for (h, &(u, v)) in path.hops.iter().enumerate() {
-            limit = limit.min(self.grid.residual(u, v, start + h as u64));
-        }
-        limit
     }
 }
 
@@ -503,5 +580,40 @@ mod tests {
         for e in plan.iter() {
             assert!((5..=6).contains(&e.slot), "entry outside window: {e:?}");
         }
+    }
+
+    #[test]
+    fn rebase_keeps_paths_until_a_price_changes() {
+        let mut net = fig1_net();
+        let mut alap = AlapScheduler::new(&net);
+        let f = TransferRequest::new(FileId(1), d(1), d(2), 1.0, 3, 0);
+        alap.admit(&net, &f).unwrap();
+        let cached = alap.paths.clone();
+        assert!(cached.table.iter().any(Option::is_some));
+        // A ledger or capacity change keeps the cached paths.
+        let mut ledger = TrafficLedger::new(3);
+        ledger.record(d(1), d(2), 0, 1.0);
+        net.set_capacity(d(0), d(2), 500.0);
+        alap.rebase(&net, &ledger);
+        assert_eq!(alap.paths, cached);
+        // Making the relay dearer than the direct link drops them, and the
+        // next admission rides the direct link.
+        net.set_price(d(1), d(0), 20.0);
+        alap.rebase(&net, &ledger);
+        assert!(alap.paths.table.iter().all(Option::is_none));
+        let g = TransferRequest::new(FileId(2), d(1), d(2), 1.0, 3, 0);
+        let plan = alap.admit(&net, &g).unwrap();
+        assert_eq!(plan.link_peak(d(1), d(0)), 0.0);
+        assert!(plan.link_peak(d(1), d(2)) > 0.0);
+    }
+
+    #[test]
+    fn residual_is_zero_off_the_grid() {
+        let grid = ResidualGrid::from_network(&fig1_net());
+        assert_eq!(grid.residual(d(1), d(2), 9), 1000.0);
+        assert_eq!(grid.residual(d(0), d(1), 0), 0.0, "absent link");
+        assert_eq!(grid.residual(d(0), d(7), 0), 0.0, "out of range");
+        assert_eq!(grid.residual(d(7), d(0), 0), 0.0, "out of range");
+        assert_eq!(ResidualGrid::default().residual(d(0), d(1), 0), 0.0);
     }
 }

@@ -25,8 +25,9 @@
 //! constructive admission test (DCRoute-style As-Late-As-Possible placement
 //! against residual capacity), so its commits are feasible by construction,
 //! but its rejections are heuristic — the LP might still have placed the
-//! file. The runtime accepts that trade-off for O(links × horizon)
-//! admission latency, and demotes the LP to a periodic re-optimization
+//! file. The runtime accepts that trade-off for admission latency of
+//! O(k × window × hops) grid lookups per request (the pair's `k` cheapest
+//! paths are cached), and demotes the LP to a periodic re-optimization
 //! pass: on such slots the chain *skips* the ALAP rung
 //! ([`AttemptOutcome::Skipped`], armed via [`FallbackChain::set_skip_alap`])
 //! and lets the LP re-plan, after which the runtime rebases the residual
@@ -148,13 +149,16 @@ pub enum AttemptOutcome {
 
 /// The [`TierKind::Alap`] rung: wraps [`AlapScheduler`] as a chain tier.
 ///
-/// The residual grid is *derived* state (link capacity minus the committed
-/// ledger plus this slot's own reservations). Whenever the ledger changes
-/// behind its back — an LP tier committed a re-optimization, a fault
-/// degraded a link, or the runtime resumed from a snapshot — the runtime
-/// marks the tier dirty and the next schedule call rebases the grid from
-/// the ledger before admitting. That is what makes killed-and-resumed runs
-/// bit-identical without persisting the grid.
+/// The scheduler keeps two pieces of *derived* state: the residual grid
+/// (link capacity minus the committed ledger plus this slot's own
+/// reservations) and each DC pair's `k` cheapest paths (a function of the
+/// link prices). Whenever either source changes behind its back — an LP
+/// tier committed a re-optimization, a fault degraded or repriced a link,
+/// or the runtime resumed from a snapshot — the runtime marks the tier
+/// dirty and the next schedule call rebases before admitting: the grid is
+/// rebuilt from the ledger, and the paths are dropped only if a price or
+/// link changed. That is what makes killed-and-resumed runs bit-identical
+/// without persisting either.
 #[derive(Debug)]
 pub struct AlapTier {
     scheduler: AlapScheduler,

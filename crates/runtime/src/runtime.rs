@@ -81,7 +81,8 @@ pub struct RuntimeConfig {
     /// Put the ALAP fast-path admission rung ahead of the LP tiers:
     /// [`Runtime::new`] prepends [`TierKind::Alap`] to `tiers` (idempotent
     /// if it is already listed). Each request is then admitted or rejected
-    /// in O(links × horizon) against the residual grid, with no LP solve.
+    /// against the residual grid on its pair's cached cheapest paths, with
+    /// no LP solve.
     pub alap: bool,
     /// With the ALAP rung enabled, run the full LP re-optimization pass
     /// every this many slots (the ALAP rung is skipped there and the
@@ -475,9 +476,10 @@ impl Runtime {
             }
         }
         if capacities_changed || prices_changed {
-            // The ALAP residual grid caches link capacities and path costs;
-            // capacity and price changes both invalidate it (no-op without
-            // an ALAP rung).
+            // The ALAP rung caches link capacities in its residual grid and
+            // each pair's cheapest paths, which depend on the prices: rebase
+            // it, which re-reads the capacities and drops the paths when a
+            // price changed (no-op without an ALAP rung).
             self.controller.scheduler_mut().mark_alap_dirty();
         }
 

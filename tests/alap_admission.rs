@@ -1,6 +1,6 @@
 //! Property tests for the ALAP fast-path admission rung.
 //!
-//! Two invariants, checked over randomized networks and request streams:
+//! Three invariants, checked over randomized networks and request streams:
 //!
 //! 1. **Feasibility** — every plan the ALAP scheduler admits replays
 //!    cleanly through [`postcard::net::TransferPlan::validate`] against the
@@ -11,10 +11,15 @@
 //!    Postcard LP would prove infeasible on the same residual state. The
 //!    fast path is allowed to be *conservative* (reject what the LP could
 //!    place), never *optimistic*.
+//! 3. **Cache transparency** — a long-lived scheduler, which keeps each
+//!    pair's cheapest paths across rebases, decides exactly as a fresh
+//!    scheduler built from the committed ledger for every request.
 
 use postcard::core::{PostcardScheduler, Scheduler};
-use postcard::flow::AlapScheduler;
-use postcard::net::{DcId, FileId, Network, TrafficLedger, TransferRequest, VOLUME_TOL};
+use postcard::flow::{AlapRejection, AlapScheduler};
+use postcard::net::{
+    DcId, FileId, Network, TrafficLedger, TransferPlan, TransferRequest, VOLUME_TOL,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,6 +47,22 @@ fn request(rng: &mut StdRng, id: u64) -> TransferRequest {
         rng.gen_range(1..=4),
         rng.gen_range(0..4),
     )
+}
+
+/// A random directed link of the complete `NUM_DCS` network.
+fn link(rng: &mut StdRng) -> (DcId, DcId) {
+    let from = rng.gen_range(0..NUM_DCS);
+    (DcId(from), DcId((from + rng.gen_range(1..NUM_DCS)) % NUM_DCS))
+}
+
+/// A decision's exact bits: every plan entry with its volume's bit
+/// pattern, or the rejection.
+type Bits = Result<Vec<(FileId, u64, DcId, DcId, u64)>, AlapRejection>;
+
+fn bits(decision: &Result<TransferPlan, AlapRejection>) -> Bits {
+    decision.as_ref().map_err(|r| *r).map(|plan| {
+        plan.iter().map(|e| (e.file, e.slot, e.from, e.to, e.volume.to_bits())).collect()
+    })
 }
 
 proptest! {
@@ -148,6 +169,55 @@ proptest! {
                     "seed {seed}: link {:?}->{:?} over capacity at slot {slot}: {used} > {}",
                     l.from, l.to, l.capacity
                 );
+            }
+        }
+    }
+
+    /// A long-lived scheduler, rebased after every reprice, capacity change
+    /// or ledger edit, decides every request bit for bit as a scheduler
+    /// built fresh from the committed ledger, which finds its paths anew.
+    /// Sizes and capacities are whole GB, so the grid's running sums and
+    /// the ledger's equal each other exactly whatever order they add in.
+    #[test]
+    fn long_lived_scheduler_decides_as_a_fresh_one(seed in 0u64..1000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let capacity = rng.gen_range(20..=60) as f64;
+        let mut net =
+            Network::complete_with_prices(NUM_DCS, capacity, |_, _| rng.gen_range(1.0..=10.0));
+        let mut alap = AlapScheduler::new(&net);
+        let mut ledger = TrafficLedger::new(NUM_DCS);
+
+        for id in 0..24u64 {
+            match rng.gen_range(0..6) {
+                0 => {
+                    let (from, to) = link(&mut rng);
+                    net.set_price(from, to, rng.gen_range(1.0..=10.0));
+                    alap.rebase(&net, &ledger);
+                }
+                1 => {
+                    let (from, to) = link(&mut rng);
+                    net.set_capacity(from, to, rng.gen_range(0..=60) as f64);
+                    alap.rebase(&net, &ledger);
+                }
+                _ => {}
+            }
+            if id == 12 {
+                // Traffic booked behind the scheduler's back (an LP
+                // re-plan), no price change: the rebase keeps the paths.
+                let (from, to) = link(&mut rng);
+                ledger.record(from, to, rng.gen_range(0..8), rng.gen_range(1..=20) as f64);
+                alap.rebase(&net, &ledger);
+            }
+
+            let mut f = request(&mut rng, id);
+            f.size_gb = f.size_gb.round();
+            let mut fresh = AlapScheduler::default();
+            fresh.rebase(&net, &ledger);
+            let (got, want) = (alap.admit(&net, &f), fresh.admit(&net, &f));
+            prop_assert_eq!(bits(&got), bits(&want), "seed {}, request {}", seed, id);
+            prop_assert!(*alap.grid() == *fresh.grid(), "seed {seed}, request {id}: grids differ");
+            if let Ok(plan) = got {
+                plan.apply_to_ledger(&mut ledger);
             }
         }
     }

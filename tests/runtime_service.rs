@@ -24,7 +24,7 @@
 //! version probe. A sharded checkpoint is the same one snapshot file;
 //! sharded crash/resume is exercised in `tests/shard.rs`.
 
-use postcard::net::{DcId, FileId, Network, TransferRequest};
+use postcard::net::{DcId, FileId, Network, NetworkBuilder, TransferRequest};
 use postcard::runtime::{
     ArrivalSchedule, FaultPlan, Runtime, RuntimeConfig, RuntimeSnapshot, TierKind,
 };
@@ -254,6 +254,74 @@ fn kill_with_alap_and_backlog_resumes_bit_identically_including_drops() {
     let (a, b) = (resumed.snapshot(), full.snapshot());
     assert!(a.queue_dropped > 0, "dropped counter restored across the kill");
     assert_eq!(a.queue_dropped, b.queue_dropped);
+}
+
+#[test]
+fn alap_follows_a_mid_run_reprice_and_resumes_across_it() {
+    // D1 → D2 direct at price 1 beats the D1 → D0 → D2 relay at 2 + 2 until
+    // slot 3 reprices the direct link to 10. D1 → D0 is down over [6, 8).
+    // One 10 GB D1 → D2 file per slot with a 2-slot window: ALAP lands it
+    // on the direct link in its last slot, or rides the relay across both.
+    const SLOTS: u64 = 10;
+    const REPRICE: u64 = 3;
+    let (d0, d1, d2) = (DcId(0), DcId(1), DcId(2));
+    let network = NetworkBuilder::new(3)
+        .link(d1, d2, 1.0, 100.0)
+        .link(d1, d0, 2.0, 100.0)
+        .link(d0, d2, 2.0, 100.0)
+        .build();
+    let arrivals = ArrivalSchedule::from_requests(
+        (0..SLOTS).map(|s| TransferRequest::new(FileId(s), d1, d2, 10.0, 2, s)).collect(),
+    );
+    let faults = FaultPlan::none().reprice(REPRICE, d1, d2, 10.0).maintain(6, 8, d1, d0);
+    let config = |path: &std::path::Path| RuntimeConfig {
+        tiers: vec![TierKind::Postcard],
+        alap: true,
+        checkpoint_every: 1,
+        checkpoint_path: Some(path.to_string_lossy().into_owned()),
+        ..Default::default()
+    };
+
+    let full_path = ckpt_path("alap_reprice_full.json");
+    let mut full =
+        Runtime::new(network.clone(), arrivals.clone(), faults.clone(), SLOTS, config(&full_path))
+            .unwrap();
+    full.run_to_end().unwrap();
+    std::fs::remove_file(&full_path).ok();
+    assert_eq!(full.metrics().counter("alap_admits"), SLOTS);
+    assert_eq!(full.metrics().counter("price_changes_applied"), 1);
+    assert_eq!(full.metrics().counter("maintenance_outages"), 1);
+    let ledger = full.controller().ledger();
+    for s in 0..SLOTS {
+        let direct = ledger.volume(d1, d2, s + 1);
+        let relay = ledger.volume(d1, d0, s);
+        let on_relay = s >= REPRICE && !(6..8).contains(&s);
+        let (want_direct, want_relay) = if on_relay { (0.0, 10.0) } else { (10.0, 0.0) };
+        assert_eq!(direct.to_bits(), f64::to_bits(want_direct), "file {s}: direct {direct}");
+        assert_eq!(relay.to_bits(), f64::to_bits(want_relay), "file {s}: relay {relay}");
+    }
+
+    // Kill before, at and after the reprice (and inside the outage).
+    for kill_at in [2, 3, 4, 7] {
+        let path = ckpt_path(&format!("alap_reprice_kill_{kill_at}.json"));
+        let mut victim =
+            Runtime::new(network.clone(), arrivals.clone(), faults.clone(), SLOTS, config(&path))
+                .unwrap();
+        for _ in 0..kill_at {
+            victim.run_slot().unwrap().expect("slot within the run");
+        }
+        drop(victim);
+        let mut resumed = Runtime::resume(&path).unwrap();
+        assert_eq!(resumed.next_slot(), kill_at);
+        resumed.run_to_end().unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(resumed.cost_history().len(), full.cost_history().len());
+        for (slot, (a, b)) in resumed.cost_history().iter().zip(full.cost_history()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "kill at {kill_at}: cost diverged at {slot}");
+        }
+        assert_eq!(resumed.controller().export_state(), full.controller().export_state());
+        assert_eq!(resumed.metrics(), full.metrics(), "kill at {kill_at}");
+    }
 }
 
 #[test]
