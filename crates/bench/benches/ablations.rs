@@ -107,7 +107,10 @@ fn ablation_diurnal() {
 }
 
 fn horizon_scaling(c: &mut Criterion) {
-    let network = random_network(9, 6, 100.0);
+    // Three files of at most 100 GB each fit on any direct link of 300
+    // GB/slot, so the batch is feasible at every horizon, including one
+    // slot, where no relay path is available.
+    let network = random_network(9, 6, 300.0);
     let ledger = TrafficLedger::new(6);
     let mut g = c.benchmark_group("postcard_solve_vs_horizon");
     g.sample_size(10);

@@ -1,13 +1,10 @@
-//! # postcard-bench — shared helpers for the benchmark harness
+//! # postcard-bench — shared helpers for the Criterion benches
 //!
-//! The actual benchmarks live in `benches/`; each figure bench prints the
-//! table the paper plots (via `postcard_sim::report`) and then runs a
-//! Criterion micro-benchmark of the per-slot solver kernel that dominates
-//! the simulation's cost.
-
-pub mod admission_baseline;
-pub mod billing_baseline;
-pub mod shard_baseline;
+//! The benchmarks live in `benches/`; each figure bench prints the table
+//! the paper plots (via `postcard_sim::report`) and then runs a Criterion
+//! micro-benchmark of the per-slot solver kernel that dominates the
+//! simulation's cost. Timings of the service path through the real
+//! `Runtime` are slotbench's (`slotbench/`, declared in `BENCHMARK.json`).
 
 use postcard_net::{DcId, FileId, Network, TransferRequest};
 use rand::rngs::StdRng;

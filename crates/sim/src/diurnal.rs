@@ -10,7 +10,7 @@
 //! day's burst into the billing window's free top-5% slots, so its charged
 //! percentile stays at the valley level while the max-charging run's burst
 //! spread raises it; the bill gap is the whole point of percentile-aware
-//! scheduling (the `billing-baseline` bench gates on it).
+//! scheduling (`p95_aware_run_pays_strictly_less_than_max_charging` pins it).
 //!
 //! The preset is deliberately diurnal: a flat valley of small transfers all
 //! day, one large burst **late in each billing window** (once enough of the
@@ -302,7 +302,22 @@ mod tests {
         );
         // Neither controller gives up admissions to get there.
         assert_eq!(cmp.p95_admissions, cmp.max_admissions);
-        assert_eq!(cmp.max_admissions.1, 0, "nothing is rejected at this scale");
+        assert_eq!(cmp.max_admissions, (168, 0), "nothing is rejected at this scale");
+        // The whole pipeline is seeded, so the bills and counts are pinned.
+        for (what, got, want) in [
+            ("max bill", cmp.max_bill, 323.217_669_187_632_85),
+            ("p95 bill", cmp.p95_bill, 32.389_456_394_089_38),
+        ] {
+            let rel = (got - want).abs() / want;
+            assert!(rel <= 1e-9, "{what} {got} drifted from {want} (rel {rel:.3e})");
+        }
+        assert_eq!(cmp.headroom_declined, 12);
+        let again = compare_billing(&DiurnalPreset::three_day(), 1).unwrap();
+        assert_eq!(again.max_bill.to_bits(), cmp.max_bill.to_bits());
+        assert_eq!(again.p95_bill.to_bits(), cmp.p95_bill.to_bits());
+        assert_eq!(again.max_admissions, cmp.max_admissions);
+        assert_eq!(again.p95_admissions, cmp.p95_admissions);
+        assert_eq!(again.headroom_declined, cmp.headroom_declined);
         let figure = cmp.render();
         assert!(figure.contains("p95-aware"), "{figure}");
         assert!(figure.contains("pays"), "{figure}");

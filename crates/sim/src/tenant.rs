@@ -6,7 +6,7 @@
 //! tenant-disjoint by construction. On such instances the sharded
 //! runtime's reconciliation pass never finds a shared-link conflict and
 //! the merged objective must match the unsharded solve — the property the
-//! equivalence tests and the `shard-baseline` bench are built on.
+//! equivalence tests in `tests/shard.rs` are built on.
 //!
 //! Requests carry their owner in the [`FileId`] high bits
 //! ([`FileId::for_tenant`]), which is exactly what
@@ -41,8 +41,8 @@ pub struct TenantScenario {
 }
 
 impl TenantScenario {
-    /// The four-tenant setting used by the equivalence tests and the
-    /// `shard-baseline` bench: 4 clusters of 3 datacenters, ample capacity,
+    /// The four-tenant setting used by the equivalence tests in
+    /// `tests/shard.rs`: 4 clusters of 3 datacenters, ample capacity,
     /// paper-style prices and deadlines.
     pub fn quad() -> Self {
         Self {

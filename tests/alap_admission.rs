@@ -14,6 +14,9 @@
 //! 3. **Cache transparency** — a long-lived scheduler, which keeps each
 //!    pair's cheapest paths across rebases, decides exactly as a fresh
 //!    scheduler built from the committed ledger for every request.
+//!
+//! One seeded replay also pins the admit/reject counts of two large
+//! single-slot bursts.
 
 use postcard::core::{PostcardScheduler, Scheduler};
 use postcard::flow::{AlapRejection, AlapScheduler};
@@ -220,5 +223,42 @@ proptest! {
                 plan.apply_to_ledger(&mut ledger);
             }
         }
+    }
+}
+
+/// Single-slot bursts of 10³ and 10⁴ requests on a 5-DC complete network
+/// with capacities sized so that some requests are rejected. Replayed
+/// request by request through one scheduler, the admit/reject counts are
+/// pinned, which also keeps both bursts discriminating (neither count is
+/// zero).
+#[test]
+fn seeded_bursts_admit_and_reject_pinned_counts() {
+    const DCS: usize = 5;
+    for (seed, requests, capacity, want) in
+        [(103u64, 1_000u64, 100.0, (872, 128)), (104, 10_000, 1_000.0, (9_875, 125))]
+    {
+        let mut price_rng = StdRng::seed_from_u64(seed ^ 0xA1A9);
+        let net =
+            Network::complete_with_prices(DCS, capacity, |_, _| price_rng.gen_range(1.0..=10.0));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut alap = AlapScheduler::new(&net);
+        let (mut admits, mut rejects) = (0u64, 0u64);
+        for id in 0..requests {
+            let src = rng.gen_range(0..DCS);
+            let dst = (src + rng.gen_range(1..DCS)) % DCS;
+            let f = TransferRequest::new(
+                FileId(id),
+                DcId(src),
+                DcId(dst),
+                rng.gen_range(1.0..=10.0),
+                rng.gen_range(1..=4),
+                0,
+            );
+            match alap.admit(&net, &f) {
+                Ok(_) => admits += 1,
+                Err(_) => rejects += 1,
+            }
+        }
+        assert_eq!((admits, rejects), want, "seed {seed}, {requests} requests");
     }
 }
