@@ -515,12 +515,7 @@ fn serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         Some(spec) => parse_tiers(spec)?,
         None => TierKind::default_chain(),
     };
-    // `--queue-capacity` is the documented spelling; `--queue` stays as an
-    // alias from before the queue became a persistent backlog.
-    let queue_capacity: usize = match args.get("queue-capacity") {
-        Some(_) => args.require("queue-capacity")?,
-        None => args.get_or("queue", 1024)?,
-    };
+    let queue_capacity: usize = args.get_or("queue-capacity", 1024)?;
     let max_requeue_attempts: u32 = args.get_or("max-requeue", 2)?;
     let wall_clock = args.switch("wall-clock");
     let strict_analysis = args.switch("strict");
@@ -1112,22 +1107,19 @@ mod tests {
         let trace_path = tmp("queue_trace.csv");
         run_cli(&["gen-network", "--dcs", "4", "--capacity", "500", "--out", &net_path]).unwrap();
         run_cli(&["gen-trace", "--dcs", "4", "--slots", "3", "--out", &trace_path]).unwrap();
-        // The documented spelling and the legacy `--queue` alias both work.
-        for capacity_flag in ["--queue-capacity", "--queue"] {
-            let out = run_cli(&[
-                "serve",
-                "--network",
-                &net_path,
-                "--trace",
-                &trace_path,
-                capacity_flag,
-                "16",
-                "--max-requeue",
-                "1",
-            ])
-            .unwrap();
-            assert!(out.contains("finished"), "{out}");
-        }
+        let out = run_cli(&[
+            "serve",
+            "--network",
+            &net_path,
+            "--trace",
+            &trace_path,
+            "--queue-capacity",
+            "16",
+            "--max-requeue",
+            "1",
+        ])
+        .unwrap();
+        assert!(out.contains("finished"), "{out}");
         let err = run_cli(&[
             "serve",
             "--network",

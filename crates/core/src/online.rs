@@ -213,11 +213,6 @@ impl<S: Scheduler> OnlineController<S> {
         &self.decisions
     }
 
-    /// The scheduler's name.
-    pub fn scheduler_name(&self) -> &'static str {
-        self.scheduler.name()
-    }
-
     /// The scheduler itself (e.g. to read its [`crate::SolveStats`]).
     pub fn scheduler(&self) -> &S {
         &self.scheduler

@@ -1,181 +1,15 @@
-//! Percentile-based charging schemes and cost functions.
+//! How a link's per-slot traffic turns into a bill.
 //!
 //! ISPs charge inter-datacenter traffic with the *q-th percentile* scheme
 //! (paper Sec. II-A): the per-slot traffic volumes of a charging period are
 //! sorted ascending and the volume at the q-th percentile position becomes
-//! the *charging volume* `x`, priced through a non-decreasing piece-wise
-//! linear cost function `c(x)`. The paper's formulation and evaluation use
-//! `q = 100` (the maximum) with a linear cost `c(x) = a · x`.
+//! the *charging volume* `x`, priced through a cost function `c(x)`. Here
+//! `c(x) = a_ij · x` with the link's unit price `a_ij`, as in the paper's
+//! formulation and evaluation, which also use `q = 100` (the maximum).
+//! [`ChargingScheme`] is the one type that says which volume is charged;
+//! [`crate::TrafficLedger`] applies it to recorded traffic.
 
 use serde::{Deserialize, Serialize};
-
-/// A non-decreasing cost function mapping a charged volume (GB) to dollars.
-///
-/// The trait is sealed by convention to the two shapes the paper discusses:
-/// linear and piece-wise linear; user types may implement it for custom
-/// tariffs.
-pub trait CostFunction: std::fmt::Debug {
-    /// Cost in dollars of a charged volume `x ≥ 0`.
-    fn cost(&self, x: f64) -> f64;
-}
-
-/// `c(x) = rate · x` — the flat per-GB price used throughout the paper's
-/// examples and evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LinearCost {
-    /// Price per GB.
-    pub rate: f64,
-}
-
-impl LinearCost {
-    /// Creates a linear cost function.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is negative or non-finite.
-    pub fn new(rate: f64) -> Self {
-        assert!(rate >= 0.0 && rate.is_finite(), "rate must be finite and non-negative");
-        Self { rate }
-    }
-}
-
-impl CostFunction for LinearCost {
-    fn cost(&self, x: f64) -> f64 {
-        self.rate * x
-    }
-}
-
-/// A piece-wise linear, non-decreasing cost function given by breakpoints.
-///
-/// Segment `i` applies between `breakpoints[i].0` and `breakpoints[i+1].0`
-/// with slope `breakpoints[i].1`. A typical volume-discount tariff:
-///
-/// ```
-/// use postcard_net::{CostFunction, PiecewiseLinearCost};
-/// // First 100 GB at $5/GB, beyond that $3/GB.
-/// let c = PiecewiseLinearCost::new(vec![(0.0, 5.0), (100.0, 3.0)]);
-/// assert_eq!(c.cost(50.0), 250.0);
-/// assert_eq!(c.cost(150.0), 500.0 + 150.0);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PiecewiseLinearCost {
-    /// `(volume threshold, slope beyond it)`, thresholds strictly increasing
-    /// starting at 0, slopes non-negative.
-    breakpoints: Vec<(f64, f64)>,
-}
-
-impl PiecewiseLinearCost {
-    /// Creates a piece-wise linear cost function.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `breakpoints` is empty, does not start at volume 0, has
-    /// non-increasing thresholds, or has a negative slope (the function must
-    /// be non-decreasing, as the paper requires).
-    pub fn new(breakpoints: Vec<(f64, f64)>) -> Self {
-        assert!(!breakpoints.is_empty(), "need at least one segment");
-        assert_eq!(breakpoints[0].0, 0.0, "first threshold must be 0");
-        for w in breakpoints.windows(2) {
-            assert!(w[1].0 > w[0].0, "thresholds must be strictly increasing");
-        }
-        assert!(
-            breakpoints.iter().all(|&(_, s)| s >= 0.0 && s.is_finite()),
-            "slopes must be finite and non-negative"
-        );
-        Self { breakpoints }
-    }
-
-    /// Number of linear segments.
-    pub fn num_segments(&self) -> usize {
-        self.breakpoints.len()
-    }
-}
-
-impl CostFunction for PiecewiseLinearCost {
-    fn cost(&self, x: f64) -> f64 {
-        let mut total = 0.0;
-        for (i, &(lo, slope)) in self.breakpoints.iter().enumerate() {
-            if x <= lo {
-                break;
-            }
-            let hi = self.breakpoints.get(i + 1).map_or(f64::INFINITY, |b| b.0);
-            total += slope * (x.min(hi) - lo);
-        }
-        total
-    }
-}
-
-/// The q-th percentile charging scheme.
-///
-/// With per-slot volumes `v_1..v_I` of a charging period sorted ascending,
-/// the charged volume is the entry at 1-based rank `⌈q/100 · I⌉` (so `q=100`
-/// charges the maximum, the setting the paper's formulation optimizes for,
-/// and `q=95` discards the top 5 % of slots).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PercentileScheme {
-    /// The percentile `q ∈ (0, 100]`.
-    pub q: f64,
-}
-
-impl PercentileScheme {
-    /// The 95-th percentile scheme predominant in practice (Sec. II-A).
-    pub const P95: PercentileScheme = PercentileScheme { q: 95.0 };
-    /// The 100-th percentile (maximum) scheme used by the paper's
-    /// formulation and evaluation.
-    pub const MAX: PercentileScheme = PercentileScheme { q: 100.0 };
-
-    /// Creates a scheme.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < q ≤ 100`.
-    pub fn new(q: f64) -> Self {
-        assert!(q > 0.0 && q <= 100.0, "percentile must be in (0, 100]");
-        Self { q }
-    }
-
-    /// Charged volume of a (not necessarily sorted) slice of per-slot
-    /// volumes; 0 for an empty slice.
-    ///
-    /// Selects the charged rank with `select_nth_unstable_by` — O(I) per
-    /// call instead of the O(I log I) full sort, which matters because
-    /// [`crate::TrafficLedger::cost_per_slot_with`] runs this for every
-    /// link every slot. Selection with the same `total_cmp` order picks the
-    /// identical element a sort would place at the charged index.
-    pub fn charged_volume(&self, volumes: &[f64]) -> f64 {
-        if volumes.is_empty() {
-            return 0.0;
-        }
-        let mut work = volumes.to_vec();
-        // postcard-analyze: allow(PA205) — rank lives in (0, len]: q is
-        // asserted ≤ 100 so the product is ≤ len, ceil of a positive value
-        // is ≥ 1, and the clamp below re-establishes the bound even for
-        // pathological float rounding. The cast picks an index, not money.
-        let rank = ((self.q / 100.0) * work.len() as f64).ceil() as usize;
-        let index = rank.clamp(1, work.len()) - 1;
-        *work.select_nth_unstable_by(index, |a, b| a.total_cmp(b)).1
-    }
-
-    /// The 1-based sorted rank charged for a period of `num_slots` slots.
-    ///
-    /// For the paper's example — 95-th percentile over a year of 5-minute
-    /// slots — this is slot 99864:
-    ///
-    /// ```
-    /// use postcard_net::PercentileScheme;
-    /// let slots = 365 * 24 * 60 / 5;
-    /// assert_eq!(PercentileScheme::P95.charged_rank(slots), 99864);
-    /// ```
-    pub fn charged_rank(&self, num_slots: usize) -> usize {
-        if num_slots == 0 {
-            return 0;
-        }
-        // postcard-analyze: allow(PA205) — same bound as charged_volume:
-        // q ∈ (0, 100] keeps the product in (0, num_slots] and the clamp
-        // makes the truncation harmless; the result is a rank, not a bill.
-        (((self.q / 100.0) * num_slots as f64).ceil() as usize).clamp(1, num_slots)
-    }
-}
 
 /// How a link's traffic series turns into billed volume.
 ///
@@ -206,22 +40,31 @@ impl ChargingScheme {
         if spec == "max" {
             return Ok(ChargingScheme::MaxPerSlot);
         }
-        let body = spec
-            .strip_prefix('p')
-            .ok_or_else(|| format!("bad charging spec `{spec}` (want `max` or `p<q>:<window>`)"))?;
-        let (q_str, w_str) = body
-            .split_once(':')
-            .ok_or_else(|| format!("bad charging spec `{spec}` (want `max` or `p<q>:<window>`)"))?;
+        let bad = || format!("bad charging spec `{spec}` (want `max` or `p<q>:<window>`)");
+        let (q_str, w_str) =
+            spec.strip_prefix('p').and_then(|b| b.split_once(':')).ok_or_else(bad)?;
         let q: f64 = q_str.parse().map_err(|_| format!("bad percentile in `{spec}`"))?;
-        if !(q > 0.0 && q <= 100.0) {
-            return Err(format!("percentile in `{spec}` must be in (0, 100]"));
-        }
         let window_slots: usize =
             w_str.parse().map_err(|_| format!("bad window length in `{spec}`"))?;
-        if window_slots == 0 {
-            return Err(format!("window length in `{spec}` must be ≥ 1"));
+        let scheme = ChargingScheme::Percentile { q, window_slots };
+        scheme.validate().map_err(|e| format!("{e} in `{spec}`"))?;
+        Ok(scheme)
+    }
+
+    /// Checks the variant's invariants: `q ∈ (0, 100]` and
+    /// `window_slots ≥ 1`. Schemes also arrive from checkpoint files, so
+    /// every entry point that accepts one calls this before billing with it.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            ChargingScheme::MaxPerSlot => Ok(()),
+            ChargingScheme::Percentile { q, .. } if !(q > 0.0 && q <= 100.0) => {
+                Err(format!("percentile {q} must be in (0, 100]"))
+            }
+            ChargingScheme::Percentile { window_slots: 0, .. } => {
+                Err("window length must be ≥ 1".to_string())
+            }
+            ChargingScheme::Percentile { .. } => Ok(()),
         }
-        Ok(ChargingScheme::Percentile { q, window_slots })
     }
 
     /// The canonical spec string `parse` round-trips.
@@ -232,11 +75,44 @@ impl ChargingScheme {
         }
     }
 
-    /// The per-window percentile scheme; `MaxPerSlot` degenerates to q=100.
-    pub fn percentile(&self) -> PercentileScheme {
-        match self {
-            ChargingScheme::MaxPerSlot => PercentileScheme::MAX,
-            ChargingScheme::Percentile { q, .. } => PercentileScheme::new(*q),
+    /// The 1-based sorted rank `⌈q/100 · num_slots⌉` charged in a window of
+    /// `num_slots` slots (0 for an empty window); `MaxPerSlot` charges rank
+    /// `num_slots`, the maximum.
+    ///
+    /// For the paper's example — 95-th percentile over a year of 5-minute
+    /// slots — this is slot 99864:
+    ///
+    /// ```
+    /// use postcard_net::ChargingScheme;
+    /// let slots = 365 * 24 * 60 / 5;
+    /// let p95 = ChargingScheme::Percentile { q: 95.0, window_slots: slots };
+    /// assert_eq!(p95.charged_rank(slots), 99864);
+    /// ```
+    pub fn charged_rank(&self, num_slots: usize) -> usize {
+        let q = match self {
+            ChargingScheme::MaxPerSlot => 100.0,
+            ChargingScheme::Percentile { q, .. } => *q,
+        };
+        if num_slots == 0 {
+            return 0;
+        }
+        // postcard-analyze: allow(PA205) — rank lives in (0, num_slots]:
+        // a validated q ∈ (0, 100] keeps the product in (0, num_slots], ceil
+        // of a positive value is ≥ 1, and the clamp re-establishes the bound
+        // even for pathological float rounding. The cast picks a rank, not
+        // money.
+        (((q / 100.0) * num_slots as f64).ceil() as usize).clamp(1, num_slots)
+    }
+
+    /// The charged volume of one window of per-slot volumes: the entry at
+    /// [`ChargingScheme::charged_rank`] of the window in ascending
+    /// `total_cmp` order, 0 for an empty window. Selects in place — O(W)
+    /// instead of a full sort, and the same element a sort would place at
+    /// that index — so `window` comes back reordered.
+    pub(crate) fn charge(&self, window: &mut [f64]) -> f64 {
+        match self.charged_rank(window.len()) {
+            0 => 0.0,
+            rank => *window.select_nth_unstable_by(rank - 1, f64::total_cmp).1,
         }
     }
 
@@ -266,7 +142,7 @@ impl ChargingScheme {
         match self {
             ChargingScheme::MaxPerSlot => 0,
             ChargingScheme::Percentile { window_slots, .. } => {
-                window_slots - self.percentile().charged_rank(*window_slots)
+                window_slots - self.charged_rank(*window_slots)
             }
         }
     }
@@ -282,45 +158,16 @@ impl std::fmt::Display for ChargingScheme {
 mod tests {
     use super::*;
 
-    #[test]
-    fn linear_cost() {
-        let c = LinearCost::new(2.5);
-        assert_eq!(c.cost(4.0), 10.0);
-        assert_eq!(c.cost(0.0), 0.0);
-    }
-
-    #[test]
-    fn piecewise_cost_continuity() {
-        let c = PiecewiseLinearCost::new(vec![(0.0, 5.0), (100.0, 3.0), (200.0, 1.0)]);
-        assert_eq!(c.cost(100.0), 500.0);
-        assert!((c.cost(100.0 + 1e-9) - 500.0).abs() < 1e-6);
-        assert_eq!(c.cost(250.0), 500.0 + 300.0 + 50.0);
-        assert_eq!(c.num_segments(), 3);
-    }
-
-    #[test]
-    fn piecewise_is_non_decreasing() {
-        let c = PiecewiseLinearCost::new(vec![(0.0, 2.0), (10.0, 0.0), (20.0, 4.0)]);
-        let mut prev = 0.0;
-        for i in 0..100 {
-            let x = i as f64 * 0.5;
-            let v = c.cost(x);
-            assert!(v >= prev - 1e-12);
-            prev = v;
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn piecewise_rejects_bad_thresholds() {
-        PiecewiseLinearCost::new(vec![(0.0, 1.0), (0.0, 2.0)]);
+    fn pct(q: f64) -> ChargingScheme {
+        ChargingScheme::Percentile { q, window_slots: 20 }
     }
 
     #[test]
     fn max_percentile_charges_maximum() {
-        let s = PercentileScheme::MAX;
-        assert_eq!(s.charged_volume(&[3.0, 9.0, 1.0]), 9.0);
-        assert_eq!(s.charged_volume(&[]), 0.0);
+        for s in [ChargingScheme::MaxPerSlot, pct(100.0)] {
+            assert_eq!(s.charge(&mut [3.0, 9.0, 1.0]), 9.0);
+            assert_eq!(s.charge(&mut []), 0.0);
+        }
     }
 
     #[test]
@@ -328,31 +175,26 @@ mod tests {
         // 20 slots, one huge spike: p95 charges the 19th sorted slot.
         let mut v = vec![1.0; 19];
         v.push(1000.0);
-        assert_eq!(PercentileScheme::P95.charged_volume(&v), 1.0);
+        assert_eq!(pct(95.0).charge(&mut v), 1.0);
         // Two spikes in 20 slots: the 19th sorted value is the smaller spike.
         let mut v = vec![1.0; 18];
         v.push(500.0);
         v.push(1000.0);
-        assert_eq!(PercentileScheme::P95.charged_volume(&v), 500.0);
+        assert_eq!(pct(95.0).charge(&mut v), 500.0);
     }
 
     #[test]
     fn paper_example_rank() {
         // 95% × 365 × 24 × 60 / 5 = 99864 (paper Sec. II-A).
-        assert_eq!(PercentileScheme::P95.charged_rank(105120), 99864);
+        assert_eq!(pct(95.0).charged_rank(105120), 99864);
+        assert_eq!(pct(95.0).charged_rank(0), 0);
+        assert_eq!(ChargingScheme::MaxPerSlot.charged_rank(7), 7);
     }
 
     #[test]
     fn median_percentile() {
-        let s = PercentileScheme::new(50.0);
-        assert_eq!(s.charged_volume(&[1.0, 2.0, 3.0, 4.0]), 2.0);
-        assert_eq!(s.charged_volume(&[5.0]), 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile must be")]
-    fn zero_percentile_rejected() {
-        PercentileScheme::new(0.0);
+        assert_eq!(pct(50.0).charge(&mut [1.0, 2.0, 3.0, 4.0]), 2.0);
+        assert_eq!(pct(50.0).charge(&mut [5.0]), 5.0);
     }
 
     #[test]
@@ -367,7 +209,9 @@ mod tests {
 
     #[test]
     fn charging_scheme_rejects_bad_specs() {
-        for bad in ["", "p95", "p0:10", "p101:10", "p95:0", "p95:x", "px:10", "q95:10"] {
+        for bad in [
+            "", "p95", "p0:10", "p-5:10", "p101:10", "pNaN:10", "p95:0", "p95:x", "px:10", "q95:10",
+        ] {
             assert!(ChargingScheme::parse(bad).is_err(), "`{bad}` should be rejected");
         }
     }

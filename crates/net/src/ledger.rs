@@ -4,10 +4,11 @@
 //! The paper's key accounting quantity is the *traffic volume to be charged*
 //! on link `{i, j}` after transmitting files generated up to slot `t`:
 //! `X_ij(t) = max(X_ij(t−1), max_n Σ_k M_ij^k(n))` under the 100-th
-//! percentile scheme. The ledger generalizes this to any percentile for
-//! reporting purposes while tracking the running peak incrementally.
+//! percentile scheme. The ledger tracks that running peak incrementally and
+//! prices any [`ChargingScheme`]; every percentile bill goes through one
+//! private helper that charges one link's aligned, zero-padded window.
 
-use crate::charging::{ChargingScheme, PercentileScheme};
+use crate::charging::ChargingScheme;
 use crate::topology::{DcId, Network};
 use serde::{Deserialize, Serialize};
 
@@ -87,50 +88,6 @@ impl TrafficLedger {
         self.peak[from.0 * self.n + to.0]
     }
 
-    /// Charged volume of a link under an arbitrary percentile scheme over
-    /// the *current* billing window — the last aligned `period_slots`-sized
-    /// window `[k·P, (k+1)·P)` containing the ledger horizon. Unwritten
-    /// slots inside the window count as 0, so the window is always evaluated
-    /// at exactly `period_slots` slots.
-    ///
-    /// Earlier windows are closed books: their charges are fixed and queried
-    /// per window via [`TrafficLedger::window_series`] /
-    /// [`TrafficLedger::total_bill`], never mixed into the current window.
-    /// (The old implementation charged over the entire recorded history once
-    /// the series outgrew `period_slots`, which both diluted the percentile
-    /// rank with stale slots and let a long-past spike dominate forever.)
-    pub fn charged_volume(
-        &self,
-        from: DcId,
-        to: DcId,
-        scheme: PercentileScheme,
-        period_slots: usize,
-    ) -> f64 {
-        assert!(period_slots > 0, "charging period must be ≥ 1 slot");
-        let series = self.series(from, to);
-        let horizon = self.horizon() as usize;
-        let start = if horizon == 0 { 0 } else { ((horizon - 1) / period_slots) * period_slots };
-        let mut window = vec![0.0; period_slots];
-        for (k, v) in window.iter_mut().enumerate() {
-            *v = series.get(start + k).copied().unwrap_or(0.0);
-        }
-        scheme.charged_volume(&window)
-    }
-
-    /// The per-slot volumes of the aligned billing window starting at
-    /// `window_start`, padded with zeros to exactly `window_slots` entries.
-    pub fn window_series(
-        &self,
-        from: DcId,
-        to: DcId,
-        window_start: u64,
-        window_slots: usize,
-    ) -> Vec<f64> {
-        let series = self.series(from, to);
-        let start = window_start as usize;
-        (0..window_slots).map(|k| series.get(start + k).copied().unwrap_or(0.0)).collect()
-    }
-
     /// The *baseline* of the billing window containing `slot` on a link:
     /// the volume its charged rank currently sits at, with the window's
     /// not-yet-written slots padded as zeros (exactly how the window will be
@@ -139,9 +96,8 @@ impl TrafficLedger {
     pub fn window_baseline(&self, from: DcId, to: DcId, scheme: ChargingScheme, slot: u64) -> f64 {
         match scheme {
             ChargingScheme::MaxPerSlot => self.peak(from, to),
-            ChargingScheme::Percentile { window_slots, .. } => {
-                let window = self.window_series(from, to, scheme.window_start(slot), window_slots);
-                scheme.percentile().charged_volume(&window)
+            ChargingScheme::Percentile { .. } => {
+                self.window_charge(from, to, scheme, scheme.window_start(slot), &mut Vec::new())
             }
         }
     }
@@ -161,10 +117,54 @@ impl TrafficLedger {
         if free == 0 {
             return 0;
         }
-        let baseline = self.window_baseline(from, to, scheme, slot);
-        let window = self.window_series(from, to, scheme.window_start(slot), scheme.window_slots());
-        let above = window.iter().filter(|&&v| v > baseline).count();
-        free.saturating_sub(above)
+        let mut window = Vec::new();
+        let baseline = self.window_charge(from, to, scheme, scheme.window_start(slot), &mut window);
+        free.saturating_sub(window.iter().filter(|&&v| v > baseline).count())
+    }
+
+    /// The charge of one link's aligned billing window `[start, start + W)`
+    /// under a `Percentile` scheme: the window's per-slot volumes,
+    /// zero-padded to exactly `W` entries, at the scheme's charged rank.
+    /// The only place a billing window is built; `window` is the reusable
+    /// buffer it is built in, left holding the window's volumes in
+    /// selection order.
+    fn window_charge(
+        &self,
+        from: DcId,
+        to: DcId,
+        scheme: ChargingScheme,
+        start: u64,
+        window: &mut Vec<f64>,
+    ) -> f64 {
+        let series = self.series(from, to);
+        let start = (start as usize).min(series.len());
+        let end = start.saturating_add(scheme.window_slots()).min(series.len());
+        window.clear();
+        window.extend_from_slice(&series[start..end]);
+        window.resize(scheme.window_slots(), 0.0);
+        scheme.charge(window)
+    }
+
+    /// `Σ_links price · Σ_{k ∈ windows} charge(window k)` under a
+    /// `Percentile` scheme, links in network order.
+    fn bill_windows(
+        &self,
+        network: &Network,
+        scheme: ChargingScheme,
+        windows: std::ops::Range<u64>,
+    ) -> f64 {
+        let w = scheme.window_slots() as u64;
+        let mut window = Vec::with_capacity(scheme.window_slots());
+        network
+            .links()
+            .map(|l| {
+                let charged: f64 = windows
+                    .clone()
+                    .map(|k| self.window_charge(l.from, l.to, scheme, k * w, &mut window))
+                    .sum();
+                l.price * charged
+            })
+            .sum()
     }
 
     /// One slot past the last recorded slot, across all links.
@@ -194,27 +194,17 @@ impl TrafficLedger {
         network.links().map(|l| l.price * self.peak(l.from, l.to)).sum()
     }
 
-    /// The bill per slot under an arbitrary percentile scheme.
-    pub fn cost_per_slot_with(
-        &self,
-        network: &Network,
-        scheme: PercentileScheme,
-        period_slots: usize,
-    ) -> f64 {
-        network
-            .links()
-            .map(|l| l.price * self.charged_volume(l.from, l.to, scheme, period_slots))
-            .sum()
-    }
-
     /// The running bill per slot under a [`ChargingScheme`]: `MaxPerSlot` is
     /// the classic priced-peak sum, `Percentile` charges the *current*
-    /// billing window of every link at its percentile rank.
+    /// billing window of every link — the aligned window containing the
+    /// ledger horizon's last slot — at its percentile rank. Earlier windows
+    /// are closed books, billed by [`TrafficLedger::total_bill`].
     pub fn cost_per_slot_scheme(&self, network: &Network, scheme: ChargingScheme) -> f64 {
         match scheme {
             ChargingScheme::MaxPerSlot => self.cost_per_slot(network),
             ChargingScheme::Percentile { window_slots, .. } => {
-                self.cost_per_slot_with(network, scheme.percentile(), window_slots)
+                let current = self.horizon().saturating_sub(1) / window_slots as u64;
+                self.bill_windows(network, scheme, current..current + 1)
             }
         }
     }
@@ -233,26 +223,8 @@ impl TrafficLedger {
         match scheme {
             ChargingScheme::MaxPerSlot => self.cost_per_slot(network),
             ChargingScheme::Percentile { window_slots, .. } => {
-                let horizon = self.horizon();
-                let windows = if horizon == 0 { 1 } else { horizon.div_ceil(window_slots as u64) };
-                let p = scheme.percentile();
-                network
-                    .links()
-                    .map(|l| {
-                        let per_window: f64 = (0..windows)
-                            .map(|k| {
-                                let window = self.window_series(
-                                    l.from,
-                                    l.to,
-                                    k * window_slots as u64,
-                                    window_slots,
-                                );
-                                p.charged_volume(&window)
-                            })
-                            .sum();
-                        l.price * per_window
-                    })
-                    .sum()
+                let windows = self.horizon().div_ceil(window_slots as u64).max(1);
+                self.bill_windows(network, scheme, 0..windows)
             }
         }
     }
@@ -296,14 +268,21 @@ mod tests {
         assert!((l.cost_per_slot(&net) - (2.0 * 10.0 + 2.0 * 4.0)).abs() < 1e-12);
     }
 
+    /// The current-window charge of link 0→1 on a unit-price network
+    /// (the reverse link carries nothing, so the bill is the charge).
+    fn current_charge(l: &TrafficLedger, q: f64, window_slots: usize) -> f64 {
+        let net = Network::complete(2, 1.0, 1e9);
+        l.cost_per_slot_scheme(&net, ChargingScheme::Percentile { q, window_slots })
+    }
+
     #[test]
     fn percentile_charging_pads_with_zeros() {
         let mut l = TrafficLedger::new(2);
         l.record(d(0), d(1), 0, 100.0);
         // Over a 20-slot period, p95 charges the 19th sorted slot = 0.
-        assert_eq!(l.charged_volume(d(0), d(1), PercentileScheme::P95, 20), 0.0);
+        assert_eq!(current_charge(&l, 95.0, 20), 0.0);
         // p100 still charges the spike.
-        assert_eq!(l.charged_volume(d(0), d(1), PercentileScheme::MAX, 20), 100.0);
+        assert_eq!(current_charge(&l, 100.0, 20), 100.0);
     }
 
     #[test]
@@ -337,11 +316,10 @@ mod tests {
     }
 
     #[test]
-    fn charged_volume_uses_last_window_not_whole_history() {
+    fn current_window_charge_ignores_closed_windows() {
         // Regression: with a series spanning two 10-slot windows, the charge
-        // must come from the *current* window only. The old code resized to
-        // `period_slots.max(series.len())`, silently charging over the whole
-        // history once the series outgrew the period.
+        // must come from the *current* window only, never from the whole
+        // history once the series outgrew the window.
         let mut l = TrafficLedger::new(2);
         // Window 0 (slots 0..10): a huge spike.
         l.record(d(0), d(1), 3, 1000.0);
@@ -351,24 +329,24 @@ mod tests {
         }
         // p100 over the current 10-slot window sees only the quiet traffic —
         // NOT the window-0 spike.
-        assert_eq!(l.charged_volume(d(0), d(1), PercentileScheme::MAX, 10), 2.0);
-        // p95 over a 20-slot period: horizon is 15, so the current aligned
+        assert_eq!(current_charge(&l, 100.0, 10), 2.0);
+        // p95 over a 20-slot window: horizon is 15, so the current aligned
         // 20-slot window is [0, 20) and the spike is its single free slot.
-        assert_eq!(l.charged_volume(d(0), d(1), PercentileScheme::P95, 20), 2.0);
+        assert_eq!(current_charge(&l, 95.0, 20), 2.0);
     }
 
     #[test]
-    fn charged_volume_at_exact_window_boundary() {
+    fn current_window_charge_at_exact_window_boundary() {
         let mut l = TrafficLedger::new(2);
         // Exactly one full 10-slot window recorded: slot 9 is the last slot
         // of window 0, so the current window is still window 0.
         for s in 0..10 {
             l.record(d(0), d(1), s, (s + 1) as f64);
         }
-        assert_eq!(l.charged_volume(d(0), d(1), PercentileScheme::MAX, 10), 10.0);
+        assert_eq!(current_charge(&l, 100.0, 10), 10.0);
         // One record into slot 10 rolls over to window 1: only slot 10 counts.
         l.record(d(0), d(1), 10, 3.0);
-        assert_eq!(l.charged_volume(d(0), d(1), PercentileScheme::MAX, 10), 3.0);
+        assert_eq!(current_charge(&l, 100.0, 10), 3.0);
     }
 
     #[test]
@@ -415,6 +393,8 @@ mod tests {
         let empty = TrafficLedger::new(2);
         assert_eq!(empty.total_bill(&net, p100), 0.0);
         assert_eq!(empty.total_bill(&net, ChargingScheme::MaxPerSlot), 0.0);
+        let one_slot = ChargingScheme::Percentile { q: 95.0, window_slots: 1 };
+        assert_eq!(empty.cost_per_slot_scheme(&net, one_slot), 0.0);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   one virtual node per datacenter per slot boundary, transit arcs between
 //!   consecutive layers, and zero-cost infinite-capacity *storage* arcs
 //!   `i^n → i^{n+1}` expressing store-and-forward;
-//! * [`PercentileScheme`] and cost functions — the q-th percentile charging
-//!   model of Sec. II-A (the paper's evaluation uses `q = 100`);
+//! * [`ChargingScheme`] — the q-th percentile charging model of Sec. II-A
+//!   over aligned billing windows (the paper's evaluation uses `q = 100`,
+//!   [`ChargingScheme::MaxPerSlot`]), the one way a ledger is priced;
 //! * [`TrafficLedger`] — per-slot, per-link traffic volumes with charged
 //!   volume tracking `X_ij(t)` and residual capacities;
 //! * [`TransferPlan`] — the decision tensor `M_ij^k(n)` with full validation
@@ -55,9 +56,7 @@ mod plan;
 mod timeexp;
 mod topology;
 
-pub use charging::{
-    ChargingScheme, CostFunction, LinearCost, PercentileScheme, PiecewiseLinearCost,
-};
+pub use charging::ChargingScheme;
 pub use file::{FileId, TransferRequest, TENANT_BITS};
 pub use ledger::TrafficLedger;
 pub use plan::{PlanEntry, PlanViolation, TransferPlan};

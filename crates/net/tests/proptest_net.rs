@@ -2,13 +2,32 @@
 //! ledger accounting, time expansion, and (metamorphic) plan validation.
 
 use postcard_net::{
-    Arc, ArcKind, ChargingScheme, DcId, FileId, Network, PercentileScheme, TimeExpandedGraph,
-    TrafficLedger, TransferPlan, TransferRequest,
+    Arc, ArcKind, ChargingScheme, DcId, FileId, Network, TimeExpandedGraph, TrafficLedger,
+    TransferPlan, TransferRequest,
 };
 use proptest::prelude::*;
 
 fn volumes() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.0f64..1000.0, 1..40)
+}
+
+/// The charge of `vols` as one whole billing window: the volumes are
+/// recorded into slots `0..len` of link 0→1 and the window's baseline read
+/// back, so the window holds exactly `vols`.
+fn window_charge(vols: &[f64], q: f64) -> f64 {
+    let mut ledger = TrafficLedger::new(2);
+    for (slot, &v) in vols.iter().enumerate() {
+        ledger.record(DcId(0), DcId(1), slot as u64, v);
+    }
+    let scheme = ChargingScheme::Percentile { q, window_slots: vols.len() };
+    ledger.window_baseline(DcId(0), DcId(1), scheme, 0)
+}
+
+/// The current-window charge of link 0→1: the scheme's running bill on a
+/// unit-price network whose reverse link carries nothing.
+fn current_charge(ledger: &TrafficLedger, q: f64, window_slots: usize) -> f64 {
+    let net = Network::complete(2, 1.0, 1e9);
+    ledger.cost_per_slot_scheme(&net, ChargingScheme::Percentile { q, window_slots })
 }
 
 proptest! {
@@ -19,11 +38,11 @@ proptest! {
     #[test]
     fn percentile_charging_properties(vols in volumes(), q1 in 1.0f64..100.0, q2 in 1.0f64..100.0) {
         let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
-        let a = PercentileScheme::new(lo).charged_volume(&vols);
-        let b = PercentileScheme::new(hi).charged_volume(&vols);
+        let a = window_charge(&vols, lo);
+        let b = window_charge(&vols, hi);
         prop_assert!(a <= b + 1e-12, "charging must be monotone in q: {a} vs {b}");
         prop_assert!(vols.iter().any(|&v| (v - a).abs() < 1e-12));
-        let max = PercentileScheme::MAX.charged_volume(&vols);
+        let max = window_charge(&vols, 100.0);
         let true_max = vols.iter().cloned().fold(0.0f64, f64::max);
         prop_assert!((max - true_max).abs() < 1e-12);
     }
@@ -127,8 +146,7 @@ proptest! {
     /// `total_cmp` sort puts at the charged index, bit for bit.
     #[test]
     fn charged_volume_matches_sort_oracle(vols in volumes(), q in 1.0f64..=100.0) {
-        let scheme = PercentileScheme::new(q);
-        let fast = scheme.charged_volume(&vols);
+        let fast = window_charge(&vols, q);
         let mut sorted = vols.clone();
         sorted.sort_by(|a, b| a.total_cmp(b));
         let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
@@ -151,8 +169,8 @@ proptest! {
             ledger.record(DcId(0), DcId(1), slot, vol);
         }
         let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
-        let a = ledger.charged_volume(DcId(0), DcId(1), PercentileScheme::new(lo), window);
-        let b = ledger.charged_volume(DcId(0), DcId(1), PercentileScheme::new(hi), window);
+        let a = current_charge(&ledger, lo, window);
+        let b = current_charge(&ledger, hi, window);
         prop_assert!(a <= b + 1e-12, "window charge must be monotone in q: {} vs {}", a, b);
 
         // Any window at least as long as the horizon holds the entire series
@@ -160,7 +178,7 @@ proptest! {
         // q=100 equals the running peak exactly.
         let horizon = ledger.horizon() as usize;
         for w in [horizon, horizon + 1, horizon + 17] {
-            let charged = ledger.charged_volume(DcId(0), DcId(1), PercentileScheme::MAX, w);
+            let charged = current_charge(&ledger, 100.0, w);
             prop_assert_eq!(charged.to_bits(), ledger.peak(DcId(0), DcId(1)).to_bits());
         }
 
@@ -174,8 +192,7 @@ proptest! {
     #[test]
     fn empty_windows_charge_zero(window in 1usize..30, q in 1.0f64..=100.0) {
         let ledger = TrafficLedger::new(2);
-        let charged = ledger.charged_volume(DcId(0), DcId(1), PercentileScheme::new(q), window);
-        prop_assert_eq!(charged, 0.0);
+        prop_assert_eq!(current_charge(&ledger, q, window), 0.0);
         let scheme = ChargingScheme::Percentile { q, window_slots: window };
         prop_assert_eq!(ledger.window_baseline(DcId(0), DcId(1), scheme, 0), 0.0);
         prop_assert_eq!(ledger.burst_budget(DcId(0), DcId(1), scheme, 0), scheme.free_slots());

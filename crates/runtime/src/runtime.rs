@@ -282,6 +282,7 @@ impl Runtime {
         if config.shards == 0 {
             return Err(RuntimeError::Config("shard count must be at least 1".into()));
         }
+        config.charging.validate().map_err(|e| RuntimeError::Config(format!("charging: {e}")))?;
         if config.tiers.contains(&TierKind::Headroom) && config.charging.free_slots() == 0 {
             return Err(RuntimeError::Config(
                 "the headroom tier needs a percentile charging scheme with free slots \
@@ -1317,6 +1318,38 @@ mod tests {
         assert_eq!(rt.metrics().counter("fallback_activations"), 0);
         assert_eq!(rt.metrics().counter("slots_on_fallback_tier"), 0);
         assert_eq!(rt.metrics().counter("files_accepted"), 2);
+    }
+
+    #[test]
+    fn out_of_range_charging_schemes_are_rejected() {
+        for q in [0.0, 150.0] {
+            let config = RuntimeConfig {
+                charging: ChargingScheme::Percentile { q, window_slots: 48 },
+                ..Default::default()
+            };
+            assert!(
+                matches!(
+                    Runtime::new(net(), arrivals(), FaultPlan::none(), 1, config),
+                    Err(RuntimeError::Config(_))
+                ),
+                "q = {q}"
+            );
+        }
+        let no_window = RuntimeConfig {
+            charging: ChargingScheme::Percentile { q: 95.0, window_slots: 0 },
+            ..Default::default()
+        };
+        assert!(matches!(
+            Runtime::new(net(), arrivals(), FaultPlan::none(), 1, no_window),
+            Err(RuntimeError::Config(_))
+        ));
+        // A checkpoint carrying a bad scheme is refused the same way.
+        let mut snap =
+            Runtime::new(net(), arrivals(), FaultPlan::none(), 1, RuntimeConfig::default())
+                .unwrap()
+                .snapshot();
+        snap.config.charging = ChargingScheme::Percentile { q: 0.0, window_slots: 48 };
+        assert!(matches!(Runtime::from_snapshot(snap), Err(RuntimeError::Config(_))));
     }
 
     #[test]

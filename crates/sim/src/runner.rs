@@ -14,6 +14,7 @@ use postcard_core::{
     DirectScheduler, FlowLpScheduler, GreedyScheduler, OnlineController, PostcardConfig,
     PostcardError, PostcardScheduler, Scheduler, TwoPhaseScheduler,
 };
+use postcard_net::ChargingScheme;
 
 /// The approaches the simulator can compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -171,20 +172,30 @@ pub fn run_trace(
     run: usize,
 ) -> Result<RunResult, PostcardError> {
     let mut ctl = OnlineController::new(network.clone(), approach.scheduler());
-    let mut cost_sum = 0.0;
     for slot in 0..num_slots {
-        let batch = trace.batch(slot);
-        let report = ctl.step(slot, &batch)?;
-        cost_sum += report.cost_per_slot;
+        ctl.step(slot, &trace.batch(slot))?;
     }
+    Ok(run_result(&ctl, approach, run, num_slots))
+}
+
+/// The metrics of one finished run, read off the controller that ran it
+/// (a bare one here, the service runtime's in [`crate::run_trace_service`]).
+pub(crate) fn run_result<S: Scheduler>(
+    ctl: &OnlineController<S>,
+    approach: Approach,
+    run: usize,
+    num_slots: u64,
+) -> RunResult {
     let (accepted, rejected) = ctl.admission_counts();
     let (accepted_volume, rejected_volume) = ctl.admission_volumes();
-    let p95_cost_per_slot = ctl.ledger().cost_per_slot_with(
-        network,
-        postcard_net::PercentileScheme::P95,
-        ctl.ledger().horizon() as usize,
-    );
-    Ok(RunResult {
+    // `+ 0.0` turns the empty sum's -0.0 into 0.0 and leaves the bits of
+    // every non-zero sum unchanged.
+    let cost_sum = ctl.cost_history().iter().sum::<f64>() + 0.0;
+    // p95 over one billing window covering the whole horizon. A run that
+    // booked nothing has horizon 0 and bills 0 over a one-slot window.
+    let window_slots = (ctl.ledger().horizon() as usize).max(1);
+    let p95 = ChargingScheme::Percentile { q: 95.0, window_slots };
+    RunResult {
         approach,
         run,
         num_slots,
@@ -194,8 +205,8 @@ pub fn run_trace(
         rejected,
         accepted_volume,
         rejected_volume,
-        p95_cost_per_slot,
-    })
+        p95_cost_per_slot: ctl.ledger().cost_per_slot_scheme(ctl.network(), p95),
+    }
 }
 
 /// Runs a scenario: `num_runs` paired repetitions of every approach.
@@ -300,6 +311,17 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn empty_run_bills_zero_at_p95() {
+        // A run that books nothing leaves a horizon-0 ledger; its p95 column
+        // is a zero bill, not a zero-length billing window.
+        let network = Scenario::fig4().tiny().network(1);
+        let r = run_trace(&network, &Trace::from_requests(Vec::new()), 0, Approach::Postcard, 0)
+            .unwrap();
+        assert_eq!(r.p95_cost_per_slot, 0.0);
+        assert_eq!(r.avg_cost_per_slot.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

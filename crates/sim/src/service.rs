@@ -9,7 +9,7 @@
 //! runtime a drop-in for experiments that also want crash-safety or fault
 //! injection.
 
-use crate::runner::{summarize, Approach, ApproachSummary, RunResult};
+use crate::runner::{run_result, summarize, Approach, ApproachSummary, RunResult};
 use crate::scenario::Scenario;
 use crate::workload::Trace;
 use postcard_net::Network;
@@ -57,28 +57,7 @@ pub fn run_trace_service(
         Runtime::new(network.clone(), trace_to_arrivals(trace), faults, num_slots, config)?;
     rt.run_to_end()?;
 
-    let ctl = rt.controller();
-    let (accepted, rejected) = ctl.admission_counts();
-    let (accepted_volume, rejected_volume) = ctl.admission_volumes();
-    let cost_sum: f64 = ctl.cost_history().iter().sum();
-    let slots = rt.num_slots();
-    let p95_cost_per_slot = ctl.ledger().cost_per_slot_with(
-        ctl.network(),
-        postcard_net::PercentileScheme::P95,
-        ctl.ledger().horizon() as usize,
-    );
-    let result = RunResult {
-        approach,
-        run,
-        num_slots: slots,
-        avg_cost_per_slot: cost_sum / slots.max(1) as f64,
-        final_cost_per_slot: ctl.cost_per_slot(),
-        accepted,
-        rejected,
-        accepted_volume,
-        rejected_volume,
-        p95_cost_per_slot,
-    };
+    let result = run_result(rt.controller(), approach, run, rt.num_slots());
     Ok(ServiceRunResult { result, metrics: rt.metrics().clone() })
 }
 

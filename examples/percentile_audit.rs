@@ -12,7 +12,7 @@
 //! ```
 
 use postcard::core::{OnlineController, PostcardScheduler};
-use postcard::net::PercentileScheme;
+use postcard::net::ChargingScheme;
 use postcard::sim::{Scenario, Trace};
 
 fn main() {
@@ -26,7 +26,9 @@ fn main() {
         ctl.step(slot, &trace.batch(slot)).expect("simulation step");
     }
     let ledger = ctl.ledger();
-    let period = ledger.horizon() as usize;
+    // One billing window covering the whole simulated period.
+    let period = (ledger.horizon() as usize).max(1);
+    let scheme = |q| ChargingScheme::Percentile { q, window_slots: period };
 
     println!(
         "simulated {} slots, {} files, {:.0} GB carried",
@@ -36,9 +38,9 @@ fn main() {
     );
     println!();
     println!("{:>12}  {:>14}  {:>16}", "scheme", "bill per slot", "vs 100th pctile");
-    let p100 = ledger.cost_per_slot_with(&network, PercentileScheme::MAX, period);
+    let p100 = ledger.cost_per_slot_scheme(&network, scheme(100.0));
     for q in [100.0, 99.0, 95.0, 90.0, 50.0] {
-        let bill = ledger.cost_per_slot_with(&network, PercentileScheme::new(q), period);
+        let bill = ledger.cost_per_slot_scheme(&network, scheme(q));
         println!(
             "{:>11.0}%  {:>14.2}  {:>15.1}%",
             q,
@@ -49,10 +51,10 @@ fn main() {
     println!();
     println!(
         "every link's charged rank in a {period}-slot period under p95: slot #{}",
-        PercentileScheme::P95.charged_rank(period)
+        scheme(95.0).charged_rank(period)
     );
     println!(
         "(the paper's example: a one-year period of 5-minute slots charges sorted slot #{})",
-        PercentileScheme::P95.charged_rank(365 * 24 * 60 / 5)
+        scheme(95.0).charged_rank(365 * 24 * 60 / 5)
     );
 }
