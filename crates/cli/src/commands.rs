@@ -2,13 +2,11 @@
 
 use crate::args::{parse_range_f64, parse_range_usize, ArgError, Args};
 use postcard_core::{Decision, OnlineController};
-use postcard_net::{ChargingScheme, Network, TransferPlan};
-use postcard_runtime::{
-    ArrivalSchedule, ClockKind, FaultPlan, Runtime, RuntimeConfig, ShardBy, TierKind,
-};
+use postcard_net::{ChargingScheme, Network, Trace, TransferPlan};
+use postcard_runtime::{ClockKind, FaultPlan, Runtime, RuntimeConfig, ShardBy, TierKind};
 use postcard_sim::{
     compare_billing, report, run_scenario, run_scenario_service, Approach, DiurnalPreset, Scenario,
-    Trace, UniformWorkload, WorkloadConfig,
+    UniformWorkload, WorkloadConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -223,8 +221,7 @@ fn schedule(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 
     let network =
         Network::from_csv(&std::fs::read_to_string(&network_path)?).map_err(CliError::Run)?;
-    let trace = Trace::from_csv(&std::fs::read_to_string(&trace_path)?)
-        .map_err(|e| CliError::Run(e.to_string()))?;
+    let trace = Trace::from_csv(&std::fs::read_to_string(&trace_path)?).map_err(CliError::Run)?;
     for r in trace.requests() {
         if r.src.index() >= network.num_dcs() || r.dst.index() >= network.num_dcs() {
             return Err(CliError::Run(format!(
@@ -238,8 +235,7 @@ fn schedule(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let mut ctl = OnlineController::new(network.clone(), approach.scheduler()).with_decision_log();
     let num_slots = trace.num_slots();
     for slot in 0..num_slots {
-        let batch = trace.batch(slot);
-        let report = ctl.step(slot, &batch).map_err(|e| CliError::Run(e.to_string()))?;
+        let report = ctl.step(slot, trace.batch(slot)).map_err(|e| CliError::Run(e.to_string()))?;
         if !report.rejected.is_empty() {
             writeln!(out, "slot {slot}: rejected {} file(s)", report.rejected.len())?;
         }
@@ -544,7 +540,7 @@ fn serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let network =
         Network::from_csv(&std::fs::read_to_string(&network_path)?).map_err(CliError::Run)?;
     let arrivals =
-        ArrivalSchedule::from_csv(&std::fs::read_to_string(&trace_path)?).map_err(CliError::Run)?;
+        Trace::from_csv(&std::fs::read_to_string(&trace_path)?).map_err(CliError::Run)?;
     if shards > 1
         && shard_by == ShardBy::Tenant
         && arrivals.requests().iter().all(|r| r.id.tenant() == 0)
@@ -642,13 +638,12 @@ fn analyze_model(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     args.reject_unknown()?;
     let network =
         Network::from_csv(&std::fs::read_to_string(&network_path)?).map_err(CliError::Run)?;
-    let trace = Trace::from_csv(&std::fs::read_to_string(&trace_path)?)
-        .map_err(|e| CliError::Run(e.to_string()))?;
-    let files = trace.requests().to_vec();
+    let trace = Trace::from_csv(&std::fs::read_to_string(&trace_path)?).map_err(CliError::Run)?;
+    let files = trace.requests();
     let ledger = postcard_net::TrafficLedger::new(network.num_dcs());
     let problem = postcard_core::build_postcard_problem(
         &network,
-        &files,
+        files,
         &ledger,
         &postcard_core::PostcardConfig::default(),
     )
@@ -1059,6 +1054,31 @@ mod tests {
             run_cli(&["analyze", "model", "--network", &net_path, "--trace", &trace_path]).unwrap();
         assert!(out.contains("0 error(s)"), "{out}");
         assert!(out.contains("checked"), "{out}");
+    }
+
+    #[test]
+    fn trace_commands_reject_non_finite_sizes_naming_the_line() {
+        // Regression: `schedule` and `analyze model` used a parser that let a
+        // NaN or infinite size through, and then panicked building the
+        // request; every command now reads traces through `Trace::from_csv`.
+        let net_path = tmp("nonfinite_net.csv");
+        run_cli(&["gen-network", "--dcs", "3", "--out", &net_path]).unwrap();
+        for size in ["NaN", "inf"] {
+            let trace_path = tmp(&format!("nonfinite_{size}.csv"));
+            let text =
+                format!("id,src,dst,size_gb,deadline_slots,release_slot\n1,0,1,{size},2,0\n");
+            std::fs::write(&trace_path, text).unwrap();
+            for command in [&["schedule"][..], &["analyze", "model"]] {
+                let mut argv = command.to_vec();
+                argv.extend_from_slice(&["--network", &net_path, "--trace", &trace_path]);
+                match run_cli(&argv) {
+                    Err(CliError::Run(m)) => {
+                        assert_eq!(m, "trace line 2: size must be finite", "{argv:?}")
+                    }
+                    other => panic!("{argv:?} with size {size}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //!   price `a_ij` (paper Sec. III);
 //! * [`TransferRequest`] — the paper's four-tuple `(s_k, d_k, F_k, T_k)`
 //!   describing one delay-tolerant inter-datacenter *file*;
+//! * [`Trace`] — a run's arrivals sorted by release slot, one batch per
+//!   slot, with the CSV format every command reads and writes (a
+//!   [`Workload`] generates one);
 //! * [`TimeExpandedGraph`] — the Ford–Fulkerson time expansion of Sec. V:
 //!   one virtual node per datacenter per slot boundary, transit arcs between
 //!   consecutive layers, and zero-cost infinite-capacity *storage* arcs
@@ -55,6 +58,7 @@ pub mod paths;
 mod plan;
 mod timeexp;
 mod topology;
+mod trace;
 
 pub use charging::ChargingScheme;
 pub use file::{FileId, TransferRequest, TENANT_BITS};
@@ -62,6 +66,7 @@ pub use ledger::TrafficLedger;
 pub use plan::{PlanEntry, PlanViolation, TransferPlan};
 pub use timeexp::{Arc, ArcId, ArcKind, NodeArcs, TimeExpandedGraph, TimeNode};
 pub use topology::{split_csv_fields, DcId, LinkView, Network, NetworkBuilder};
+pub use trace::{Trace, Workload};
 
 /// Numeric tolerance for plan validation and conservation checks.
 pub const VOLUME_TOL: f64 = 1e-6;

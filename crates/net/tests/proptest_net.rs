@@ -1,9 +1,10 @@
 //! Property-based tests for the network substrate: charging schemes,
-//! ledger accounting, time expansion, and (metamorphic) plan validation.
+//! ledger accounting, time expansion, (metamorphic) plan validation, and
+//! arrival traces.
 
 use postcard_net::{
-    Arc, ArcKind, ChargingScheme, DcId, FileId, Network, TimeExpandedGraph, TrafficLedger,
-    TransferPlan, TransferRequest,
+    Arc, ArcKind, ChargingScheme, DcId, FileId, Network, TimeExpandedGraph, Trace, TrafficLedger,
+    TransferPlan, TransferRequest, Workload,
 };
 use proptest::prelude::*;
 
@@ -210,6 +211,54 @@ proptest! {
             prop_assert_eq!(p.deadline_slots, f.deadline_slots);
             prop_assert_eq!(p.release_slot, f.release_slot);
         }
+    }
+
+    /// For requests with repeated release slots, gaps and ids out of order,
+    /// every slot's batch (gaps and slots past the horizon included) is the
+    /// brute-force filter in id order, the slot counts are the brute-force
+    /// maxima, the CSV round trip is exact, and generating the trace from a
+    /// workload builds the same trace as `from_requests`.
+    #[test]
+    fn trace_batches_match_brute_force(
+        rows in prop::collection::vec((0u64..12, 1.0f64..100.0, 1usize..5), 0..40),
+    ) {
+        // 37 is coprime to 64, so the ids are distinct and out of order.
+        let requests: Vec<TransferRequest> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, &(release, size, deadline))| {
+                let id = FileId(i as u64 * 37 % 64);
+                TransferRequest::new(id, DcId(i % 3), DcId(3), size, deadline, release)
+            })
+            .collect();
+        let trace = Trace::from_requests(requests.clone());
+        let num_slots = requests.iter().map(|r| r.release_slot + 1).max().unwrap_or(0);
+        let horizon = requests.iter().map(|r| r.last_slot() + 1).max().unwrap_or(0);
+        prop_assert_eq!(trace.num_slots(), num_slots);
+        prop_assert_eq!(trace.horizon_slots(), horizon);
+        for slot in 0..=horizon + 1 {
+            let mut expected: Vec<TransferRequest> =
+                requests.iter().filter(|r| r.release_slot == slot).copied().collect();
+            expected.sort_by_key(|r| r.id);
+            prop_assert_eq!(trace.batch(slot), &expected[..]);
+        }
+
+        let csv = trace.to_csv();
+        let back = Trace::from_csv(&csv).unwrap();
+        prop_assert_eq!(&back, &trace);
+        prop_assert_eq!(back.to_csv(), csv);
+
+        let mut replay = Replay(requests);
+        prop_assert_eq!(Trace::generate(&mut replay, num_slots), trace);
+    }
+}
+
+/// Releases each slot's requests in the order they were given.
+struct Replay(Vec<TransferRequest>);
+
+impl Workload for Replay {
+    fn batch(&mut self, slot: u64) -> Vec<TransferRequest> {
+        self.0.iter().filter(|r| r.release_slot == slot).copied().collect()
     }
 }
 

@@ -13,8 +13,10 @@
 //!   time already exceeds the per-slot budget (checked post-hoc — solves
 //!   are not preempted — and waived for the final tier, which always
 //!   commits rather than miss the slot);
-//! * a **numerical failure** (`PostcardError::Lp`), retried once on the
-//!   same tier before falling through.
+//! * a **numerical failure** (`PostcardError::Lp`). It is not retried:
+//!   every tier is deterministic (the LP tiers solve cold in a fresh
+//!   workspace, the others are pure functions of their inputs), so a second
+//!   call would fail the same way.
 //!
 //! [`PostcardError::Infeasible`] is *not* a fallback trigger: by the
 //! nesting above, a batch infeasible for Postcard is infeasible for every
@@ -30,8 +32,12 @@
 //! paths are cached), and demotes the LP to a periodic re-optimization
 //! pass: on such slots the chain *skips* the ALAP rung
 //! ([`AttemptOutcome::Skipped`], armed via [`FallbackChain::set_skip_alap`])
-//! and lets the LP re-plan, after which the runtime rebases the residual
-//! grid from the committed ledger ([`FallbackChain::mark_alap_dirty`]).
+//! and lets the LP re-plan. The chain keeps the rung's residual grid honest
+//! itself: whenever another tier commits, an ALAP placement is discarded
+//! for the budget, or the chain hard-fails (the caller then rolls the
+//! slot's bookings back), it marks the grid stale
+//! ([`FallbackChain::mark_alap_dirty`]) and the next ALAP call rebases it
+//! from the ledger it is handed.
 
 use crate::clock::Clock;
 use crate::runtime::RuntimeConfig;
@@ -124,13 +130,11 @@ impl std::str::FromStr for TierKind {
 pub enum AttemptOutcome {
     /// The tier's decision was committed.
     Committed,
-    /// Committed, but only after a retry of a numerical failure.
-    CommittedAfterRetry,
     /// The fault plan forced this tier to time out.
     ForcedTimeout,
     /// The tier solved, but the slot budget was already spent.
     BudgetExceeded,
-    /// The tier failed numerically twice.
+    /// The tier failed numerically.
     Failed,
     /// The batch is infeasible (propagated, ends the chain).
     Infeasible,
@@ -152,10 +156,10 @@ pub enum AttemptOutcome {
 /// The scheduler keeps two pieces of *derived* state: the residual grid
 /// (link capacity minus the committed ledger plus this slot's own
 /// reservations) and each DC pair's `k` cheapest paths (a function of the
-/// link prices). Whenever either source changes behind its back — an LP
-/// tier committed a re-optimization, a fault degraded or repriced a link,
-/// or the runtime resumed from a snapshot — the runtime marks the tier
-/// dirty and the next schedule call rebases before admitting: the grid is
+/// link prices). Whenever either source changes behind its back — another
+/// tier committed (the chain marks that), a fault degraded or repriced a
+/// link, or the runtime resumed from a snapshot — the tier is marked dirty
+/// and the next schedule call rebases before admitting: the grid is
 /// rebuilt from the ledger, and the paths are dropped only if a price or
 /// link changed. That is what makes killed-and-resumed runs bit-identical
 /// without persisting either.
@@ -337,8 +341,10 @@ impl FallbackChain {
     }
 
     /// Marks every ALAP rung's residual grid stale (see
-    /// [`AlapTier::mark_dirty`]): call after any ledger change the grid did
-    /// not make itself — an LP tier's commit, a link degradation, a resume.
+    /// [`AlapTier::mark_dirty`]): call after any ledger or network change
+    /// the grid did not make itself — a link degradation, a reprice, another
+    /// shard's merge. Commits by this chain's own tiers are handled by
+    /// [`FallbackChain::schedule`].
     pub fn mark_alap_dirty(&mut self) {
         for tier in &mut self.tiers {
             if let TierScheduler::Alap(t) = &mut tier.scheduler {
@@ -362,12 +368,7 @@ impl FallbackChain {
 
     /// The tier that committed the slot's first decision, if any.
     pub fn chosen_tier(&self) -> Option<TierKind> {
-        self.records
-            .iter()
-            .find(|r| {
-                matches!(r.outcome, AttemptOutcome::Committed | AttemptOutcome::CommittedAfterRetry)
-            })
-            .map(|r| r.tier)
+        self.records.iter().find(|r| r.outcome == AttemptOutcome::Committed).map(|r| r.tier)
     }
 
     fn record(&mut self, tier: TierKind, outcome: AttemptOutcome, stats: SolveStats) {
@@ -407,32 +408,27 @@ impl Scheduler for FallbackChain {
                 continue;
             }
 
-            let mut retried = false;
-            let result = loop {
-                match self.tiers[i].scheduler.as_scheduler_mut().schedule(network, files, ledger) {
-                    Ok(d) => break Ok(d),
-                    Err(PostcardError::Infeasible) => break Err(PostcardError::Infeasible),
-                    Err(e) if !retried => {
-                        retried = true;
-                        let _ = e;
-                    }
-                    Err(e) => break Err(e),
-                }
-            };
+            let result =
+                self.tiers[i].scheduler.as_scheduler_mut().schedule(network, files, ledger);
             let stats = self.tiers[i].scheduler.last_stats();
 
             match result {
                 Ok(decision) => {
                     if self.clock.elapsed() > self.slot_budget && !is_last {
+                        // A discarded ALAP placement is still reserved in
+                        // the rung's grid.
+                        if kind == TierKind::Alap {
+                            self.mark_alap_dirty();
+                        }
                         self.record(kind, AttemptOutcome::BudgetExceeded, stats);
                         continue;
                     }
-                    let outcome = if retried {
-                        AttemptOutcome::CommittedAfterRetry
-                    } else {
-                        AttemptOutcome::Committed
-                    };
-                    self.record(kind, outcome, stats);
+                    // Only the ALAP rung books into its own grid; any other
+                    // tier's decision lands on the ledger behind its back.
+                    if kind != TierKind::Alap {
+                        self.mark_alap_dirty();
+                    }
+                    self.record(kind, AttemptOutcome::Committed, stats);
                     self.last_stats = stats;
                     return Ok(decision);
                 }
@@ -450,6 +446,9 @@ impl Scheduler for FallbackChain {
                 Err(e) => {
                     self.record(kind, AttemptOutcome::Failed, stats);
                     if is_last {
+                        // The caller rolls back the slot's bookings, ALAP
+                        // placements included.
+                        self.mark_alap_dirty();
                         return Err(e);
                     }
                 }

@@ -6,8 +6,7 @@
 //!
 //! * [`fallback`] — a solver fallback chain ([`FallbackChain`]): Postcard
 //!   LP, then the flow LP, then the greedy allocator, with a per-slot solve
-//!   budget, retry-once on numerical failure, and the chosen tier recorded —
-//!   so a slot is never missed;
+//!   budget and the chosen tier recorded — so a slot is never missed;
 //! * [`snapshot`] — versioned, self-contained checkpoints
 //!   ([`RuntimeSnapshot`]) written atomically every N slots;
 //!   [`Runtime::resume`] continues a killed run **bit-identically** under
@@ -26,19 +25,21 @@
 //!   the one billing ledger, which the ordinary snapshot checkpoints
 //!   (`serve --shards N --shard-by tenant|region`).
 //!
-//! [`Runtime`] drives the slot loop: degrade links, admit arrivals through
-//! a bounded [`AdmissionQueue`], schedule via the chain, record metrics,
-//! checkpoint. The queue is a persistent *backlog*: batches a slot could
-//! not schedule are requeued (at most `max_requeue_attempts` times) and
-//! retried in later slots with their absolute deadlines preserved, and the
-//! backlog itself is checkpointed (snapshot v4) so resume is exact even
-//! mid-carry. The CLI exposes it as `postcard serve` / `postcard resume`.
+//! [`Runtime`] drives the slot loop over an arrival
+//! [`Trace`](postcard_net::Trace), the same type the simulator replays:
+//! degrade links, admit the slot's arrivals through a bounded
+//! [`AdmissionQueue`], schedule via the chain, record metrics, checkpoint.
+//! The queue is a persistent *backlog*: batches a slot could not schedule
+//! are requeued (at most `max_requeue_attempts` times) and retried in later
+//! slots with their absolute deadlines preserved, and the backlog itself is
+//! checkpointed (snapshot v4) so resume is exact even mid-carry. The CLI
+//! exposes it as `postcard serve` / `postcard resume`.
 //!
 //! # Example
 //!
 //! ```
-//! use postcard_net::{DcId, FileId, NetworkBuilder, TransferRequest};
-//! use postcard_runtime::{ArrivalSchedule, FaultPlan, Runtime, RuntimeConfig, TierKind};
+//! use postcard_net::{DcId, FileId, NetworkBuilder, Trace, TransferRequest};
+//! use postcard_runtime::{FaultPlan, Runtime, RuntimeConfig, TierKind};
 //!
 //! # fn main() -> Result<(), postcard_runtime::RuntimeError> {
 //! let network = NetworkBuilder::new(3)
@@ -46,7 +47,7 @@
 //!     .link(DcId(1), DcId(0), 1.0, 100.0)
 //!     .link(DcId(0), DcId(2), 3.0, 100.0)
 //!     .build();
-//! let arrivals = ArrivalSchedule::from_requests(vec![TransferRequest::new(
+//! let arrivals = Trace::from_requests(vec![TransferRequest::new(
 //!     FileId(1), DcId(1), DcId(2), 6.0, 3, 0,
 //! )]);
 //! // Force the Postcard tier to time out at slot 0: the flow LP commits.
@@ -62,7 +63,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod arrivals;
 pub mod clock;
 pub mod fallback;
 pub mod faults;
@@ -72,7 +72,6 @@ mod runtime;
 pub mod shard;
 pub mod snapshot;
 
-pub use arrivals::ArrivalSchedule;
 pub use clock::{Clock, ClockKind, SimClock, WallClock};
 pub use fallback::{AttemptOutcome, AttemptRecord, FallbackChain, TierKind};
 pub use faults::{FaultPlan, ForcedTimeout, LinkDegradation};
@@ -81,3 +80,8 @@ pub use queue::{AdmissionQueue, QueuedRequest};
 pub use runtime::{Runtime, RuntimeConfig, RuntimeError, SlotOutcome};
 pub use shard::{ShardBy, ShardPlanner};
 pub use snapshot::{RuntimeSnapshot, SNAPSHOT_VERSION};
+
+/// The arrival trace under its former runtime name, kept only for code
+/// written against it (the benchmark harness in `slotbench/`). New code
+/// uses [`postcard_net::Trace`].
+pub use postcard_net::Trace as ArrivalSchedule;

@@ -36,7 +36,6 @@
 //! assert. Under [`ClockKind::Wall`] budget decisions depend on real solve
 //! times and resume is best-effort.
 
-use crate::arrivals::ArrivalSchedule;
 use crate::clock::{ClockKind, WallStopwatch};
 use crate::fallback::{AttemptOutcome, AttemptRecord, FallbackChain, TierKind};
 use crate::faults::{FaultPlan, LinkDegradation};
@@ -48,7 +47,7 @@ use crate::shard::{ShardBy, ShardPlanner, ShardSolve, SlotDirectives};
 use crate::snapshot::{RuntimeSnapshot, SNAPSHOT_VERSION};
 use postcard_analyze::check_problem;
 use postcard_core::{build_postcard_problem, OnlineController, PostcardConfig, StepReport};
-use postcard_net::{ChargingScheme, DcId, Network, TransferRequest};
+use postcard_net::{ChargingScheme, DcId, Network, Trace, TransferRequest};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -190,12 +189,12 @@ pub struct SlotOutcome {
 }
 
 /// A crash-safe, fault-tolerant controller service over one network, one
-/// arrival schedule, and one fault plan.
+/// arrival trace, and one fault plan.
 #[derive(Debug)]
 pub struct Runtime {
     controller: OnlineController<FallbackChain>,
     config: RuntimeConfig,
-    arrivals: ArrivalSchedule,
+    arrivals: Trace,
     faults: FaultPlan,
     queue: AdmissionQueue,
     metrics: MetricsRegistry,
@@ -218,14 +217,14 @@ pub struct Runtime {
 
 impl Runtime {
     /// Creates a fresh service run over `num_slots` slots (extended to cover
-    /// every arrival if the schedule runs longer).
+    /// every arrival if the trace runs longer).
     ///
     /// # Errors
     ///
     /// Rejects an empty tier list or checkpointing without a path.
     pub fn new(
         network: Network,
-        arrivals: ArrivalSchedule,
+        arrivals: Trace,
         faults: FaultPlan,
         num_slots: u64,
         mut config: RuntimeConfig,
@@ -332,7 +331,9 @@ impl Runtime {
                 .with_charging(charging),
             queue,
             config: snap.config,
-            arrivals: snap.arrivals,
+            // The serde derive bypasses `Trace::from_requests`; re-sort so
+            // `batch` can find a slot's requests whatever the stored order.
+            arrivals: Trace::from_requests(snap.arrivals.requests().to_vec()),
             faults: snap.faults,
             metrics: snap.metrics,
             wall_metrics: MetricsRegistry::new(),
@@ -489,7 +490,7 @@ impl Runtime {
         // re-stamped to this slot (preserving their absolute deadline) so
         // the controller's `release_slot == slot` invariant holds.
         let arrivals = self.arrivals.batch(slot);
-        let dropped = self.queue.offer(&arrivals);
+        let dropped = self.queue.offer(arrivals);
         if dropped > 0 {
             self.metrics.inc("queue_dropped", dropped as u64);
         }
@@ -591,15 +592,6 @@ impl Runtime {
 
         // (4) Metrics.
         let chosen_tier = self.record_slot_metrics(slot, &solves, &report, reopt_now, solve_wall);
-        // Any committed decision the ALAP rung did not make itself (an LP
-        // re-optimization, a forced fallback), and any discarded admission,
-        // changes the ledger behind the residual grid's back: rebase before
-        // the next admission.
-        if (degraded || chosen_tier.is_some_and(|t| t != TierKind::Alap))
-            && self.config.tiers.contains(&TierKind::Alap)
-        {
-            self.controller.scheduler_mut().mark_alap_dirty();
-        }
 
         // (5) Advance and checkpoint.
         self.next_slot = slot + 1;
@@ -693,12 +685,7 @@ impl Runtime {
             // committed over its head.
             let alap_decided = solve.records.iter().any(|r| {
                 r.tier == TierKind::Alap
-                    && matches!(
-                        r.outcome,
-                        AttemptOutcome::Committed
-                            | AttemptOutcome::CommittedAfterRetry
-                            | AttemptOutcome::Infeasible
-                    )
+                    && matches!(r.outcome, AttemptOutcome::Committed | AttemptOutcome::Infeasible)
             });
             if alap_decided && solve.chosen_tier.is_none_or(|t| t == TierKind::Alap) {
                 let admission = &solve.admission;
@@ -719,7 +706,7 @@ impl Runtime {
     fn record_attempt_metrics(&mut self, records: &[AttemptRecord]) {
         for rec in records {
             match rec.outcome {
-                AttemptOutcome::Committed | AttemptOutcome::CommittedAfterRetry => {
+                AttemptOutcome::Committed => {
                     self.metrics.observe(
                         &format!("solve_latency_seconds_{}", rec.tier.name()),
                         rec.elapsed.as_secs_f64(),
@@ -728,9 +715,6 @@ impl Runtime {
                     if rec.tier == TierKind::Alap {
                         self.metrics
                             .observe("admission_latency_seconds", rec.elapsed.as_secs_f64());
-                    }
-                    if rec.outcome == AttemptOutcome::CommittedAfterRetry {
-                        self.metrics.inc("tier_retries", 1);
                     }
                 }
                 AttemptOutcome::ForcedTimeout
@@ -849,8 +833,8 @@ mod tests {
             .build()
     }
 
-    fn arrivals() -> ArrivalSchedule {
-        ArrivalSchedule::from_requests(vec![
+    fn arrivals() -> Trace {
+        Trace::from_requests(vec![
             TransferRequest::new(FileId(1), d(1), d(2), 6.0, 3, 0),
             TransferRequest::new(FileId(2), d(1), d(2), 4.0, 2, 2),
         ])
@@ -902,8 +886,7 @@ mod tests {
         }
         let config = RuntimeConfig { queue_capacity: 3, ..Default::default() };
         let mut rt =
-            Runtime::new(net(), ArrivalSchedule::from_requests(reqs), FaultPlan::none(), 2, config)
-                .unwrap();
+            Runtime::new(net(), Trace::from_requests(reqs), FaultPlan::none(), 2, config).unwrap();
         let outcomes = rt.run_to_end().unwrap();
         assert_eq!(outcomes[0].report.accepted.len(), 3);
         assert_eq!(rt.metrics().counter("queue_dropped"), 2);
@@ -927,7 +910,7 @@ mod tests {
         let reqs = vec![TransferRequest::new(FileId(1), d(1), d(2), 400.0, 5, 3)];
         let mut rt = Runtime::new(
             net(),
-            ArrivalSchedule::from_requests(reqs),
+            Trace::from_requests(reqs),
             FaultPlan::none(),
             0,
             RuntimeConfig::default(),
@@ -983,8 +966,7 @@ mod tests {
         ];
         let config = RuntimeConfig { strict_analysis: true, ..Default::default() };
         let mut rt =
-            Runtime::new(net(), ArrivalSchedule::from_requests(reqs), FaultPlan::none(), 2, config)
-                .unwrap();
+            Runtime::new(net(), Trace::from_requests(reqs), FaultPlan::none(), 2, config).unwrap();
         let outcomes = rt.run_to_end().unwrap();
         assert_eq!(rt.metrics().counter("analysis_rejections"), 1);
         // Construction failures are permanent: the batch is lost outright,
@@ -1007,8 +989,7 @@ mod tests {
         let reqs = vec![TransferRequest::new(FileId(1), DcId(7), d(2), 4.0, 10, 0)];
         let config = RuntimeConfig { tiers: vec![TierKind::Postcard], ..Default::default() };
         let mut rt =
-            Runtime::new(net(), ArrivalSchedule::from_requests(reqs), FaultPlan::none(), 1, config)
-                .unwrap();
+            Runtime::new(net(), Trace::from_requests(reqs), FaultPlan::none(), 1, config).unwrap();
         let outcomes = rt.run_to_end().unwrap();
         // Slot 0 fails → requeue (attempt 1); slot 1 fails → requeue
         // (attempt 2); slot 2 fails → budget exhausted. The run then idles
@@ -1039,7 +1020,7 @@ mod tests {
             let reqs = vec![TransferRequest::new(FileId(1), DcId(7), d(2), 4.0, 10, 0)];
             let config =
                 RuntimeConfig { tiers: vec![TierKind::Postcard], shards, ..Default::default() };
-            let arrivals = ArrivalSchedule::from_requests(reqs);
+            let arrivals = Trace::from_requests(reqs);
             let mut rt = Runtime::new(net(), arrivals, FaultPlan::none(), 1, config).unwrap();
             let outcomes = rt.run_to_end().unwrap();
             let m = rt.metrics();
@@ -1065,8 +1046,7 @@ mod tests {
         let reqs = vec![TransferRequest::new(FileId(1), DcId(7), d(2), 4.0, 1, 0)];
         let config = RuntimeConfig { tiers: vec![TierKind::Postcard], ..Default::default() };
         let mut rt =
-            Runtime::new(net(), ArrivalSchedule::from_requests(reqs), FaultPlan::none(), 1, config)
-                .unwrap();
+            Runtime::new(net(), Trace::from_requests(reqs), FaultPlan::none(), 1, config).unwrap();
         rt.run_to_end().unwrap();
         assert_eq!(rt.metrics().counter("files_requeued_degraded"), 1);
         assert_eq!(rt.metrics().counter("backlog_expired"), 1);
@@ -1085,8 +1065,7 @@ mod tests {
         ];
         let config = RuntimeConfig { tiers: vec![TierKind::Postcard], ..Default::default() };
         let mut rt =
-            Runtime::new(net(), ArrivalSchedule::from_requests(reqs), FaultPlan::none(), 1, config)
-                .unwrap();
+            Runtime::new(net(), Trace::from_requests(reqs), FaultPlan::none(), 1, config).unwrap();
         let first = rt.run_slot().unwrap().unwrap();
         assert!(first.degraded);
         assert_eq!(rt.metrics().counter("files_requeued_degraded"), 2);
@@ -1196,8 +1175,7 @@ mod tests {
         ];
         let config = RuntimeConfig { alap: true, ..Default::default() };
         let mut rt =
-            Runtime::new(net(), ArrivalSchedule::from_requests(reqs), FaultPlan::none(), 0, config)
-                .unwrap();
+            Runtime::new(net(), Trace::from_requests(reqs), FaultPlan::none(), 0, config).unwrap();
         rt.run_to_end().unwrap();
         assert_eq!(rt.metrics().counter("alap_admits"), 1);
         assert_eq!(rt.metrics().counter("alap_rejects"), 1);
@@ -1350,6 +1328,41 @@ mod tests {
                 .snapshot();
         snap.config.charging = ChargingScheme::Percentile { q: 0.0, window_slots: 48 };
         assert!(matches!(Runtime::from_snapshot(snap), Err(RuntimeError::Config(_))));
+    }
+
+    #[test]
+    fn resume_re_sorts_arrivals_stored_out_of_order() {
+        // Slot 1's files must cross the 100 GB direct link within the slot,
+        // so they do not fit together: they are admitted one at a time in
+        // id order, and only the first (80 GB) fits. A snapshot storing the arrivals in another
+        // order (the serde derive skips `Trace::from_requests`) must resume
+        // into the same admissions.
+        let reqs = vec![
+            TransferRequest::new(FileId(1), d(1), d(2), 6.0, 1, 0),
+            TransferRequest::new(FileId(3), d(1), d(2), 80.0, 1, 1),
+            TransferRequest::new(FileId(4), d(1), d(2), 70.0, 1, 1),
+            TransferRequest::new(FileId(5), d(1), d(2), 60.0, 1, 1),
+        ];
+        let start = || {
+            let arrivals = Trace::from_requests(reqs.clone());
+            Runtime::new(net(), arrivals, FaultPlan::none(), 2, RuntimeConfig::default()).unwrap()
+        };
+        let mut full = start();
+        full.run_to_end().unwrap();
+        assert_eq!(full.controller().admission_volumes(), (86.0, 130.0));
+
+        let mut victim = start();
+        victim.run_slot().unwrap();
+        let mut snap = victim.snapshot();
+        let reversed: Vec<TransferRequest> = reqs.iter().rev().copied().collect();
+        let json = format!("{{\"requests\": {}}}", serde::json::to_string(&reversed));
+        snap.arrivals = serde::json::from_str(&json).unwrap();
+        assert_eq!(snap.arrivals.requests()[0].id, FileId(5), "stored out of order");
+        let mut resumed = Runtime::from_snapshot(snap).unwrap();
+        resumed.run_to_end().unwrap();
+        assert_eq!(resumed.controller().export_state(), full.controller().export_state());
+        assert_eq!(resumed.metrics(), full.metrics());
+        assert_eq!(resumed.snapshot().arrivals, full.snapshot().arrivals);
     }
 
     #[test]

@@ -11,13 +11,12 @@
 //! leaves the previous snapshot intact — the whole point of checkpointing a
 //! crash-safe service.
 
-use crate::arrivals::ArrivalSchedule;
 use crate::faults::FaultPlan;
 use crate::metrics::MetricsRegistry;
 use crate::queue::QueuedRequest;
 use crate::runtime::RuntimeConfig;
 use postcard_core::ControllerState;
-use postcard_net::{DcId, Network, NetworkBuilder};
+use postcard_net::{DcId, Network, NetworkBuilder, Trace};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -74,8 +73,8 @@ pub struct RuntimeSnapshot {
     pub num_dcs: usize,
     /// Current links — capacities reflect degradations applied so far.
     pub links: Vec<LinkRecord>,
-    /// The full arrival schedule (past and future slots).
-    pub arrivals: ArrivalSchedule,
+    /// The full arrival trace (past and future slots).
+    pub arrivals: Trace,
     /// The fault plan (past and future slots).
     pub faults: FaultPlan,
     /// The admission-queue backlog at the snapshot boundary, oldest first
@@ -195,7 +194,7 @@ mod tests {
             config: RuntimeConfig::default(),
             num_dcs: network.num_dcs(),
             links: RuntimeSnapshot::links_of(&network),
-            arrivals: ArrivalSchedule::default(),
+            arrivals: Trace::default(),
             faults: FaultPlan::none(),
             queue: vec![QueuedRequest {
                 request: postcard_net::TransferRequest::new(

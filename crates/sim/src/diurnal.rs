@@ -19,8 +19,8 @@
 //! rightly declines them), a mid-cycle price change, and a maintenance
 //! window on the reverse link.
 
-use postcard_net::{ChargingScheme, DcId, FileId, Network, NetworkBuilder, TransferRequest};
-use postcard_runtime::{ArrivalSchedule, FaultPlan, Runtime, RuntimeConfig, RuntimeError};
+use postcard_net::{ChargingScheme, DcId, FileId, Network, NetworkBuilder, Trace, TransferRequest};
+use postcard_runtime::{FaultPlan, Runtime, RuntimeConfig, RuntimeError};
 
 /// A deterministic multi-day valley-plus-burst workload over one link.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,7 +100,7 @@ impl DiurnalPreset {
 
     /// The deterministic arrival schedule for `seed` — the valley sizes are
     /// jittered per day, everything else is fixed by the preset.
-    pub fn arrivals(&self, seed: u64) -> ArrivalSchedule {
+    pub fn arrivals(&self, seed: u64) -> Trace {
         let mut requests = Vec::new();
         let mut next_id = 0u64;
         let id = |n: &mut u64| {
@@ -129,7 +129,7 @@ impl DiurnalPreset {
                 ));
             }
         }
-        ArrivalSchedule::from_requests(requests)
+        Trace::from_requests(requests)
     }
 
     /// The fault plan: the mid-cycle tariff change on the forward link and

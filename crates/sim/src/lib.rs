@@ -9,7 +9,8 @@
 //!   [`DiurnalWorkload`] — batch generators ([`UniformWorkload`] is the
 //!   paper's);
 //! * [`Trace`] — a materialized workload that can be replayed against every
-//!   approach (paired comparisons) and saved/loaded as CSV;
+//!   approach (paired comparisons) and saved/loaded as CSV; it and the
+//!   [`Workload`] trait are defined in `postcard-net` and re-exported here;
 //! * [`Scenario`] — presets for the paper's four settings (Fig. 4–7) at
 //!   paper scale and at a laptop-scale reduction;
 //! * [`Approach`] — the schedulers under comparison;
@@ -50,14 +51,12 @@ mod tenant;
 mod workload;
 
 pub use diurnal::{compare_billing, BillingComparison, DiurnalPreset};
+pub use postcard_net::{Trace, Workload};
 pub use runner::{
     run_scenario, run_trace, Approach, ApproachSummary, ParseApproachError, RunResult,
 };
 pub use scenario::Scenario;
-pub use service::{run_scenario_service, run_trace_service, trace_to_arrivals, ServiceRunResult};
+pub use service::{run_scenario_service, run_trace_service, ServiceRunResult};
 pub use stats::{mean, sample_stddev, ConfidenceInterval, Summary};
 pub use tenant::TenantScenario;
-pub use workload::{
-    DiurnalWorkload, PoissonWorkload, Trace, TraceParseError, UniformWorkload, Workload,
-    WorkloadConfig,
-};
+pub use workload::{DiurnalWorkload, PoissonWorkload, UniformWorkload, WorkloadConfig};

@@ -9,12 +9,11 @@
 
 use crate::scenario::Scenario;
 use crate::stats::ConfidenceInterval;
-use crate::workload::Trace;
 use postcard_core::{
     DirectScheduler, FlowLpScheduler, GreedyScheduler, OnlineController, PostcardConfig,
     PostcardError, PostcardScheduler, Scheduler, TwoPhaseScheduler,
 };
-use postcard_net::ChargingScheme;
+use postcard_net::{ChargingScheme, Trace};
 
 /// The approaches the simulator can compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -173,7 +172,7 @@ pub fn run_trace(
 ) -> Result<RunResult, PostcardError> {
     let mut ctl = OnlineController::new(network.clone(), approach.scheduler());
     for slot in 0..num_slots {
-        ctl.step(slot, &trace.batch(slot))?;
+        ctl.step(slot, trace.batch(slot))?;
     }
     Ok(run_result(&ctl, approach, run, num_slots))
 }

@@ -176,7 +176,7 @@ mod tests {
     fn workload_uses_scenario_dcs() {
         let s = Scenario::fig4().tiny();
         let mut w = s.workload(7);
-        use crate::workload::Workload;
+        use postcard_net::Workload;
         for r in w.batch(0) {
             assert!(r.src.0 < s.num_dcs && r.dst.0 < s.num_dcs);
         }

@@ -11,17 +11,10 @@
 
 use crate::runner::{run_result, summarize, Approach, ApproachSummary, RunResult};
 use crate::scenario::Scenario;
-use crate::workload::Trace;
-use postcard_net::Network;
+use postcard_net::{Network, Trace};
 use postcard_runtime::{
-    ArrivalSchedule, FaultPlan, MetricsRegistry, Runtime, RuntimeConfig, RuntimeError, TierKind,
+    FaultPlan, MetricsRegistry, Runtime, RuntimeConfig, RuntimeError, TierKind,
 };
-
-/// Converts a simulator trace into the runtime's arrival schedule (same
-/// requests, same order).
-pub fn trace_to_arrivals(trace: &Trace) -> ArrivalSchedule {
-    ArrivalSchedule::from_requests(trace.requests().to_vec())
-}
 
 /// One trace replayed through the service runtime.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,8 +46,7 @@ pub fn run_trace_service(
         .name()
         .parse()
         .map_err(|e: crate::runner::ParseApproachError| RuntimeError::Config(e.to_string()))?;
-    let mut rt =
-        Runtime::new(network.clone(), trace_to_arrivals(trace), faults, num_slots, config)?;
+    let mut rt = Runtime::new(network.clone(), trace.clone(), faults, num_slots, config)?;
     rt.run_to_end()?;
 
     let result = run_result(rt.controller(), approach, run, rt.num_slots());
@@ -126,7 +118,6 @@ mod tests {
     use super::*;
     use crate::runner::{run_trace, Approach};
     use crate::scenario::Scenario;
-    use crate::workload::Trace;
     use postcard_runtime::TierKind;
 
     fn paired_instance() -> (Network, Trace, u64) {
@@ -137,7 +128,7 @@ mod tests {
         // The runtime extends the horizon so late releases keep their full
         // deadline windows; drive the plain controller over the same span
         // so the two paths stay number-for-number comparable.
-        let horizon = trace_to_arrivals(&trace).horizon_slots().max(s.num_slots);
+        let horizon = trace.horizon_slots().max(s.num_slots);
         (network, trace, horizon)
     }
 
@@ -204,7 +195,7 @@ mod tests {
             let network = s.network(seed);
             let mut workload = s.workload(seed ^ 0xDEAD_BEEF);
             let trace = Trace::generate(&mut workload, s.num_slots);
-            let horizon = trace_to_arrivals(&trace).horizon_slots().max(s.num_slots);
+            let horizon = trace.horizon_slots().max(s.num_slots);
             let plain = run_trace(&network, &trace, horizon, Approach::Postcard, run).unwrap();
             assert_eq!(service[0].runs[run], plain, "run {run}");
         }
@@ -228,7 +219,7 @@ mod tests {
         let s = TenantScenario::quad();
         let network = s.network(11);
         let trace = s.trace(11 ^ 0xDEAD_BEEF);
-        let slots = trace_to_arrivals(&trace).horizon_slots().max(s.num_slots);
+        let slots = trace.horizon_slots().max(s.num_slots);
         let unsharded = run_trace_service(
             &network,
             &trace,

@@ -12,8 +12,7 @@
 //! ([`FileId::for_tenant`]), which is exactly what
 //! `postcard serve --shards N --shard-by tenant` partitions on.
 
-use crate::workload::Trace;
-use postcard_net::{DcId, FileId, Network, NetworkBuilder, TransferRequest};
+use postcard_net::{DcId, FileId, Network, NetworkBuilder, Trace, TransferRequest};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -1,4 +1,5 @@
-//! Workload generators and replayable traces.
+//! Workload generators (the [`Workload`] trait and the
+//! [`postcard_net::Trace`] they fill live in `postcard-net`).
 //!
 //! The paper's evaluation draws, for every slot, a uniform number of files,
 //! each with uniform size, uniform endpoints, and (implicitly) uniform
@@ -7,10 +8,9 @@
 //! ablation benches (the diurnal pattern follows the Chen et al. observation
 //! the paper cites).
 
-use postcard_net::{split_csv_fields, DcId, FileId, TransferRequest};
+use postcard_net::{DcId, FileId, TransferRequest, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt;
 
 /// Parameters shared by the workload generators.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,12 +42,6 @@ impl WorkloadConfig {
         assert!(self.size_gb.0 > 0.0 && self.size_gb.0 <= self.size_gb.1);
         assert!(self.deadline_slots.0 >= 1 && self.deadline_slots.0 <= self.deadline_slots.1);
     }
-}
-
-/// A per-slot batch generator.
-pub trait Workload {
-    /// The batch of files released at `slot`.
-    fn batch(&mut self, slot: u64) -> Vec<TransferRequest>;
 }
 
 /// The paper's uniform workload.
@@ -190,132 +184,10 @@ impl Workload for DiurnalWorkload {
     }
 }
 
-/// A materialized workload: every request of a run, slot by slot, replayable
-/// against any number of approaches (paired comparison) and round-trippable
-/// through a simple CSV format.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Trace {
-    requests: Vec<TransferRequest>,
-}
-
-/// Error parsing a [`Trace`] from CSV.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceParseError {
-    /// 1-based line number.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for TraceParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "trace line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for TraceParseError {}
-
-impl Trace {
-    /// Materializes `num_slots` batches from a generator.
-    pub fn generate(workload: &mut dyn Workload, num_slots: u64) -> Self {
-        let mut requests = Vec::new();
-        for slot in 0..num_slots {
-            requests.extend(workload.batch(slot));
-        }
-        Self { requests }
-    }
-
-    /// Builds a trace from explicit requests (sorted by release slot).
-    pub fn from_requests(mut requests: Vec<TransferRequest>) -> Self {
-        requests.sort_by_key(|r| (r.release_slot, r.id));
-        Self { requests }
-    }
-
-    /// All requests, ordered by release slot.
-    pub fn requests(&self) -> &[TransferRequest] {
-        &self.requests
-    }
-
-    /// Number of requests.
-    pub fn len(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// `true` when the trace has no requests.
-    pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
-    }
-
-    /// One slot past the last release slot.
-    pub fn num_slots(&self) -> u64 {
-        self.requests.iter().map(|r| r.release_slot + 1).max().unwrap_or(0)
-    }
-
-    /// The batch released at `slot`.
-    pub fn batch(&self, slot: u64) -> Vec<TransferRequest> {
-        self.requests.iter().filter(|r| r.release_slot == slot).copied().collect()
-    }
-
-    /// Total volume of all requests (GB).
-    pub fn total_volume(&self) -> f64 {
-        self.requests.iter().map(|r| r.size_gb).sum()
-    }
-
-    /// Serializes to CSV: `id,src,dst,size_gb,deadline_slots,release_slot`.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("id,src,dst,size_gb,deadline_slots,release_slot\n");
-        for r in &self.requests {
-            out.push_str(&format!(
-                "{},{},{},{},{},{}\n",
-                r.id.0, r.src.0, r.dst.0, r.size_gb, r.deadline_slots, r.release_slot
-            ));
-        }
-        out
-    }
-
-    /// Parses the CSV produced by [`Trace::to_csv`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TraceParseError`] naming the first malformed line.
-    pub fn from_csv(text: &str) -> Result<Self, TraceParseError> {
-        let mut requests = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            if i == 0 && line.starts_with("id,") {
-                continue;
-            }
-            if line.trim().is_empty() {
-                continue;
-            }
-            let err = |message: &str| TraceParseError { line: i + 1, message: message.into() };
-            let Some(parts) = split_csv_fields::<6>(line) else {
-                return Err(err("expected 6 comma-separated fields"));
-            };
-            let id: u64 = parts[0].trim().parse().map_err(|_| err("bad id"))?;
-            let src: usize = parts[1].trim().parse().map_err(|_| err("bad src"))?;
-            let dst: usize = parts[2].trim().parse().map_err(|_| err("bad dst"))?;
-            let size: f64 = parts[3].trim().parse().map_err(|_| err("bad size"))?;
-            let deadline: usize = parts[4].trim().parse().map_err(|_| err("bad deadline"))?;
-            let release: u64 = parts[5].trim().parse().map_err(|_| err("bad release slot"))?;
-            if src == dst || size <= 0.0 || deadline == 0 {
-                return Err(err("inconsistent request fields"));
-            }
-            requests.push(TransferRequest::new(
-                FileId(id),
-                DcId(src),
-                DcId(dst),
-                size,
-                deadline,
-                release,
-            ));
-        }
-        Ok(Self::from_requests(requests))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use postcard_net::Trace;
 
     fn cfg() -> WorkloadConfig {
         WorkloadConfig {
@@ -388,9 +260,7 @@ mod tests {
         let mut w = UniformWorkload::new(cfg(), 9);
         let t = Trace::generate(&mut w, 10);
         assert!(!t.is_empty());
-        let csv = t.to_csv();
-        let back = Trace::from_csv(&csv).unwrap();
-        assert_eq!(t, back);
+        assert_eq!(Trace::from_csv(&t.to_csv()).unwrap(), t);
     }
 
     #[test]
@@ -400,14 +270,5 @@ mod tests {
         let total: usize = (0..t.num_slots()).map(|s| t.batch(s).len()).sum();
         assert_eq!(total, t.len());
         assert!(t.total_volume() > 0.0);
-    }
-
-    #[test]
-    fn trace_parse_errors_name_the_line() {
-        let e =
-            Trace::from_csv("id,src,dst,size_gb,deadline_slots,release_slot\n1,2\n").unwrap_err();
-        assert_eq!(e.line, 2);
-        let e = Trace::from_csv("0,1,1,5.0,2,0\n").unwrap_err();
-        assert!(e.message.contains("inconsistent"));
     }
 }

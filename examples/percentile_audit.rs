@@ -23,7 +23,7 @@ fn main() {
 
     let mut ctl = OnlineController::new(network.clone(), PostcardScheduler::new());
     for slot in 0..scenario.num_slots {
-        ctl.step(slot, &trace.batch(slot)).expect("simulation step");
+        ctl.step(slot, trace.batch(slot)).expect("simulation step");
     }
     let ledger = ctl.ledger();
     // One billing window covering the whole simulated period.

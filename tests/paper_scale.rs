@@ -52,13 +52,13 @@ fn paper_scale_slot_solves_within_the_pivot_cap() {
     let batch = trace.batch(0);
     assert_eq!(batch.len(), 19);
     let ledger = TrafficLedger::new(network.num_dcs());
-    let problem = build_postcard_problem(&network, &batch, &ledger, &PostcardConfig::default())
+    let problem = build_postcard_problem(&network, batch, &ledger, &PostcardConfig::default())
         .expect("the slot LP builds");
     let lp = problem.model.solve().expect("solves under the default pivot cap");
     assert!(lp.is_optimal(), "status {:?}", lp.status());
     let sol = problem.map_solution(&lp).expect("optimal");
     assert_eq!(sol.plan.files().len(), batch.len(), "every file is planned");
-    let violations = sol.plan.validate(&network, &batch, |_, _, _| 0.0);
+    let violations = sol.plan.validate(&network, batch, |_, _, _| 0.0);
     assert!(violations.is_empty(), "{violations:?}");
     let rel = (sol.cost_per_slot - BILL).abs() / BILL;
     assert!(rel <= 1e-6, "bill {} is {rel:.3e} off {BILL}", sol.cost_per_slot);

@@ -24,18 +24,18 @@
 //! version probe. A sharded checkpoint is the same one snapshot file;
 //! sharded crash/resume is exercised in `tests/shard.rs`.
 
-use postcard::net::{DcId, FileId, Network, NetworkBuilder, TransferRequest};
-use postcard::runtime::{
-    ArrivalSchedule, FaultPlan, Runtime, RuntimeConfig, RuntimeSnapshot, TierKind,
+use postcard::net::{
+    ChargingScheme, DcId, FileId, Network, NetworkBuilder, Trace, TransferRequest,
 };
-use postcard::sim::{trace_to_arrivals, Trace, UniformWorkload, WorkloadConfig};
+use postcard::runtime::{FaultPlan, Runtime, RuntimeConfig, RuntimeSnapshot, TierKind};
+use postcard::sim::{UniformWorkload, WorkloadConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A complete network with ample capacity (feasible for every tier) and
 /// seed-determined prices, plus a small multi-slot arrival schedule.
-fn instance(seed: u64, num_slots: u64) -> (Network, ArrivalSchedule) {
+fn instance(seed: u64, num_slots: u64) -> (Network, Trace) {
     let mut rng = StdRng::seed_from_u64(seed);
     let network = Network::complete_with_prices(4, 500.0, |_, _| rng.gen_range(1.0..=10.0));
     let mut workload = UniformWorkload::new(
@@ -47,8 +47,7 @@ fn instance(seed: u64, num_slots: u64) -> (Network, ArrivalSchedule) {
         },
         seed ^ 0x00C0_FFEE,
     );
-    let trace = Trace::generate(&mut workload, num_slots);
-    (network, trace_to_arrivals(&trace))
+    (network, Trace::generate(&mut workload, num_slots))
 }
 
 fn ckpt_path(name: &str) -> std::path::PathBuf {
@@ -132,7 +131,7 @@ fn kill_with_non_empty_backlog_resumes_bit_identically() {
     let (network, arrivals) = instance(31, SLOTS);
     let mut requests = arrivals.requests().to_vec();
     requests.push(TransferRequest::new(FileId(9_999), DcId(7), DcId(0), 4.0, 4, 1));
-    let arrivals = ArrivalSchedule::from_requests(requests);
+    let arrivals = Trace::from_requests(requests);
     let tiers = vec![TierKind::Postcard];
 
     // Reference run checkpoints on the same cadence (to its own file) so
@@ -204,7 +203,7 @@ fn kill_with_alap_and_backlog_resumes_bit_identically_including_drops() {
     // construction, not per-file infeasibility) and the whole slot-1 batch
     // is requeued — a non-empty backlog at the checkpoint boundary.
     requests.push(TransferRequest::new(FileId(9_999), DcId(7), DcId(0), 4.0, 4, 1));
-    let arrivals = ArrivalSchedule::from_requests(requests);
+    let arrivals = Trace::from_requests(requests);
     let faults = FaultPlan::none().force_timeout(1, TierKind::Alap);
     let config = |path: &std::path::Path| RuntimeConfig {
         tiers: vec![TierKind::Postcard],
@@ -270,7 +269,7 @@ fn alap_follows_a_mid_run_reprice_and_resumes_across_it() {
         .link(d1, d0, 2.0, 100.0)
         .link(d0, d2, 2.0, 100.0)
         .build();
-    let arrivals = ArrivalSchedule::from_requests(
+    let arrivals = Trace::from_requests(
         (0..SLOTS).map(|s| TransferRequest::new(FileId(s), d1, d2, 10.0, 2, s)).collect(),
     );
     let faults = FaultPlan::none().reprice(REPRICE, d1, d2, 10.0).maintain(6, 8, d1, d0);
@@ -559,6 +558,97 @@ fn forced_timeouts_never_miss_a_slot_and_are_all_recorded() {
     assert!(csv.contains("counter,fallback_activations,0,2"), "{csv}");
     // Fallback solve latency was observed under its own tier label.
     assert!(rt.metrics().histogram("solve_latency_seconds_flow-lp").is_some());
+}
+
+/// A 4-DC network with 60 GB links and bursts of up to 12 files per slot,
+/// served with the ALAP rung behind the headroom rung of a p80 tariff: the
+/// two tiers book onto the same ledger within one slot.
+fn alap_under_percentile() -> (Network, Trace, RuntimeConfig) {
+    let mut rng = StdRng::seed_from_u64(1);
+    let network = Network::complete_with_prices(4, 60.0, |_, _| rng.gen_range(1.0..=10.0));
+    let mut workload = UniformWorkload::new(
+        WorkloadConfig {
+            num_dcs: 4,
+            files_per_slot: (1, 12),
+            size_gb: (10.0, 60.0),
+            deadline_slots: (1, 4),
+        },
+        1,
+    );
+    let config = RuntimeConfig {
+        alap: true,
+        charging: ChargingScheme::Percentile { q: 80.0, window_slots: 20 },
+        ..Default::default()
+    };
+    (network, Trace::generate(&mut workload, 60), config)
+}
+
+#[test]
+fn alap_behind_headroom_never_books_past_a_link_capacity() {
+    // Regression: the ALAP rung's residual grid learned of other tiers'
+    // bookings only at the end of a slot whose first commit was not its
+    // own, so a headroom commit between two ALAP admissions of one slot
+    // was invisible to the second, which overbooked the link.
+    let (network, arrivals, config) = alap_under_percentile();
+    let mut rt = Runtime::new(network.clone(), arrivals, FaultPlan::none(), 60, config).unwrap();
+    rt.run_to_end().unwrap();
+    assert!(rt.metrics().counter("alap_admits") > 0, "the ALAP rung must admit");
+    assert!(rt.metrics().counter("tier_chosen_headroom") > 0, "the headroom rung must commit too");
+    let ledger = rt.controller().ledger();
+    for link in network.links() {
+        for slot in 0..ledger.horizon() {
+            let booked = ledger.volume(link.from, link.to, slot);
+            assert!(
+                booked <= link.capacity + 1e-6,
+                "link {}->{} slot {slot}: {booked} GB booked on {} GB",
+                link.from,
+                link.to,
+                link.capacity
+            );
+        }
+    }
+}
+
+#[test]
+fn alap_behind_headroom_resumes_bit_identically() {
+    const SLOTS: u64 = 60;
+    let (network, arrivals, config) = alap_under_percentile();
+    let with_checkpoints = |path: &std::path::Path| RuntimeConfig {
+        checkpoint_every: 1,
+        checkpoint_path: Some(path.to_string_lossy().into_owned()),
+        ..config.clone()
+    };
+    let full_path = ckpt_path("alap_headroom_full.json");
+    let mut full = Runtime::new(
+        network.clone(),
+        arrivals.clone(),
+        FaultPlan::none(),
+        SLOTS,
+        with_checkpoints(&full_path),
+    )
+    .unwrap();
+    full.run_to_end().unwrap();
+    std::fs::remove_file(&full_path).ok();
+
+    let path = ckpt_path("alap_headroom_kill.json");
+    let mut victim =
+        Runtime::new(network, arrivals, FaultPlan::none(), SLOTS, with_checkpoints(&path)).unwrap();
+    for _ in 0..30 {
+        victim.run_slot().unwrap().expect("slot within the run");
+    }
+    drop(victim);
+
+    let mut resumed = Runtime::resume(&path).unwrap();
+    assert_eq!(resumed.next_slot(), 30);
+    resumed.run_to_end().unwrap();
+    std::fs::remove_file(&path).ok();
+
+    assert_eq!(resumed.cost_history().len(), full.cost_history().len());
+    for (slot, (a, b)) in resumed.cost_history().iter().zip(full.cost_history()).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "cost diverged at slot {slot} ({a} vs {b})");
+    }
+    assert_eq!(resumed.controller().export_state(), full.controller().export_state());
+    assert_eq!(resumed.metrics(), full.metrics());
 }
 
 proptest! {

@@ -17,9 +17,9 @@
 //! regardless of worker scheduling) is exercised both directly and as a
 //! byproduct of the bit-exact comparisons in the other tests.
 
-use postcard::net::{DcId, FileId, NetworkBuilder, TransferRequest};
-use postcard::runtime::{ArrivalSchedule, FaultPlan, Runtime, RuntimeConfig, ShardBy};
-use postcard::sim::{trace_to_arrivals, TenantScenario};
+use postcard::net::{DcId, FileId, NetworkBuilder, Trace, TransferRequest};
+use postcard::runtime::{FaultPlan, Runtime, RuntimeConfig, ShardBy};
+use postcard::sim::TenantScenario;
 use proptest::prelude::*;
 
 fn ckpt_path(name: &str) -> std::path::PathBuf {
@@ -30,16 +30,16 @@ fn ckpt_path(name: &str) -> std::path::PathBuf {
 
 /// A quad-tenant instance (4 disjoint clusters of 3 DCs) and the shard
 /// count that matches its tenant count.
-fn quad_instance(seed: u64) -> (postcard::net::Network, ArrivalSchedule, usize) {
+fn quad_instance(seed: u64) -> (postcard::net::Network, Trace, usize) {
     let scenario = TenantScenario::quad();
     let network = scenario.network(seed);
-    let arrivals = trace_to_arrivals(&scenario.trace(seed ^ 0x00C0_FFEE));
+    let arrivals = scenario.trace(seed ^ 0x00C0_FFEE);
     (network, arrivals, scenario.tenants)
 }
 
 fn run_runtime(
     network: postcard::net::Network,
-    arrivals: ArrivalSchedule,
+    arrivals: Trace,
     num_slots: u64,
     config: RuntimeConfig,
 ) -> Runtime {
@@ -126,7 +126,7 @@ fn reconciliation_never_overcommits_shared_links() {
     // capacity (60). Validation in shard order must flag the collision and
     // the serial re-solve must reject the loser rather than overbook.
     let network = NetworkBuilder::new(2).link(DcId(0), DcId(1), 2.0, 30.0).build();
-    let arrivals = ArrivalSchedule::from_requests(vec![
+    let arrivals = Trace::from_requests(vec![
         TransferRequest::new(FileId::for_tenant(0, 0), DcId(0), DcId(1), 40.0, 2, 0),
         TransferRequest::new(FileId::for_tenant(1, 0), DcId(0), DcId(1), 40.0, 2, 0),
     ]);
