@@ -437,6 +437,21 @@ fn parse_faults(
     Ok(plan)
 }
 
+/// The bill a service run reports when it ends. Under a percentile scheme
+/// that is the whole run's bill per billing window (every window charged,
+/// not only the last, which may hold a few mostly idle slots); under
+/// `MaxPerSlot`, the running priced-peak bill.
+fn final_bill(rt: &Runtime) -> f64 {
+    let scheme = rt.config().charging;
+    match scheme {
+        ChargingScheme::MaxPerSlot => rt.final_cost_per_slot(),
+        ChargingScheme::Percentile { .. } => {
+            let (network, ledger) = (rt.controller().network(), rt.controller().ledger());
+            ledger.total_bill(network, scheme) / ledger.billing_windows(scheme) as f64
+        }
+    }
+}
+
 /// Runs a service (fresh or resumed) up to `stop_after_slot`, then reports
 /// and optionally exports metrics. Stopping early does *not* checkpoint —
 /// that is the crash being simulated; `resume` picks up from the last
@@ -481,7 +496,7 @@ fn drive_service(
         rt.num_slots(),
         accepted,
         rejected,
-        rt.final_cost_per_slot(),
+        final_bill(&rt),
         rt.metrics().counter("fallback_activations"),
     )?;
     if let Some(path) = metrics_out {
@@ -1367,6 +1382,72 @@ mod tests {
             line(&resumed, "headroom_declined"),
             "window accounting resumed differently"
         );
+    }
+
+    #[test]
+    fn serve_reports_the_whole_runs_bill_under_percentile_charging() {
+        let net_path = tmp("bill_net.csv");
+        let trace_path = tmp("bill_trace.csv");
+        let metrics_path = tmp("bill_metrics.json");
+        run_cli(&["gen-network", "--dcs", "4", "--capacity", "500", "--out", &net_path]).unwrap();
+        run_cli(&[
+            "gen-trace",
+            "--dcs",
+            "4",
+            "--slots",
+            "22",
+            "--files",
+            "1..3",
+            "--out",
+            &trace_path,
+        ])
+        .unwrap();
+        // The same run through the library, to price its final ledger.
+        let finished = |charging: ChargingScheme| {
+            let network = Network::from_csv(&std::fs::read_to_string(&net_path).unwrap()).unwrap();
+            let trace = Trace::from_csv(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
+            let config = RuntimeConfig { alap: true, charging, ..RuntimeConfig::default() };
+            let mut rt = Runtime::new(network, trace, FaultPlan::none(), 0, config).unwrap();
+            rt.run_to_end().unwrap();
+            rt
+        };
+        let serve = |charging: &str, metrics: &str| {
+            run_cli(&[
+                "serve",
+                "--network",
+                &net_path,
+                "--trace",
+                &trace_path,
+                "--alap",
+                "--charging",
+                charging,
+                "--metrics-out",
+                metrics,
+            ])
+            .unwrap()
+        };
+
+        // p80 over 20-slot windows: the second window holds only the last
+        // few slots, so its running charge is 0 while the run paid for the
+        // first window's peak.
+        let p80 = ChargingScheme::Percentile { q: 80.0, window_slots: 20 };
+        let out = serve("p80:20", &metrics_path);
+        let rt = finished(p80);
+        let (network, ledger) = (rt.controller().network(), rt.controller().ledger());
+        assert_eq!(ledger.billing_windows(p80), 2);
+        let whole_run = ledger.total_bill(network, p80) / 2.0;
+        assert!(whole_run > 0.0);
+        assert_eq!(rt.final_cost_per_slot(), 0.0, "the last window's running charge");
+        assert!(out.contains(&format!("final bill {whole_run:.2}/slot,")), "{out}");
+        // The gauge keeps the running charge of the current window.
+        let metrics = std::fs::read_to_string(&metrics_path).unwrap();
+        assert!(metrics.contains("\"bill_per_slot\": 0.0"), "{metrics}");
+
+        // Under max charging the line is the running priced-peak bill.
+        let out = serve("max", &tmp("bill_max_metrics.json"));
+        let running = finished(ChargingScheme::MaxPerSlot).final_cost_per_slot();
+        assert!(running > 0.0);
+        assert!(out.contains(&format!("final bill {running:.2}/slot,")), "{out}");
     }
 
     #[test]

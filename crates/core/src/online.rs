@@ -22,7 +22,7 @@
 
 use crate::error::PostcardError;
 use crate::scheduler::{Decision, Scheduler};
-use postcard_net::{ChargingScheme, FileId, Network, TrafficLedger, TransferRequest};
+use postcard_net::{ChargingScheme, FileId, LedgerUndo, Network, TrafficLedger, TransferRequest};
 use serde::{Deserialize, Serialize};
 
 /// One batch's admission verdict (see [`admit`]).
@@ -53,8 +53,8 @@ impl Admission {
 ///
 /// The first non-[`PostcardError::Infeasible`] scheduler error. `ledger` is
 /// then exactly as it was: the whole-batch path books nothing before its
-/// one call, and the per-file path restores the copy it saved when it
-/// started.
+/// one call, and the per-file path logs every write it books and undoes
+/// them, newest first.
 pub fn admit<S: Scheduler + ?Sized>(
     scheduler: &mut S,
     network: &Network,
@@ -63,22 +63,29 @@ pub fn admit<S: Scheduler + ?Sized>(
 ) -> Result<Admission, PostcardError> {
     match scheduler.schedule(network, files, ledger) {
         Ok(decision) => {
-            book(scheduler.name(), network, &decision, files, ledger);
+            book(scheduler.name(), network, &decision, files, ledger, None);
             Ok(Admission { commits: vec![(files.to_vec(), decision)], rejected: Vec::new() })
         }
         Err(PostcardError::Infeasible) => {
-            let saved = ledger.clone();
+            let mut undo = Vec::new();
             let mut admission = Admission::default();
             for f in files {
                 let single = [*f];
                 match scheduler.schedule(network, &single, ledger) {
                     Ok(decision) => {
-                        book(scheduler.name(), network, &decision, &single, ledger);
+                        book(
+                            scheduler.name(),
+                            network,
+                            &decision,
+                            &single,
+                            ledger,
+                            Some(&mut undo),
+                        );
                         admission.commits.push((single.to_vec(), decision));
                     }
                     Err(PostcardError::Infeasible) => admission.rejected.push(*f),
                     Err(e) => {
-                        *ledger = saved;
+                        ledger.undo(&mut undo);
                         return Err(e);
                     }
                 }
@@ -89,15 +96,17 @@ pub fn admit<S: Scheduler + ?Sized>(
     }
 }
 
-/// Books `decision` (made for `files` by `scheduler`) onto `ledger`. Debug
-/// builds first validate it against the traffic already booked, so a
-/// decision that over-commits a link fails the assertion.
+/// Books `decision` (made for `files` by `scheduler`) onto `ledger`,
+/// logging every write to `undo` when one is given. Debug builds first
+/// validate it against the traffic already booked, so a decision that
+/// over-commits a link fails the assertion.
 fn book(
     scheduler: &str,
     network: &Network,
     decision: &Decision,
     files: &[TransferRequest],
     ledger: &mut TrafficLedger,
+    mut undo: Option<&mut Vec<LedgerUndo>>,
 ) {
     match decision {
         Decision::Plan(plan) => debug_assert!(
@@ -109,7 +118,10 @@ fn book(
             "scheduler {scheduler} produced an invalid assignment"
         ),
     }
-    decision.apply_to_ledger(files, ledger);
+    decision.for_each_booking(files, |from, to, slot, volume| match undo.as_deref_mut() {
+        Some(log) => ledger.record_undoable(from, to, slot, volume, log),
+        None => ledger.record(from, to, slot, volume),
+    });
 }
 
 /// What happened in one controller step.
@@ -515,15 +527,32 @@ mod tests {
         let before = ctl.export_state();
         let decisions_before = ctl.decisions().len();
 
-        // File 3 is admitted per file before file 2 breaks the solver.
+        // Files 3 and 4 are admitted per file before file 2 breaks the
+        // solver. File 3 lengthens link 1→2's series past slot 2 and raises
+        // its peak; file 4 opens link 1→0's series from empty.
         let batch = [
             TransferRequest::new(FileId(3), d(1), d(2), 6.0, 3, 1),
+            TransferRequest::new(FileId(4), d(1), d(0), 4.0, 2, 1),
             TransferRequest::new(FileId(2), d(1), d(2), 6.0, 3, 1),
         ];
+        let mut booked = before.ledger.clone();
+        for f in &batch[..2] {
+            let decision = DirectScheduler.schedule(ctl.network(), &[*f], &booked).unwrap();
+            decision.apply_to_ledger(&[*f], &mut booked);
+        }
+        assert!(booked.series(d(1), d(2)).len() > before.ledger.series(d(1), d(2)).len());
+        assert!(booked.peak(d(1), d(2)) > before.ledger.peak(d(1), d(2)));
+        assert!(before.ledger.series(d(1), d(0)).is_empty() && booked.peak(d(1), d(0)) > 0.0);
+
         let err = ctl.step(1, &batch).unwrap_err();
         assert_eq!(err, PostcardError::Lp(LpError::SingularBasis));
         assert_eq!(ctl.export_state(), before, "ledger, counters and cost history unchanged");
         assert_eq!(ctl.decisions().len(), decisions_before);
+        for (i, j) in [(1, 2), (1, 0)] {
+            let (now, then) = (ctl.ledger(), &before.ledger);
+            assert_eq!(now.series(d(i), d(j)).len(), then.series(d(i), d(j)).len());
+            assert_eq!(now.peak(d(i), d(j)).to_bits(), then.peak(d(i), d(j)).to_bits());
+        }
     }
 
     #[test]

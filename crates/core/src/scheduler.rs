@@ -7,7 +7,7 @@ use crate::formulation::{solve_postcard_with, PostcardConfig};
 use postcard_flow::{
     greedy_cheapest_path, two_phase_baseline, unified_flow_lp_warm, BaselineError, FlowAssignment,
 };
-use postcard_net::{Network, TrafficLedger, TransferPlan, TransferRequest};
+use postcard_net::{DcId, Network, TrafficLedger, TransferPlan, TransferRequest};
 
 /// What a scheduler decided for a batch.
 ///
@@ -23,13 +23,24 @@ pub enum Decision {
 }
 
 impl Decision {
-    /// Books the decision's traffic for `files` (the batch it serves) into
-    /// `ledger`.
-    pub fn apply_to_ledger(&self, files: &[TransferRequest], ledger: &mut TrafficLedger) {
+    /// Calls `book(from, to, slot, volume)` for the traffic the decision
+    /// puts on a ledger for `files` (the batch it serves).
+    pub fn for_each_booking(
+        &self,
+        files: &[TransferRequest],
+        book: impl FnMut(DcId, DcId, u64, f64),
+    ) {
         match self {
-            Decision::Plan(plan) => plan.apply_to_ledger(ledger),
-            Decision::Rates(rates) => rates.apply_to_ledger(files, ledger),
+            Decision::Plan(plan) => plan.for_each_booking(book),
+            Decision::Rates(rates) => rates.for_each_booking(files, book),
         }
+    }
+
+    /// Books the decision's traffic for `files` into `ledger`.
+    pub fn apply_to_ledger(&self, files: &[TransferRequest], ledger: &mut TrafficLedger) {
+        self.for_each_booking(files, |from, to, slot, volume| {
+            ledger.record(from, to, slot, volume)
+        });
     }
 }
 

@@ -230,11 +230,25 @@ struct Reservation {
 }
 
 /// Deadline-guaranteed ALAP admission over a persistent [`ResidualGrid`].
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Two schedulers are equal when their grids, path caches and path counts
+/// are: the placement buffers are working space, cleared on every call, and take
+/// no part in equality.
+#[derive(Debug, Clone)]
 pub struct AlapScheduler {
     grid: ResidualGrid,
     paths: PathCache,
     max_paths: usize,
+    /// Grid reservations of the current call, kept for rollback.
+    reservations: Vec<Reservation>,
+    /// Chunks `(start_slot, path index, volume)` of the file being placed.
+    chunks: Vec<(u64, usize, f64)>,
+}
+
+impl PartialEq for AlapScheduler {
+    fn eq(&self, other: &Self) -> bool {
+        self.grid == other.grid && self.paths == other.paths && self.max_paths == other.max_paths
+    }
 }
 
 impl Default for AlapScheduler {
@@ -245,6 +259,8 @@ impl Default for AlapScheduler {
             grid: ResidualGrid::default(),
             paths: PathCache::default(),
             max_paths: DEFAULT_MAX_PATHS,
+            reservations: Vec::new(),
+            chunks: Vec::new(),
         }
     }
 }
@@ -291,19 +307,17 @@ impl AlapScheduler {
         network: &Network,
         file: &TransferRequest,
     ) -> Result<TransferPlan, AlapRejection> {
-        let mut reservations = Vec::new();
-        match self.place(network, file, &mut reservations) {
-            Ok(plan) => Ok(plan),
-            Err(reject) => {
-                self.rollback(&reservations);
-                Err(reject)
-            }
+        self.reservations.clear();
+        let placed = self.place(network, file);
+        if placed.is_err() {
+            self.rollback();
         }
+        placed
     }
 
     /// Admits a whole batch all-or-nothing: either every file is placed
     /// (merged plan returned, reservations kept) or the grid is left
-    /// exactly as before.
+    /// exactly as before. A one-file batch is [`AlapScheduler::admit`].
     ///
     /// # Errors
     ///
@@ -313,13 +327,16 @@ impl AlapScheduler {
         network: &Network,
         files: &[TransferRequest],
     ) -> Result<TransferPlan, AlapRejection> {
-        let mut reservations = Vec::new();
+        if let [file] = files {
+            return self.admit(network, file);
+        }
+        self.reservations.clear();
         let mut merged = TransferPlan::new();
         for file in files {
-            match self.place(network, file, &mut reservations) {
+            match self.place(network, file) {
                 Ok(plan) => merged.merge(&plan),
                 Err(reject) => {
-                    self.rollback(&reservations);
+                    self.rollback();
                     return Err(reject);
                 }
             }
@@ -327,19 +344,19 @@ impl AlapScheduler {
         Ok(merged)
     }
 
-    fn rollback(&mut self, reservations: &[Reservation]) {
-        for r in reservations {
+    /// Releases every reservation of the current call, oldest first.
+    fn rollback(&mut self) {
+        for r in self.reservations.drain(..) {
             self.grid.release(r.from, r.to, r.slot, r.volume);
         }
     }
 
-    /// Places one file, appending every grid reservation to `reservations`
-    /// (the caller rolls back on failure).
+    /// Places one file, appending every grid reservation to
+    /// `self.reservations` (the caller rolls back on failure).
     fn place(
         &mut self,
         network: &Network,
         file: &TransferRequest,
-        reservations: &mut Vec<Reservation>,
     ) -> Result<TransferPlan, AlapRejection> {
         // A request naming a datacenter outside the topology must be an
         // instant rejection, not an out-of-bounds panic inside Dijkstra.
@@ -352,8 +369,7 @@ impl AlapScheduler {
         }
         let (first, last) = (file.first_slot(), file.last_slot());
         let mut remaining = file.size_gb;
-        // Chunks as `(start_slot, path index, volume)`.
-        let mut chunks: Vec<(u64, usize, f64)> = Vec::new();
+        self.chunks.clear();
 
         // Latest finish slot first; within a finish slot, cheapest path
         // first. A chunk on an `L`-hop path finishing at `finish` starts at
@@ -372,9 +388,9 @@ impl AlapScheduler {
                 for (h, &(u, v)) in path.hops.iter().enumerate() {
                     let slot = start + h as u64;
                     self.grid.reserve(u, v, slot, volume);
-                    reservations.push(Reservation { from: u, to: v, slot, volume });
+                    self.reservations.push(Reservation { from: u, to: v, slot, volume });
                 }
-                chunks.push((start, pi, volume));
+                self.chunks.push((start, pi, volume));
                 remaining -= volume;
                 if remaining <= ALAP_TOL {
                     break 'fill;
@@ -388,14 +404,14 @@ impl AlapScheduler {
         // Materialize the plan: transit entries one hop per slot, plus
         // holdovers at the source for volume that departs later.
         let mut plan = TransferPlan::new();
-        for &(start, pi, volume) in &chunks {
+        for &(start, pi, volume) in &self.chunks {
             for (h, &(u, v)) in paths[pi].hops.iter().enumerate() {
                 plan.add(file.id, start + h as u64, u, v, volume);
             }
         }
         for slot in first..=last {
             let waiting: f64 =
-                chunks.iter().filter(|&&(start, _, _)| start > slot).map(|&(_, _, v)| v).sum();
+                self.chunks.iter().filter(|&&(start, _, _)| start > slot).map(|&(_, _, v)| v).sum();
             if waiting > 0.0 {
                 plan.add(file.id, slot, file.src, file.src, waiting);
             }
@@ -479,6 +495,58 @@ mod tests {
         let f = TransferRequest::new(FileId(1), d(0), d(1), 10.0, 1, 0);
         assert_eq!(alap.admit(&net, &f).unwrap_err(), AlapRejection::InsufficientResidual);
         assert_eq!(*alap.grid(), before, "rejection must roll back");
+        // After an admission, a rejection rolls back only its own trial
+        // reservations: the admitted file's stay, bit for bit.
+        let small = TransferRequest::new(FileId(2), d(0), d(1), 0.75, 2, 0);
+        alap.admit(&net, &small).unwrap();
+        let admitted = alap.grid().clone();
+        let big = TransferRequest::new(FileId(3), d(0), d(1), 10.0, 3, 0);
+        assert_eq!(alap.admit(&net, &big).unwrap_err(), AlapRejection::InsufficientResidual);
+        assert_eq!(*alap.grid(), admitted, "the admitted file's reservations survive");
+        for (g, a) in alap.grid().reserved.iter().zip(&admitted.reserved) {
+            let bits = |v: &Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(g), bits(a));
+        }
+    }
+
+    #[test]
+    fn one_file_batch_decides_as_a_single_admission() {
+        let net = fig1_net();
+        let files = [
+            TransferRequest::new(FileId(1), d(1), d(2), 1500.0, 3, 0),
+            TransferRequest::new(FileId(2), d(1), d(2), 6.0, 3, 0),
+            TransferRequest::new(FileId(3), d(1), d(2), 2900.0, 3, 1),
+            TransferRequest::new(FileId(4), d(1), d(0), 9.0, 2, 1),
+            TransferRequest::new(FileId(5), d(0), d(1), 1.0, 2, 1),
+        ];
+        let (mut single, mut batch) = (AlapScheduler::new(&net), AlapScheduler::new(&net));
+        for f in &files {
+            let (want, got) = (single.admit(&net, f), batch.admit_batch(&net, &[*f]));
+            assert_eq!(got, want, "file {:?}", f.id);
+            assert_eq!(batch.grid, single.grid, "file {:?}", f.id);
+        }
+        // The sequence exercised both verdicts.
+        let verdicts: Vec<bool> = {
+            let mut alap = AlapScheduler::new(&net);
+            files.iter().map(|f| alap.admit(&net, f).is_ok()).collect()
+        };
+        assert!(verdicts.contains(&true) && verdicts.contains(&false), "{verdicts:?}");
+    }
+
+    #[test]
+    fn placement_buffers_take_no_part_in_equality() {
+        let net = fig1_net();
+        let mut used = AlapScheduler::new(&net);
+        let f = TransferRequest::new(FileId(1), d(1), d(2), 6.0, 3, 0);
+        used.admit(&net, &f).unwrap();
+        used.rebase(&net, &TrafficLedger::new(3));
+        assert!(!used.reservations.is_empty() && !used.chunks.is_empty());
+        let mut fresh = AlapScheduler::new(&net);
+        // Both hold the same grid and the same cached paths; only the
+        // placement buffers differ.
+        fresh.paths.get(&net, d(1), d(2), fresh.max_paths);
+        assert_eq!(used, fresh);
+        assert_eq!(used.clone(), fresh);
     }
 
     #[test]

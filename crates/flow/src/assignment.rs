@@ -207,18 +207,31 @@ impl FlowAssignment {
         self.validate(network, files, extra_used).is_empty()
     }
 
-    /// Commits the assignment into a ledger: every file contributes its rate
-    /// on each of its links for each slot of its active window.
-    pub fn apply_to_ledger(&self, files: &[TransferRequest], ledger: &mut TrafficLedger) {
+    /// Calls `book(from, to, slot, volume)` for the traffic the assignment
+    /// puts on a ledger: every file's rate on each of its links for each
+    /// slot of its active window.
+    pub fn for_each_booking(
+        &self,
+        files: &[TransferRequest],
+        mut book: impl FnMut(DcId, DcId, u64, f64),
+    ) {
         for f in files {
             for slot in f.first_slot()..=f.last_slot() {
                 for (&(fid, i, j), &r) in &self.rates {
                     if fid == f.id.0 && r > 0.0 {
-                        ledger.record(DcId(i), DcId(j), slot, r);
+                        book(DcId(i), DcId(j), slot, r);
                     }
                 }
             }
         }
+    }
+
+    /// Commits the assignment into a ledger (see
+    /// [`FlowAssignment::for_each_booking`]).
+    pub fn apply_to_ledger(&self, files: &[TransferRequest], ledger: &mut TrafficLedger) {
+        self.for_each_booking(files, |from, to, slot, volume| {
+            ledger.record(from, to, slot, volume)
+        });
     }
 }
 

@@ -26,6 +26,23 @@ pub struct TrafficLedger {
     peak: Vec<f64>,
 }
 
+/// What one [`TrafficLedger::record_undoable`] write overwrote: enough for
+/// [`TrafficLedger::undo`] to restore the cell, the series length and the
+/// link's peak exactly, without copying the ledger.
+#[derive(Debug, Clone, Copy)]
+pub struct LedgerUndo {
+    /// Dense link index `from · n + to`.
+    link: usize,
+    /// The slot written.
+    slot: usize,
+    /// The link's series length before the write.
+    len_before: usize,
+    /// The cell's value before the write (0 past the series' end).
+    old_value: f64,
+    /// The link's peak before the write.
+    old_peak: f64,
+}
+
 impl TrafficLedger {
     /// Creates an empty ledger for `num_dcs` datacenters.
     ///
@@ -52,6 +69,52 @@ impl TrafficLedger {
     ///
     /// Panics on a self-link, an out-of-range id, or a negative/NaN volume.
     pub fn record(&mut self, from: DcId, to: DcId, slot: u64, volume: f64) {
+        self.write(from, to, slot, volume, |_| {});
+    }
+
+    /// [`TrafficLedger::record`], appending to `log` what
+    /// [`TrafficLedger::undo`] needs to take the write back exactly.
+    ///
+    /// # Panics
+    ///
+    /// As [`TrafficLedger::record`].
+    pub fn record_undoable(
+        &mut self,
+        from: DcId,
+        to: DcId,
+        slot: u64,
+        volume: f64,
+        log: &mut Vec<LedgerUndo>,
+    ) {
+        self.write(from, to, slot, volume, |undo| log.push(undo));
+    }
+
+    /// Takes back every write in `log`, newest first, and empties it. The
+    /// ledger is then exactly as it was before the oldest of them: same
+    /// cells, bit for bit, same series lengths and same peaks. The writes
+    /// must be the ledger's latest, with nothing recorded after them.
+    pub fn undo(&mut self, log: &mut Vec<LedgerUndo>) {
+        while let Some(u) = log.pop() {
+            let series = &mut self.volumes[u.link];
+            if u.len_before <= u.slot {
+                series.truncate(u.len_before);
+            } else {
+                series[u.slot] = u.old_value;
+            }
+            self.peak[u.link] = u.old_peak;
+        }
+    }
+
+    /// The one ledger write: adds `volume` to a cell after handing `log`
+    /// what it overwrites. A zero volume changes nothing and logs nothing.
+    fn write(
+        &mut self,
+        from: DcId,
+        to: DcId,
+        slot: u64,
+        volume: f64,
+        log: impl FnOnce(LedgerUndo),
+    ) {
         assert!(from != to, "storage is not ledger traffic");
         assert!(from.0 < self.n && to.0 < self.n, "datacenter id out of range");
         assert!(volume >= 0.0 && volume.is_finite(), "volume must be finite and non-negative");
@@ -63,6 +126,13 @@ impl TrafficLedger {
         let idx = from.0 * self.n + to.0;
         let series = &mut self.volumes[idx];
         let s = slot as usize;
+        log(LedgerUndo {
+            link: idx,
+            slot: s,
+            len_before: series.len(),
+            old_value: series.get(s).copied().unwrap_or(0.0),
+            old_peak: self.peak[idx],
+        });
         if series.len() <= s {
             series.resize(s + 1, 0.0);
         }
@@ -222,9 +292,21 @@ impl TrafficLedger {
     pub fn total_bill(&self, network: &Network, scheme: ChargingScheme) -> f64 {
         match scheme {
             ChargingScheme::MaxPerSlot => self.cost_per_slot(network),
+            ChargingScheme::Percentile { .. } => {
+                self.bill_windows(network, scheme, 0..self.billing_windows(scheme))
+            }
+        }
+    }
+
+    /// How many billing windows [`TrafficLedger::total_bill`] charges: the
+    /// aligned windows covering the recorded horizon (at least one), and
+    /// always one under `MaxPerSlot`. The total bill divided by this is
+    /// the run's bill per billing window.
+    pub fn billing_windows(&self, scheme: ChargingScheme) -> u64 {
+        match scheme {
+            ChargingScheme::MaxPerSlot => 1,
             ChargingScheme::Percentile { window_slots, .. } => {
-                let windows = self.horizon().div_ceil(window_slots as u64).max(1);
-                self.bill_windows(network, scheme, 0..windows)
+                self.horizon().div_ceil(window_slots as u64).max(1)
             }
         }
     }

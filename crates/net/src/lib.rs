@@ -62,7 +62,7 @@ mod trace;
 
 pub use charging::ChargingScheme;
 pub use file::{FileId, TransferRequest, TENANT_BITS};
-pub use ledger::TrafficLedger;
+pub use ledger::{LedgerUndo, TrafficLedger};
 pub use plan::{PlanEntry, PlanViolation, TransferPlan};
 pub use timeexp::{Arc, ArcId, ArcKind, NodeArcs, TimeExpandedGraph, TimeNode};
 pub use topology::{split_csv_fields, DcId, LinkView, Network, NetworkBuilder};

@@ -193,13 +193,17 @@ impl TransferPlan {
         }
     }
 
+    /// Calls `book(from, to, slot, volume)` for every transit entry, in
+    /// plan order: the traffic the plan puts on a ledger.
+    pub fn for_each_booking(&self, mut book: impl FnMut(DcId, DcId, u64, f64)) {
+        for e in self.iter().filter(|e| !e.is_holdover()) {
+            book(e.from, e.to, e.slot, e.volume);
+        }
+    }
+
     /// Commits all transit entries into a ledger.
     pub fn apply_to_ledger(&self, ledger: &mut TrafficLedger) {
-        for e in self.iter() {
-            if !e.is_holdover() {
-                ledger.record(e.from, e.to, e.slot, e.volume);
-            }
-        }
+        self.for_each_booking(|from, to, slot, volume| ledger.record(from, to, slot, volume));
     }
 
     /// Validates the plan against the paper's constraints.

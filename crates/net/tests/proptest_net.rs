@@ -70,6 +70,40 @@ proptest! {
         prop_assert!((ledger.cost_per_slot(&net) - expected_bill).abs() < 1e-9);
     }
 
+    /// Undoing logged writes restores the ledger exactly: same cells bit
+    /// for bit, same series lengths, same peaks. The logged writes reach
+    /// past the series' ends, raise peaks, and include zero volumes.
+    #[test]
+    fn undo_restores_the_ledger_exactly(
+        base in prop::collection::vec((0usize..6, 0u64..20, 0.1f64..50.0), 0..40),
+        logged in prop::collection::vec((0usize..6, 0u64..30, 0.0f64..80.0, 0usize..6), 1..40),
+    ) {
+        const PAIRS: [(usize, usize); 6] = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)];
+        let mut ledger = TrafficLedger::new(3);
+        for &(pair, slot, vol) in &base {
+            let (i, j) = PAIRS[pair];
+            ledger.record(DcId(i), DcId(j), slot, vol);
+        }
+        let before = ledger.clone();
+        let mut log = Vec::new();
+        for &(pair, slot, vol, zero) in &logged {
+            let (i, j) = PAIRS[pair];
+            let vol = if zero == 0 { 0.0 } else { vol };
+            ledger.record_undoable(DcId(i), DcId(j), slot, vol, &mut log);
+        }
+        ledger.undo(&mut log);
+        prop_assert!(log.is_empty());
+        prop_assert_eq!(&ledger, &before);
+        prop_assert_eq!(ledger.horizon(), before.horizon());
+        for (i, j) in PAIRS {
+            let (a, b) = (ledger.series(DcId(i), DcId(j)), before.series(DcId(i), DcId(j)));
+            prop_assert_eq!(a.len(), b.len());
+            prop_assert!(a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
+            let (pa, pb) = (ledger.peak(DcId(i), DcId(j)), before.peak(DcId(i), DcId(j)));
+            prop_assert_eq!(pa.to_bits(), pb.to_bits());
+        }
+    }
+
     /// Time expansion has exactly (links + dcs) arcs per slot, and arc
     /// endpoints always connect consecutive layers.
     #[test]

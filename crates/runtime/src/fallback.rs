@@ -79,6 +79,31 @@ impl TierKind {
         }
     }
 
+    /// The tier's metric names, spelled out so that recording one allocates
+    /// nothing. Each is its family's prefix followed by [`TierKind::name`].
+    pub(crate) fn metric_names(&self) -> TierMetricNames {
+        let (chosen, solve_latency, fallback_from) = match self {
+            TierKind::Headroom => {
+                ("tier_chosen_headroom", "solve_latency_seconds_headroom", "fallback_from_headroom")
+            }
+            TierKind::Alap => {
+                ("tier_chosen_alap", "solve_latency_seconds_alap", "fallback_from_alap")
+            }
+            TierKind::Postcard => {
+                ("tier_chosen_postcard", "solve_latency_seconds_postcard", "fallback_from_postcard")
+            }
+            TierKind::FlowLp => {
+                ("tier_chosen_flow-lp", "solve_latency_seconds_flow-lp", "fallback_from_flow-lp")
+            }
+            TierKind::Greedy => (
+                "tier_chosen_flow-greedy",
+                "solve_latency_seconds_flow-greedy",
+                "fallback_from_flow-greedy",
+            ),
+        };
+        TierMetricNames { chosen, solve_latency, fallback_from }
+    }
+
     /// Builds the tier's scheduler. `charging` is the run's charging
     /// scheme, which the [`TierKind::Headroom`] rung places traffic
     /// against; other tiers ignore it.
@@ -102,6 +127,18 @@ impl TierKind {
     pub fn default_chain() -> Vec<TierKind> {
         vec![TierKind::Postcard, TierKind::FlowLp, TierKind::Greedy]
     }
+}
+
+/// The names of one tier's metrics (see [`TierKind::metric_names`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TierMetricNames {
+    /// Counter of slots the tier decided: `tier_chosen_<tier>`.
+    pub chosen: &'static str,
+    /// Histogram of committed attempts' latency:
+    /// `solve_latency_seconds_<tier>`.
+    pub solve_latency: &'static str,
+    /// Counter of the tier's failed attempts: `fallback_from_<tier>`.
+    pub fallback_from: &'static str,
 }
 
 impl std::fmt::Display for TierKind {
@@ -477,6 +514,23 @@ mod tests {
             .link(d(1), d(0), 1.0, 100.0)
             .link(d(0), d(2), 3.0, 100.0)
             .build()
+    }
+
+    #[test]
+    fn static_metric_names_match_the_formatted_ones() {
+        let all = [
+            TierKind::Headroom,
+            TierKind::Alap,
+            TierKind::Postcard,
+            TierKind::FlowLp,
+            TierKind::Greedy,
+        ];
+        for tier in all {
+            let names = tier.metric_names();
+            assert_eq!(names.chosen, format!("tier_chosen_{}", tier.name()));
+            assert_eq!(names.solve_latency, format!("solve_latency_seconds_{}", tier.name()));
+            assert_eq!(names.fallback_from, format!("fallback_from_{}", tier.name()));
+        }
     }
 
     /// A chain over `tiers` with a 100 ms budget on the simulated clock.

@@ -138,6 +138,17 @@ impl HistogramSummary {
     }
 }
 
+/// Applies `apply` to the entry named `name` in `map`, created at its
+/// default the first time the name is used. Only that first use allocates
+/// the key: the runtime records dozens of instruments per slot under a
+/// handful of names.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, apply: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(value) => apply(value),
+        None => apply(map.entry(name.to_string()).or_default()),
+    }
+}
+
 /// Counters, gauges, and histograms for one runtime.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct MetricsRegistry {
@@ -154,17 +165,17 @@ impl MetricsRegistry {
 
     /// Adds `by` to the named counter (creating it at 0).
     pub fn inc(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += by;
+        update(&mut self.counters, name, |c| *c += by);
     }
 
     /// Sets the named gauge.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
+        update(&mut self.gauges, name, |g| *g = value);
     }
 
     /// Records one observation in the named histogram.
     pub fn observe(&mut self, name: &str, value: f64) {
-        self.histograms.entry(name.to_string()).or_default().observe(value);
+        update(&mut self.histograms, name, |h| h.observe(value));
     }
 
     /// The named counter's value (0 if never incremented).
@@ -275,6 +286,81 @@ mod tests {
         m.inc("slots", 2);
         assert_eq!(m.counter("slots"), 3);
         assert_eq!(m.counter("never"), 0);
+    }
+
+    #[test]
+    fn a_zero_increment_still_creates_the_counter() {
+        let mut m = MetricsRegistry::new();
+        m.inc("quiet", 0);
+        assert_eq!(m.counter("quiet"), 0);
+        assert!(m.to_csv().contains("counter,quiet,0,0,"), "{}", m.to_csv());
+    }
+
+    /// One fixed sequence of updates, with names reused, first-used and
+    /// zero-valued, in an order that differs from the export order.
+    fn fixed_sequence() -> MetricsRegistry {
+        let mut m = MetricsRegistry::new();
+        m.inc("slots_total", 1);
+        m.observe("queue_depth", 3.0);
+        m.set_gauge("bill_per_slot", 12.5);
+        m.inc("files_accepted", 0);
+        m.inc("slots_total", 1);
+        m.observe("queue_depth", 0.25);
+        m.set_gauge("bill_per_slot", 0.1 + 0.2);
+        m.inc("alap_admits", 7);
+        m.observe("admission_latency_seconds", 0.0);
+        m
+    }
+
+    /// [`MetricsRegistry::to_json`] of [`fixed_sequence`].
+    const PINNED_JSON: &str = r#"{
+  "counters": {
+    "alap_admits": 7,
+    "files_accepted": 0,
+    "slots_total": 2
+  },
+  "gauges": {
+    "bill_per_slot": 0.30000000000000004
+  },
+  "histograms": {
+    "admission_latency_seconds": {
+      "count": 1,
+      "sum": 0.0,
+      "min": 0.0,
+      "max": 0.0,
+      "mean": 0.0,
+      "p50": 0.0,
+      "p95": 0.0,
+      "p99": 0.0
+    },
+    "queue_depth": {
+      "count": 2,
+      "sum": 3.25,
+      "min": 0.25,
+      "max": 3.0,
+      "mean": 1.625,
+      "p50": 0.5,
+      "p95": 3.0,
+      "p99": 3.0
+    }
+  }
+}
+"#;
+
+    #[test]
+    fn exports_of_a_fixed_sequence_are_pinned() {
+        let m = fixed_sequence();
+        assert_eq!(
+            m.to_csv(),
+            "kind,name,count,sum,min,max,mean,p50,p95,p99\n\
+             counter,alap_admits,0,7,0,0,0,0,0,0\n\
+             counter,files_accepted,0,0,0,0,0,0,0,0\n\
+             counter,slots_total,0,2,0,0,0,0,0,0\n\
+             gauge,bill_per_slot,0,0.30000000000000004,0,0,0,0,0,0\n\
+             histogram,admission_latency_seconds,1,0,0,0,0,0,0,0\n\
+             histogram,queue_depth,2,3.25,0.25,3,1.625,0.5,3,3\n"
+        );
+        assert_eq!(m.to_json(), PINNED_JSON);
     }
 
     #[test]

@@ -653,7 +653,7 @@ impl Runtime {
         // tier-choice and latency metrics in no-ops.
         let chosen_tier = solved.first().and_then(|s| s.chosen_tier);
         if let Some(tier) = chosen_tier {
-            self.metrics.inc(&format!("tier_chosen_{}", tier.name()), 1);
+            self.metrics.inc(tier.metric_names().chosen, 1);
             // A scheduled re-optimization deliberately lands on an LP tier,
             // and a headroom decline deliberately hands the slot to the
             // first scheduling tier; both are the design working, not a
@@ -707,10 +707,8 @@ impl Runtime {
         for rec in records {
             match rec.outcome {
                 AttemptOutcome::Committed => {
-                    self.metrics.observe(
-                        &format!("solve_latency_seconds_{}", rec.tier.name()),
-                        rec.elapsed.as_secs_f64(),
-                    );
+                    let name = rec.tier.metric_names().solve_latency;
+                    self.metrics.observe(name, rec.elapsed.as_secs_f64());
                     self.metrics.observe("lp_iterations", rec.lp_iterations as f64);
                     if rec.tier == TierKind::Alap {
                         self.metrics
@@ -721,7 +719,7 @@ impl Runtime {
                 | AttemptOutcome::BudgetExceeded
                 | AttemptOutcome::Failed => {
                     self.metrics.inc("fallback_activations", 1);
-                    self.metrics.inc(&format!("fallback_from_{}", rec.tier.name()), 1);
+                    self.metrics.inc(rec.tier.metric_names().fallback_from, 1);
                 }
                 AttemptOutcome::Infeasible => {
                     // Handled by per-file admission; rejections are counted
