@@ -3,7 +3,7 @@
 //! naive direct-path sender.
 
 use crate::error::PostcardError;
-use crate::formulation::{solve_postcard_with, PostcardConfig};
+use crate::formulation::{build_postcard_problem, PostcardConfig, PostcardProblem};
 use postcard_flow::{
     greedy_cheapest_path, two_phase_baseline, unified_flow_lp_warm, BaselineError, FlowAssignment,
 };
@@ -130,6 +130,20 @@ impl PostcardScheduler {
     pub fn with_config(config: PostcardConfig) -> Self {
         Self { config, ..Self::default() }
     }
+
+    /// Solves a problem already built for a batch, as
+    /// [`Scheduler::schedule`] would after building it itself. `problem`
+    /// must come from [`build_postcard_problem`] with this scheduler's
+    /// config, against the network and ledger the batch is scheduled on.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Scheduler::schedule`].
+    pub fn schedule_built(&mut self, problem: &PostcardProblem) -> Result<Decision, PostcardError> {
+        let sol = problem.solve(&self.config.simplex)?;
+        self.last_stats = SolveStats { lp_iterations: sol.lp_iterations };
+        Ok(Decision::Plan(sol.plan))
+    }
 }
 
 impl Scheduler for PostcardScheduler {
@@ -147,9 +161,12 @@ impl Scheduler for PostcardScheduler {
         files: &[TransferRequest],
         ledger: &TrafficLedger,
     ) -> Result<Decision, PostcardError> {
-        let sol = solve_postcard_with(network, files, ledger, &self.config)?;
-        self.last_stats = SolveStats { lp_iterations: sol.lp_iterations };
-        Ok(Decision::Plan(sol.plan))
+        if files.is_empty() {
+            self.last_stats = SolveStats::default();
+            return Ok(Decision::Plan(TransferPlan::new()));
+        }
+        let problem = build_postcard_problem(network, files, ledger, &self.config)?;
+        self.schedule_built(&problem)
     }
 
     fn last_stats(&self) -> SolveStats {

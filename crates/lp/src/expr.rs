@@ -15,7 +15,6 @@
 //! assert_eq!(e.constant(), 3.0);
 //! ```
 
-use std::collections::BTreeMap;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
@@ -36,12 +35,14 @@ impl Variable {
 
 /// A sparse affine expression `Σ cᵢ·xᵢ + constant`.
 ///
-/// Terms are stored keyed by variable so repeated additions of the same
-/// variable merge coefficients; zero coefficients are retained until
-/// [`LinExpr::compact`] is called (the solver compacts on ingestion).
+/// Terms live in a `Vec` sorted by variable, one entry per variable:
+/// adding a variable already present merges its coefficient, and adding
+/// one past the last (the order a builder naturally emits) is a push. Zero
+/// coefficients are retained until [`LinExpr::compact`] is called (the
+/// solver compacts on ingestion).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinExpr {
-    terms: BTreeMap<Variable, f64>,
+    terms: Vec<(Variable, f64)>,
     constant: f64,
 }
 
@@ -60,12 +61,22 @@ impl LinExpr {
 
     /// Creates a constant expression.
     pub fn constant_expr(value: f64) -> Self {
-        Self { terms: BTreeMap::new(), constant: value }
+        Self { terms: Vec::new(), constant: value }
     }
 
     /// Adds `coef · var` to the expression, merging with any existing term.
+    ///
+    /// A new term starts from `0.0 + coef`, so a `-0.0` coefficient is
+    /// stored as `+0.0`.
     pub fn add_term(&mut self, var: Variable, coef: f64) -> &mut Self {
-        *self.terms.entry(var).or_insert(0.0) += coef;
+        match self.terms.last_mut() {
+            Some(last) if last.0 == var => last.1 += coef,
+            Some(last) if last.0 > var => match self.terms.binary_search_by_key(&var, |t| t.0) {
+                Ok(i) => self.terms[i].1 += coef,
+                Err(i) => self.terms.insert(i, (var, 0.0 + coef)),
+            },
+            _ => self.terms.push((var, 0.0 + coef)),
+        }
         self
     }
 
@@ -77,7 +88,7 @@ impl LinExpr {
 
     /// The coefficient of `var` (0 if absent).
     pub fn coefficient(&self, var: Variable) -> f64 {
-        self.terms.get(&var).copied().unwrap_or(0.0)
+        self.terms.binary_search_by_key(&var, |t| t.0).map_or(0.0, |i| self.terms[i].1)
     }
 
     /// The constant offset of the expression.
@@ -97,13 +108,13 @@ impl LinExpr {
 
     /// Iterates over `(variable, coefficient)` pairs in variable order.
     pub fn iter(&self) -> impl Iterator<Item = (Variable, f64)> + '_ {
-        self.terms.iter().map(|(v, c)| (*v, *c))
+        self.terms.iter().copied()
     }
 
     /// Removes terms with exactly-zero coefficients.
     pub fn compact(&mut self) {
         // postcard-analyze: allow(PA101) — bit-exact zero removal is the point.
-        self.terms.retain(|_, c| *c != 0.0);
+        self.terms.retain(|&(_, c)| c != 0.0);
     }
 
     /// Evaluates the expression on a dense assignment indexed by variable.
@@ -112,17 +123,44 @@ impl LinExpr {
     ///
     /// Panics if a variable index is out of range for `values`.
     pub fn evaluate(&self, values: &[f64]) -> f64 {
-        self.constant + self.terms.iter().map(|(v, c)| c * values[v.0]).sum::<f64>()
+        self.constant + self.terms.iter().map(|&(v, c)| c * values[v.0]).sum::<f64>()
     }
 
     /// Returns `true` if any coefficient or the constant is NaN.
     pub fn has_nan(&self) -> bool {
-        self.constant.is_nan() || self.terms.values().any(|c| c.is_nan())
+        self.constant.is_nan() || self.terms.iter().any(|&(_, c)| c.is_nan())
     }
 
     /// Largest variable index referenced, if any.
     pub fn max_var_index(&self) -> Option<usize> {
-        self.terms.keys().next_back().map(|v| v.0)
+        self.terms.last().map(|&(v, _)| v.0)
+    }
+
+    /// Adds every term of `rhs` (sorted, one per variable), as repeated
+    /// [`LinExpr::add_term`] calls would, in one merge pass.
+    fn merge_terms(&mut self, rhs: Vec<(Variable, f64)>) {
+        let appends = match (self.terms.last(), rhs.first()) {
+            (Some(last), Some(first)) => last.0 < first.0,
+            _ => true,
+        };
+        if appends {
+            self.terms.extend(rhs.into_iter().map(|(v, c)| (v, 0.0 + c)));
+            return;
+        }
+        let lhs = std::mem::take(&mut self.terms);
+        let mut merged = Vec::with_capacity(lhs.len() + rhs.len());
+        let mut rhs = rhs.into_iter().peekable();
+        for (v, c) in lhs {
+            while let Some((w, d)) = rhs.next_if(|&(w, _)| w < v) {
+                merged.push((w, 0.0 + d));
+            }
+            match rhs.next_if(|&(w, _)| w == v) {
+                Some((_, d)) => merged.push((v, c + d)),
+                None => merged.push((v, c)),
+            }
+        }
+        merged.extend(rhs.map(|(w, d)| (w, 0.0 + d)));
+        self.terms = merged;
     }
 }
 
@@ -143,19 +181,14 @@ impl From<f64> for LinExpr {
 impl Add for LinExpr {
     type Output = LinExpr;
     fn add(mut self, rhs: LinExpr) -> LinExpr {
-        for (v, c) in rhs.terms {
-            *self.terms.entry(v).or_insert(0.0) += c;
-        }
-        self.constant += rhs.constant;
+        self += rhs;
         self
     }
 }
 
 impl AddAssign for LinExpr {
     fn add_assign(&mut self, rhs: LinExpr) {
-        for (v, c) in rhs.terms {
-            *self.terms.entry(v).or_insert(0.0) += c;
-        }
+        self.merge_terms(rhs.terms);
         self.constant += rhs.constant;
     }
 }
@@ -176,7 +209,7 @@ impl SubAssign for LinExpr {
 impl Neg for LinExpr {
     type Output = LinExpr;
     fn neg(mut self) -> LinExpr {
-        for c in self.terms.values_mut() {
+        for (_, c) in &mut self.terms {
             *c = -*c;
         }
         self.constant = -self.constant;
@@ -187,7 +220,7 @@ impl Neg for LinExpr {
 impl Mul<f64> for LinExpr {
     type Output = LinExpr;
     fn mul(mut self, rhs: f64) -> LinExpr {
-        for c in self.terms.values_mut() {
+        for (_, c) in &mut self.terms {
             *c *= rhs;
         }
         self.constant *= rhs;
@@ -416,5 +449,96 @@ mod tests {
         let e = v(3) + v(7);
         assert_eq!(e.max_var_index(), Some(7));
         assert_eq!(LinExpr::new().max_var_index(), None);
+    }
+
+    /// What a `BTreeMap`-keyed expression stores after the same calls:
+    /// each variable's coefficient starts at `0.0` and adds up in call
+    /// order.
+    fn reference(calls: &[(usize, f64)]) -> Vec<(usize, u64)> {
+        let mut map = std::collections::BTreeMap::new();
+        for &(i, c) in calls {
+            *map.entry(i).or_insert(0.0) += c;
+        }
+        map.into_iter().map(|(i, c): (usize, f64)| (i, c.to_bits())).collect()
+    }
+
+    fn bits(e: &LinExpr) -> Vec<(usize, u64)> {
+        e.iter().map(|(var, c)| (var.index(), c.to_bits())).collect()
+    }
+
+    /// Random `(variable, coefficient)` calls, out of order and with
+    /// repeats, over coefficients that include `-0.0` and values whose
+    /// sums round.
+    fn random_calls(rng: &mut impl rand::Rng, len: usize) -> Vec<(usize, f64)> {
+        const COEFS: [f64; 7] = [-0.0, 0.0, 1.0, -2.5, 0.1, 1e-17, 3e16];
+        (0..len).map(|_| (rng.gen_range(0..12), COEFS[rng.gen_range(0..COEFS.len())])).collect()
+    }
+
+    #[test]
+    fn add_term_and_sums_merge_like_an_ordered_map() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for _ in 0..500 {
+            let (la, lb) = (rng.gen_range(0..30), rng.gen_range(0..30));
+            let a = random_calls(&mut rng, la);
+            let b = random_calls(&mut rng, lb);
+            let mut e = LinExpr::new();
+            for &(i, c) in &a {
+                e.add_term(v(i), c);
+            }
+            assert_eq!(bits(&e), reference(&a), "calls {a:?}");
+            let collected: LinExpr = a.iter().map(|&(i, c)| (v(i), c)).collect();
+            assert_eq!(collected, e);
+
+            // `a + b` adds `b`'s stored terms to `a`'s, variable by variable.
+            let rhs: LinExpr = b.iter().map(|&(i, c)| (v(i), c)).collect();
+            let sum = e + rhs.clone();
+            let mut calls = a.clone();
+            calls.extend(rhs.iter().map(|(var, c)| (var.index(), c)));
+            assert_eq!(bits(&sum), reference(&calls), "{a:?} + {b:?}");
+            assert!(sum.iter().zip(sum.iter().skip(1)).all(|(x, y)| x.0 < y.0));
+        }
+    }
+
+    #[test]
+    fn negative_zero_starts_from_positive_zero() {
+        let e = LinExpr::term(v(2), -0.0);
+        assert_eq!(bits(&e), vec![(2, 0.0f64.to_bits())]);
+        let mut e = LinExpr::term(v(2), -0.0);
+        e.add_term(v(1), -0.0);
+        assert_eq!(bits(&e), vec![(1, 0.0f64.to_bits()), (2, 0.0f64.to_bits())]);
+        let sum = LinExpr::term(v(4), 1.0) + LinExpr::term(v(3), -0.0);
+        assert_eq!(bits(&sum), vec![(3, 0.0f64.to_bits()), (4, 1.0f64.to_bits())]);
+    }
+
+    #[test]
+    fn out_of_order_terms_iterate_ascending() {
+        let mut e = LinExpr::new();
+        for i in [5, 1, 9, 1, 0, 5, 7] {
+            e.add_term(v(i), i as f64);
+        }
+        let order: Vec<usize> = e.iter().map(|(var, _)| var.index()).collect();
+        assert_eq!(order, vec![0, 1, 5, 7, 9]);
+        assert_eq!(e.coefficient(v(1)), 2.0);
+        assert_eq!(e.coefficient(v(5)), 10.0);
+        assert_eq!(e.coefficient(v(3)), 0.0);
+        assert_eq!(e.max_var_index(), Some(9));
+        e.add_term(v(0), -0.0);
+        e.add_term(v(7), -7.0);
+        e.compact();
+        let order: Vec<usize> = e.iter().map(|(var, _)| var.index()).collect();
+        assert_eq!(order, vec![1, 5, 9]);
+    }
+
+    #[test]
+    fn equality_ignores_insertion_order() {
+        let a: LinExpr = vec![(v(3), 1.0), (v(1), 2.0)].into_iter().collect();
+        let b: LinExpr = vec![(v(1), 2.0), (v(3), 1.0)].into_iter().collect();
+        assert_eq!(a, b);
+        let c: LinExpr = vec![(v(1), 2.0), (v(3), 1.0), (v(4), 0.0)].into_iter().collect();
+        assert_ne!(a, c, "a stored zero is still a term until compacted");
+        let mut c = c;
+        c.compact();
+        assert_eq!(a, c);
     }
 }

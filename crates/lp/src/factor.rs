@@ -41,6 +41,50 @@ use crate::error::LpError;
 /// Marks a row that is not (yet) the pivot row of any step.
 const NO_STEP: usize = usize::MAX;
 
+/// The basis columns [`BasisFactor::factorize`] factorizes, flat: column
+/// `k` is `entries[start[k]..start[k + 1]]` as `(row, value)` pairs. One
+/// pair of buffers serves every refactorization.
+#[derive(Debug, Clone)]
+pub(crate) struct BasisColumns {
+    start: Vec<usize>,
+    entries: Vec<(usize, f64)>,
+}
+
+impl Default for BasisColumns {
+    fn default() -> Self {
+        Self { start: vec![0], entries: Vec::new() }
+    }
+}
+
+impl BasisColumns {
+    /// Empties the list, keeping its buffers.
+    pub(crate) fn clear(&mut self) {
+        self.start.clear();
+        self.start.push(0);
+        self.entries.clear();
+    }
+
+    /// Appends a column whose entries `fill` pushes.
+    pub(crate) fn push_column(&mut self, fill: impl FnOnce(&mut Vec<(usize, f64)>)) {
+        fill(&mut self.entries);
+        self.start.push(self.entries.len());
+    }
+
+    /// Number of columns.
+    fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// The entries of column `k`.
+    fn column(&self, k: usize) -> &[(usize, f64)] {
+        &self.entries[self.start[k]..self.start[k + 1]]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[(usize, f64)]> {
+        (0..self.len()).map(|k| self.column(k))
+    }
+}
+
 /// Sparse LU factorization of a square basis matrix in product form.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BasisFactor {
@@ -171,16 +215,12 @@ impl BasisFactor {
     }
 
     /// Factorizes the basis whose `k`-th column has the sparse entries
-    /// `cols[k]` (row, value), replacing this factorization and reusing its
+    /// `cols.column(k)` (row, value), replacing this factorization and reusing its
     /// buffers. Returns [`LpError::SingularBasis`] when no pivot larger
     /// than `pivot_tol` in magnitude can be found for some column; the
     /// factorization is then unusable until the next successful call or
     /// [`BasisFactor::reset_identity`].
-    pub(crate) fn factorize(
-        &mut self,
-        cols: &[Vec<(usize, f64)>],
-        pivot_tol: f64,
-    ) -> Result<(), LpError> {
+    pub(crate) fn factorize(&mut self, cols: &BasisColumns, pivot_tol: f64) -> Result<(), LpError> {
         debug_assert!(pivot_tol >= 0.0, "a negative tolerance would pivot on untouched zeros");
         let m = cols.len();
         self.m = m;
@@ -209,7 +249,7 @@ impl BasisFactor {
         sc.clear_touched();
         let order = std::mem::take(&mut sc.order);
         let result =
-            order.iter().try_for_each(|&j| self.eliminate(&mut sc, j, &cols[j], pivot_tol));
+            order.iter().try_for_each(|&j| self.eliminate(&mut sc, j, cols.column(j), pivot_tol));
         sc.order = order;
         self.scratch = sc;
         result?;
@@ -222,12 +262,12 @@ impl BasisFactor {
     /// are near-triangular, so this usually orders most of the basis with
     /// zero fill-in; leftovers follow in their natural order. Leaves the
     /// elimination order in `scratch.order`.
-    fn peel(&mut self, cols: &[Vec<(usize, f64)>], pivot_tol: f64) -> Result<(), LpError> {
+    fn peel(&mut self, cols: &BasisColumns, pivot_tol: f64) -> Result<(), LpError> {
         let m = cols.len();
         let sc = &mut self.scratch;
         sc.row_col_start.clear();
         sc.row_col_start.resize(m + 1, 0);
-        for col in cols {
+        for col in cols.iter() {
             for &(r, _) in col {
                 if r >= m {
                     return Err(LpError::SingularBasis);
@@ -255,7 +295,7 @@ impl BasisFactor {
         sc.assigned.clear();
         sc.assigned.resize(m, false);
         sc.active_count.clear();
-        sc.active_count.extend(cols.iter().map(Vec::len));
+        sc.active_count.extend(cols.iter().map(<[_]>::len));
         sc.order.clear();
         sc.queue.clear();
         sc.queue.extend((0..m).filter(|&j| sc.active_count[j] == 1));
@@ -263,7 +303,7 @@ impl BasisFactor {
             if sc.assigned[j] || sc.active_count[j] != 1 {
                 continue;
             }
-            let Some(&(r, v)) = cols[j].iter().find(|&&(r, _)| sc.row_active[r]) else {
+            let Some(&(r, v)) = cols.column(j).iter().find(|&&(r, _)| sc.row_active[r]) else {
                 continue;
             };
             if v.abs() <= pivot_tol {
@@ -469,10 +509,19 @@ mod tests {
     use crate::dense::{DenseMatrix, LuFactors};
     use proptest::prelude::*;
 
+    /// `cols` as one flat column list.
+    fn flat(cols: &[Vec<(usize, f64)>]) -> BasisColumns {
+        let mut flat = BasisColumns::default();
+        for col in cols {
+            flat.push_column(|entries| entries.extend_from_slice(col));
+        }
+        flat
+    }
+
     /// A fresh factorization of `cols`.
     fn factor(cols: &[Vec<(usize, f64)>], pivot_tol: f64) -> Result<BasisFactor, LpError> {
         let mut f = BasisFactor::default();
-        f.factorize(cols, pivot_tol).map(|()| f)
+        f.factorize(&flat(cols), pivot_tol).map(|()| f)
     }
 
     fn dense_from_cols(cols: &[Vec<(usize, f64)>]) -> DenseMatrix {
@@ -616,7 +665,7 @@ mod tests {
         let b = vec![vec![(1, 1.0)], vec![(0, 4.0)]];
         let mut reused = BasisFactor::default();
         for cols in [&a, &b, &a] {
-            reused.factorize(cols, 1e-12).unwrap();
+            reused.factorize(&flat(cols), 1e-12).unwrap();
             let fresh = factor(cols, 1e-12).unwrap();
             let rhs: Vec<f64> = (0..cols.len()).map(|i| 1.0 + i as f64).collect();
             let (mut x, mut y) = (rhs.clone(), rhs.clone());
@@ -626,7 +675,7 @@ mod tests {
             reused.btran(&mut x);
             fresh.btran(&mut y);
             assert_eq!(x, y);
-            assert_eq!(reused.factorize(&singular, 1e-12), Err(LpError::SingularBasis));
+            assert_eq!(reused.factorize(&flat(&singular), 1e-12), Err(LpError::SingularBasis));
         }
     }
 

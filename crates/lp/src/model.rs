@@ -305,12 +305,8 @@ impl Model {
         options: &SimplexOptions,
         warm: Option<&crate::simplex::Basis>,
     ) -> Result<Solution, LpError> {
-        self.validate()?;
-        let sf = StandardForm::from_model(self);
-        let solver = SimplexSolver::new(options.clone());
         let mut ws = crate::simplex::SolverWorkspace::new();
-        let raw = solver.solve_warm(&sf, warm, &mut ws)?;
-        Ok(sf.map_solution(self, raw))
+        self.prepare()?.solve_warm(self, options, warm, &mut ws)
     }
 
     /// Compiles the model's standard form once, so that building it and
@@ -338,11 +334,13 @@ impl PreparedLp {
     /// reusing `ws`'s allocations.
     ///
     /// `model` must be the model this form was prepared from — it supplies
-    /// the objective evaluation and solution mapping.
+    /// the objective evaluation and solution mapping. [`Model::prepare`]
+    /// already validated it, so it is not validated again here.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Model::solve`].
+    /// [`LpError`] on numerical failure; a malformed model is reported by
+    /// [`Model::prepare`] instead.
     pub fn solve_warm(
         &self,
         model: &Model,
@@ -350,7 +348,7 @@ impl PreparedLp {
         warm: Option<&crate::simplex::Basis>,
         ws: &mut crate::simplex::SolverWorkspace,
     ) -> Result<Solution, LpError> {
-        model.validate()?;
+        debug_assert_eq!(self.sf.fixed_values.len(), model.num_vars(), "not the prepared model");
         let solver = SimplexSolver::new(options.clone());
         let raw = solver.solve_warm(&self.sf, warm, ws)?;
         Ok(self.sf.map_solution(model, raw))

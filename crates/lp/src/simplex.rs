@@ -50,7 +50,7 @@
 
 use crate::error::LpError;
 use crate::eta::EtaFile;
-use crate::factor::BasisFactor;
+use crate::factor::{BasisColumns, BasisFactor};
 use crate::solution::{SolveCounts, Status};
 use crate::standard::StandardForm;
 
@@ -58,20 +58,22 @@ use crate::standard::StandardForm;
 ///
 /// Every simplex iteration needs a handful of dense row-length scratch
 /// vectors (duals, pivot columns, rows of `B⁻¹`), refactorization gathers
-/// the basis columns into a per-row jagged buffer and rebuilds the flat L
+/// the basis columns into one flat column buffer and rebuilds the flat L
 /// and U arrays of the sparse LU, and the product-form eta file grows to
 /// `refactor_every` update vectors between rebuilds.
 /// Allocating those per solve is invisible on one LP but dominates a slot
 /// loop that solves thousands of near-identical LPs; a `SolverWorkspace`
 /// owns them instead, so a persistent caller (one workspace per scheduler)
 /// pays the allocations once and every later solve runs in steady-state
-/// memory. A fresh workspace per solve is always correct — just slower.
+/// memory. A solve's result does not depend on what the workspace solved
+/// before, so a fresh workspace per solve gives the same bits — just
+/// slower.
 #[derive(Debug, Clone, Default)]
 pub struct SolverWorkspace {
     /// Stack of row-length dense scratch vectors, recycled LIFO.
     dense_pool: Vec<Vec<f64>>,
     /// Basis-column gather buffer reused by refactorization.
-    factor_cols: Vec<Vec<(usize, f64)>>,
+    factor_cols: BasisColumns,
     /// Sparse LU of the basis as of the last refactorization; every solve
     /// resets it and refactorizes into the same buffers.
     factor: BasisFactor,
@@ -1126,12 +1128,9 @@ impl<'a> State<'a> {
     /// error the factor is unusable, and every caller abandons the state.
     fn refactorize(&mut self) -> Result<(), LpError> {
         let mut cols = std::mem::take(&mut self.ws.factor_cols);
-        cols.truncate(self.m);
-        cols.resize_with(self.m, Vec::new);
-        for (slot, &j) in self.basis.iter().enumerate() {
-            let col = &mut cols[slot];
-            col.clear();
-            self.for_col(j, |r, v| col.push((r, v)));
+        cols.clear();
+        for &j in &self.basis {
+            cols.push_column(|col| self.for_col(j, |r, v| col.push((r, v))));
         }
         let factored = self.ws.factor.factorize(&cols, 1e-12);
         self.ws.factor_cols = cols;
@@ -1670,5 +1669,80 @@ mod tests {
         unb.set_objective(LinExpr::from(y));
         unb.geq(LinExpr::from(y), 1.0);
         assert!(unb.solve().unwrap().basis().is_none());
+    }
+
+    /// A seeded transportation LP: `sources × sinks` arcs with integer
+    /// costs, every source shipping at most its supply and every sink
+    /// receiving at least its demand (total supply exceeds total demand by
+    /// `slack`, which a negative value makes infeasible). Every other arc is
+    /// capped, so the form has bound rows too.
+    fn random_transport(seed: u64, sources: usize, sinks: usize, slack: f64) -> Model {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut m = Model::new(Sense::Minimize);
+        let vars: Vec<Vec<Variable>> = (0..sources)
+            .map(|i| {
+                (0..sinks)
+                    .map(|j| {
+                        let cap = if (i + j) % 2 == 0 { f64::INFINITY } else { 40.0 };
+                        m.add_anon_var(0.0, cap)
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut obj = LinExpr::new();
+        for row in &vars {
+            for &x in row {
+                obj.add_term(x, f64::from(rng.gen_range(1..20u32)));
+            }
+        }
+        m.set_objective(obj);
+        let demand: Vec<f64> = (0..sinks).map(|_| f64::from(rng.gen_range(5..30u32))).collect();
+        let per_source = (demand.iter().sum::<f64>() + slack) / sources as f64;
+        for row in &vars {
+            m.leq(row.iter().map(|&x| (x, 1.0)).collect::<LinExpr>(), per_source);
+        }
+        for (j, &d) in demand.iter().enumerate() {
+            m.geq(vars.iter().map(|row| (row[j], 1.0)).collect::<LinExpr>(), d);
+        }
+        m
+    }
+
+    /// Everything a solve reports, as bits.
+    fn solution_bits(s: &crate::Solution) -> impl PartialEq + std::fmt::Debug {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (
+            s.status(),
+            s.objective().to_bits(),
+            bits(s.values()),
+            bits(s.duals()),
+            [s.iterations(), s.phase1_iterations(), s.dual_iterations(), s.refactorizations()],
+            s.artificials(),
+            s.basis().cloned(),
+        )
+    }
+
+    #[test]
+    fn a_used_workspace_solves_like_a_fresh_one() {
+        let opts = SimplexOptions::default();
+        let solve = |model: &Model, ws: &mut SolverWorkspace| {
+            model.prepare().unwrap().solve_warm(model, &opts, None, ws).unwrap()
+        };
+        let target = random_transport(1, 6, 7, 10.0);
+        let fresh = solve(&target, &mut SolverWorkspace::new());
+        assert_eq!(fresh.status(), Status::Optimal);
+        assert!(fresh.refactorizations() > 0, "the target refactorizes");
+
+        let larger = random_transport(2, 20, 24, 25.0);
+        let smaller = random_transport(3, 2, 2, 1.0);
+        let infeasible = random_transport(4, 5, 5, -20.0);
+        let mut ws = SolverWorkspace::new();
+        let big = solve(&larger, &mut ws);
+        assert!(big.refactorizations() > 1, "the larger LP refactorizes mid-solve");
+        assert_eq!(solve(&smaller, &mut ws).status(), Status::Optimal);
+        assert_eq!(solve(&infeasible, &mut ws).status(), Status::Infeasible);
+        assert_eq!(solution_bits(&solve(&target, &mut ws)), solution_bits(&fresh));
+        // And again, straight after itself.
+        assert_eq!(solution_bits(&solve(&target, &mut ws)), solution_bits(&fresh));
     }
 }

@@ -18,100 +18,42 @@ pub struct CscMatrix {
     values: Vec<f64>,
 }
 
-/// Builder accumulating triplets before compression.
-#[derive(Debug, Clone, Default)]
-pub struct CscBuilder {
-    rows: usize,
-    cols: usize,
-    triplets: Vec<(usize, usize, f64)>,
-}
-
-impl CscBuilder {
-    /// Creates a builder for a `rows × cols` matrix.
-    pub fn new(rows: usize, cols: usize) -> Self {
-        Self { rows, cols, triplets: Vec::new() }
-    }
-
-    /// Records `value` at `(row, col)`; duplicate coordinates are summed on
-    /// [`CscBuilder::build`].
+impl CscMatrix {
+    /// Transposes a row-major matrix into CSC form: row `r` holds
+    /// `entries[row_start[r]..row_start[r + 1]]` as `(column, value)`
+    /// pairs, with no column twice in one row, and the matrix has
+    /// `row_start.len() - 1` rows. One counting pass sizes the columns and
+    /// a second scatters the rows into them in order, so every column's
+    /// rows come out ascending. Exact zeros are not stored.
     ///
     /// # Panics
     ///
-    /// Panics if the coordinate is out of range.
-    pub fn push(&mut self, row: usize, col: usize, value: f64) {
-        assert!(row < self.rows && col < self.cols, "triplet out of range");
+    /// Panics if a column is out of range or `row_start` is empty.
+    pub(crate) fn from_rows(cols: usize, row_start: &[usize], entries: &[(usize, f64)]) -> Self {
+        let rows = row_start.len() - 1;
+        let mut col_ptr = vec![0usize; cols + 1];
         // postcard-analyze: allow(PA101) — exact-zero entries are not stored.
-        if value != 0.0 {
-            self.triplets.push((row, col, value));
-        }
-    }
-
-    /// Compresses the accumulated triplets into a [`CscMatrix`].
-    ///
-    /// A stable counting pass scatters the triplets by column in push
-    /// order, so a caller that pushes rows in ascending order (as
-    /// `StandardForm::from_model` does) gets each column's rows ascending
-    /// without a sort. A column pushed out of row order is sorted on its
-    /// own. Triplets sharing a coordinate are summed in push order; entries
-    /// that sum to exactly zero are still stored (they are harmless and
-    /// rare in practice).
-    pub fn build(self) -> CscMatrix {
-        let nnz = self.triplets.len();
-        let mut col_ptr = vec![0usize; self.cols + 1];
-        for &(_, c, _) in &self.triplets {
+        for &(c, _) in entries.iter().filter(|e| e.1 != 0.0) {
             col_ptr[c + 1] += 1;
         }
-        for c in 0..self.cols {
+        for c in 0..cols {
             col_ptr[c + 1] += col_ptr[c];
         }
-        let mut next = col_ptr[..self.cols].to_vec();
-        let mut row_idx = vec![0usize; nnz];
-        let mut values = vec![0.0; nnz];
-        for (r, c, v) in self.triplets {
-            row_idx[next[c]] = r;
-            values[next[c]] = v;
-            next[c] += 1;
-        }
-        drop(next);
-
-        // Order each column by row and merge duplicates, compacting in
-        // place; `start` is the column's old offset, `col_ptr[c]` its new.
-        let mut out = 0;
-        let mut start = 0;
-        for c in 0..self.cols {
-            let end = col_ptr[c + 1];
-            if row_idx[start..end].windows(2).any(|w| w[0] >= w[1]) {
-                let mut column: Vec<(usize, f64)> = row_idx[start..end]
-                    .iter()
-                    .copied()
-                    .zip(values[start..end].iter().copied())
-                    .collect();
-                column.sort_by_key(|&(r, _)| r);
-                for (k, (r, v)) in column.into_iter().enumerate() {
-                    row_idx[start + k] = r;
-                    values[start + k] = v;
-                }
+        let mut next = col_ptr[..cols].to_vec();
+        let mut row_idx = vec![0usize; col_ptr[cols]];
+        let mut values = vec![0.0; col_ptr[cols]];
+        for r in 0..rows {
+            // postcard-analyze: allow(PA101) — exact-zero entries are not stored.
+            for &(c, v) in entries[row_start[r]..row_start[r + 1]].iter().filter(|e| e.1 != 0.0) {
+                debug_assert!(next[c] == col_ptr[c] || row_idx[next[c] - 1] < r, "column twice");
+                row_idx[next[c]] = r;
+                values[next[c]] = v;
+                next[c] += 1;
             }
-            col_ptr[c] = out;
-            for k in start..end {
-                if out > col_ptr[c] && row_idx[out - 1] == row_idx[k] {
-                    values[out - 1] += values[k];
-                } else {
-                    row_idx[out] = row_idx[k];
-                    values[out] = values[k];
-                    out += 1;
-                }
-            }
-            start = end;
         }
-        col_ptr[self.cols] = out;
-        row_idx.truncate(out);
-        values.truncate(out);
-        CscMatrix { rows: self.rows, cols: self.cols, col_ptr, row_idx, values }
+        CscMatrix { rows, cols, col_ptr, row_idx, values }
     }
-}
 
-impl CscMatrix {
     /// An empty matrix with the given shape.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Self { rows, cols, col_ptr: vec![0; cols + 1], row_idx: Vec::new(), values: Vec::new() }
@@ -192,13 +134,21 @@ impl CscMatrix {
 mod tests {
     use super::*;
 
+    /// `from_rows` over rows given as lists of `(column, value)`.
+    fn matrix(cols: usize, rows: &[&[(usize, f64)]]) -> CscMatrix {
+        let mut row_start = vec![0];
+        let mut entries = Vec::new();
+        for row in rows {
+            entries.extend_from_slice(row);
+            row_start.push(entries.len());
+        }
+        CscMatrix::from_rows(cols, &row_start, &entries)
+    }
+
     #[test]
     fn build_and_read_back() {
-        let mut b = CscBuilder::new(3, 2);
-        b.push(0, 0, 1.0);
-        b.push(2, 0, -2.0);
-        b.push(1, 1, 3.0);
-        let m = b.build();
+        let m = matrix(2, &[&[(0, 1.0)], &[(1, 3.0)], &[(0, -2.0)]]);
+        assert_eq!((m.rows(), m.cols()), (3, 2));
         assert_eq!(m.nnz(), 3);
         assert_eq!(m.get(0, 0), 1.0);
         assert_eq!(m.get(2, 0), -2.0);
@@ -207,41 +157,23 @@ mod tests {
     }
 
     #[test]
-    fn duplicates_are_summed() {
-        let mut b = CscBuilder::new(2, 2);
-        b.push(0, 1, 1.5);
-        b.push(0, 1, 2.5);
-        let m = b.build();
-        assert_eq!(m.get(0, 1), 4.0);
-        assert_eq!(m.nnz(), 1);
-    }
-
-    #[test]
     fn zeros_are_dropped() {
-        let mut b = CscBuilder::new(2, 2);
-        b.push(0, 0, 0.0);
-        let m = b.build();
-        assert_eq!(m.nnz(), 0);
+        let m = matrix(2, &[&[(0, 0.0), (1, 5.0)], &[]]);
+        assert_eq!(m.nnz(), 1);
+        assert_eq!(m.column(1).collect::<Vec<_>>(), vec![(0, 5.0)]);
     }
 
     #[test]
     fn mat_vec_matches_dense() {
-        let mut b = CscBuilder::new(2, 3);
         // [1 0 2; 0 3 0]
-        b.push(0, 0, 1.0);
-        b.push(0, 2, 2.0);
-        b.push(1, 1, 3.0);
-        let m = b.build();
+        let m = matrix(3, &[&[(2, 2.0), (0, 1.0)], &[(1, 3.0)]]);
         assert_eq!(m.mat_vec(&[1.0, 1.0, 1.0]), vec![3.0, 3.0]);
         assert_eq!(m.column_dot(2, &[5.0, 7.0]), 10.0);
     }
 
     #[test]
     fn scatter_accumulates() {
-        let mut b = CscBuilder::new(2, 1);
-        b.push(0, 0, 1.0);
-        b.push(1, 0, 2.0);
-        let m = b.build();
+        let m = matrix(1, &[&[(0, 1.0)], &[(0, 2.0)]]);
         let mut out = vec![1.0, 1.0];
         m.scatter_column(0, &mut out);
         assert_eq!(out, vec![2.0, 3.0]);
@@ -254,7 +186,7 @@ mod tests {
         assert_eq!(m.mat_vec(&[1.0; 3]), vec![0.0; 3]);
     }
 
-    /// The sort-based compression `build` replaced, kept as an oracle.
+    /// A sort-based compression of triplets, kept as an oracle.
     fn build_by_sort(
         rows: usize,
         cols: usize,
@@ -265,17 +197,10 @@ mod tests {
         let mut col_ptr = vec![0usize; cols + 1];
         let mut row_idx = Vec::new();
         let mut values: Vec<f64> = Vec::new();
-        let mut last = None;
         for (r, c, v) in triplets {
-            match values.last_mut() {
-                Some(tail) if last == Some((c, r)) => *tail += v,
-                _ => {
-                    row_idx.push(r);
-                    values.push(v);
-                    col_ptr[c + 1] += 1;
-                    last = Some((c, r));
-                }
-            }
+            row_idx.push(r);
+            values.push(v);
+            col_ptr[c + 1] += 1;
         }
         for c in 0..cols {
             col_ptr[c + 1] += col_ptr[c];
@@ -287,41 +212,34 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(128))]
 
         #[test]
-        fn counting_build_matches_the_sort_build(
+        fn row_transpose_matches_the_sort_build(
             rows in 1usize..8,
             cols in 1usize..8,
             raw in proptest::collection::vec((0usize..64, 0usize..64, -3i32..=3), 0..60),
         ) {
-            // Small integer values keep every duplicate sum exact, so the
-            // two summation orders agree bit for bit.
-            let triplets: Vec<(usize, usize, f64)> =
-                raw.iter().map(|&(r, c, v)| (r % rows, c % cols, f64::from(v))).collect();
-            let mut b = CscBuilder::new(rows, cols);
-            for &(r, c, v) in &triplets {
-                b.push(r, c, v);
+            // Keep the first entry of each coordinate: a row names a
+            // column at most once.
+            let mut seen = std::collections::BTreeSet::new();
+            let mut triplets: Vec<(usize, usize, f64)> = raw
+                .iter()
+                .map(|&(r, c, v)| (r % rows, c % cols, f64::from(v)))
+                .filter(|&(r, c, _)| seen.insert((r, c)))
+                .collect();
+            triplets.sort_by_key(|&(r, _, _)| r);
+            let mut row_start = vec![0];
+            let mut entries = Vec::new();
+            for r in 0..rows {
+                entries.extend(triplets.iter().filter(|t| t.0 == r).map(|&(_, c, v)| (c, v)));
+                row_start.push(entries.len());
             }
-            let built = b.build();
+            let built = CscMatrix::from_rows(cols, &row_start, &entries);
             proptest::prop_assert_eq!(built, build_by_sort(rows, cols, triplets));
         }
     }
 
     #[test]
-    fn out_of_order_rows_and_duplicates_compress() {
-        let mut b = CscBuilder::new(3, 2);
-        b.push(2, 1, 1.0);
-        b.push(0, 1, 2.0);
-        b.push(2, 1, 4.0);
-        b.push(1, 0, 8.0);
-        let m = b.build();
-        assert_eq!(m.nnz(), 3);
-        assert_eq!(m.column(1).collect::<Vec<_>>(), vec![(0, 2.0), (2, 5.0)]);
-        assert_eq!(m.column(0).collect::<Vec<_>>(), vec![(1, 8.0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "triplet out of range")]
+    #[should_panic]
     fn out_of_range_panics() {
-        let mut b = CscBuilder::new(1, 1);
-        b.push(1, 0, 1.0);
+        matrix(1, &[&[(1, 1.0)]]);
     }
 }

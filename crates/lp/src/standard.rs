@@ -17,7 +17,7 @@ use crate::expr::LinExpr;
 use crate::model::{Model, Relation};
 use crate::simplex::RawSolution;
 use crate::solution::{Solution, Status};
-use crate::sparse::{CscBuilder, CscMatrix};
+use crate::sparse::CscMatrix;
 
 /// What an internal (structural or slack) column represents.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,14 +67,15 @@ pub(crate) struct StandardForm {
     pub trivially_infeasible: bool,
 }
 
-/// Terms of a model expression rewritten over standard columns, plus the
-/// right-hand-side correction accumulated from substitutions.
+/// Appends the terms of a model expression rewritten over standard columns
+/// to `terms`, and returns the right-hand-side correction accumulated from
+/// substitutions.
 fn rewrite_terms(
     expr: &LinExpr,
     cols_of_var: &[VarCols],
     fixed: &[Option<f64>],
-) -> (Vec<(usize, f64)>, f64) {
-    let mut terms: Vec<(usize, f64)> = Vec::with_capacity(expr.len() * 2);
+    terms: &mut Vec<(usize, f64)>,
+) -> f64 {
     let mut rhs_delta = 0.0;
     for (v, coef) in expr.iter() {
         // postcard-analyze: allow(PA101) — exact-zero terms are not emitted.
@@ -101,7 +102,69 @@ fn rewrite_terms(
             VarCols::Fixed => unreachable!("fixed vars handled above"),
         }
     }
-    (terms, rhs_delta)
+    rhs_delta
+}
+
+/// The standard form's rows, closed one at a time into one flat buffer:
+/// row `r` is `entries[row_start[r]..row_start[r + 1]]`, its terms over
+/// the structural columns followed by its slack.
+struct Rows {
+    entries: Vec<(usize, f64)>,
+    row_start: Vec<usize>,
+    b: Vec<f64>,
+    row_sign: Vec<f64>,
+    slack_of_row: Vec<Option<usize>>,
+    slack_coeff: Vec<f64>,
+    /// The column the next slack gets: slacks follow the structural
+    /// columns in row order.
+    next_col: usize,
+}
+
+impl Rows {
+    fn new(n_struct: usize, capacity: usize) -> Self {
+        Self {
+            entries: Vec::with_capacity(capacity),
+            row_start: vec![0],
+            b: Vec::new(),
+            row_sign: Vec::new(),
+            slack_of_row: Vec::new(),
+            slack_coeff: Vec::new(),
+            next_col: n_struct,
+        }
+    }
+
+    /// Closes the row whose terms are the entries pushed since the last
+    /// row: negates it when `rhs < 0`, so that `b ≥ 0`, and gives a `≤` or
+    /// `≥` row its slack column.
+    fn close(&mut self, relation: Relation, rhs: f64, col_source: &mut Vec<ColSource>) {
+        let r = self.b.len();
+        let sign = if rhs < 0.0 { -1.0 } else { 1.0 };
+        for (_, coef) in &mut self.entries[self.row_start[r]..] {
+            *coef *= sign;
+        }
+        self.b.push(sign * rhs);
+        self.row_sign.push(sign);
+        let base = match relation {
+            Relation::Leq => Some(1.0),
+            Relation::Geq => Some(-1.0),
+            Relation::Eq => None,
+        };
+        match base {
+            Some(base) => {
+                let col = self.next_col;
+                self.next_col += 1;
+                col_source.push(ColSource::Slack { row: r });
+                self.entries.push((col, sign * base));
+                self.slack_of_row.push(Some(col));
+                self.slack_coeff.push(sign * base);
+            }
+            None => {
+                self.slack_of_row.push(None);
+                self.slack_coeff.push(0.0);
+            }
+        }
+        self.row_start.push(self.entries.len());
+    }
 }
 
 /// Column layout for one model variable.
@@ -149,20 +212,17 @@ impl StandardForm {
         }
         let n_struct = col_source.len();
 
-        // Rewrite constraints over structural columns.
-        struct PendingRow {
-            terms: Vec<(usize, f64)>,
-            relation: Relation,
-            rhs: f64,
-        }
-        let mut rows: Vec<PendingRow> = Vec::new();
+        // Rewrite the rows over standard columns.
+        let num_terms = model.constraints().map(|(_, con)| con.expr.len()).sum::<usize>();
+        let mut rows = Rows::new(n_struct, num_terms + model.num_constraints() + 2 * ub_rows.len());
         let mut row_of_constraint: Vec<Option<usize>> = Vec::with_capacity(model.num_constraints());
         let mut trivially_infeasible = false;
-
         for (_, con) in model.constraints() {
-            let (terms, rhs_delta) = rewrite_terms(&con.expr, &cols_of_var, &fixed_values);
+            let start = rows.entries.len();
+            let rhs_delta =
+                rewrite_terms(&con.expr, &cols_of_var, &fixed_values, &mut rows.entries);
             let rhs = con.rhs() - rhs_delta;
-            if terms.iter().all(|&(_, c)| c.abs() <= 1e-14) {
+            if rows.entries[start..].iter().all(|&(_, c)| c.abs() <= 1e-14) {
                 // Vacuous row `0 ⋈ rhs`: verify and skip.
                 let ok = match con.relation() {
                     Relation::Leq => rhs >= -1e-9,
@@ -172,53 +232,21 @@ impl StandardForm {
                 if !ok {
                     trivially_infeasible = true;
                 }
+                rows.entries.truncate(start);
                 row_of_constraint.push(None);
                 continue;
             }
-            row_of_constraint.push(Some(rows.len()));
-            rows.push(PendingRow { terms, relation: con.relation(), rhs });
+            row_of_constraint.push(Some(rows.b.len()));
+            rows.close(con.relation(), rhs, &mut col_source);
         }
         for (col, range) in ub_rows {
-            rows.push(PendingRow { terms: vec![(col, 1.0)], relation: Relation::Leq, rhs: range });
+            rows.entries.push((col, 1.0));
+            rows.close(Relation::Leq, range, &mut col_source);
         }
-
-        let m = rows.len();
-        // Assign slack columns.
-        let mut slack_of_row: Vec<Option<usize>> = vec![None; m];
-        let mut next_col = n_struct;
-        for (r, row) in rows.iter().enumerate() {
-            if row.relation != Relation::Eq {
-                slack_of_row[r] = Some(next_col);
-                col_source.push(ColSource::Slack { row: r });
-                next_col += 1;
-            }
-        }
-        let n_cols = next_col;
-
-        // Assemble the matrix with row negation for b ≥ 0.
-        let mut builder = CscBuilder::new(m, n_cols);
-        let mut b = vec![0.0; m];
-        let mut row_sign = vec![1.0; m];
-        let mut slack_coeff = vec![0.0; m];
-        for (r, row) in rows.iter().enumerate() {
-            let negate = row.rhs < 0.0;
-            let sign = if negate { -1.0 } else { 1.0 };
-            row_sign[r] = sign;
-            b[r] = sign * row.rhs;
-            for &(col, coef) in &row.terms {
-                builder.push(r, col, sign * coef);
-            }
-            if let Some(scol) = slack_of_row[r] {
-                let base = match row.relation {
-                    Relation::Leq => 1.0,
-                    Relation::Geq => -1.0,
-                    Relation::Eq => unreachable!(),
-                };
-                slack_coeff[r] = sign * base;
-                builder.push(r, scol, sign * base);
-            }
-        }
-        let a = builder.build();
+        let Rows { entries, row_start, b, row_sign, slack_of_row, slack_coeff, next_col: n_cols } =
+            rows;
+        let m = b.len();
+        let a = CscMatrix::from_rows(n_cols, &row_start, &entries);
 
         // Costs.
         let obj_sign = match model.sense() {
@@ -226,8 +254,10 @@ impl StandardForm {
             crate::Sense::Maximize => -1.0,
         };
         let mut c = vec![0.0; n_cols];
-        let (obj_terms, _) = rewrite_terms(model.objective_expr(), &cols_of_var, &fixed_values);
-        for (col, coef) in obj_terms {
+        let mut terms = entries;
+        terms.clear();
+        rewrite_terms(model.objective_expr(), &cols_of_var, &fixed_values, &mut terms);
+        for &(col, coef) in &terms {
             c[col] += obj_sign * coef;
         }
 

@@ -42,7 +42,7 @@
 use crate::clock::Clock;
 use crate::runtime::RuntimeConfig;
 use postcard_core::{
-    Decision, FlowLpScheduler, GreedyScheduler, HeadroomScheduler, PostcardError,
+    Decision, FlowLpScheduler, GreedyScheduler, HeadroomScheduler, PostcardError, PostcardProblem,
     PostcardScheduler, Scheduler, SolveStats,
 };
 use postcard_flow::AlapScheduler;
@@ -279,9 +279,12 @@ pub struct AttemptRecord {
 }
 
 /// A tier's scheduler. The ALAP rung keeps its concrete type so the chain
-/// can reach [`AlapTier::mark_dirty`]; every other tier is a trait object.
+/// can reach [`AlapTier::mark_dirty`], and the Postcard tier so it can
+/// solve a problem handed over with [`FallbackChain::hand_over`]; every
+/// other tier is a trait object.
 enum TierScheduler {
     Alap(AlapTier),
+    Postcard(Box<PostcardScheduler>),
     Dyn(Box<dyn Scheduler>),
 }
 
@@ -289,6 +292,7 @@ impl TierScheduler {
     fn as_scheduler_mut(&mut self) -> &mut dyn Scheduler {
         match self {
             TierScheduler::Alap(t) => t,
+            TierScheduler::Postcard(t) => t.as_mut(),
             TierScheduler::Dyn(b) => b.as_mut(),
         }
     }
@@ -296,6 +300,7 @@ impl TierScheduler {
     fn last_stats(&self) -> SolveStats {
         match self {
             TierScheduler::Alap(t) => t.last_stats(),
+            TierScheduler::Postcard(t) => t.last_stats(),
             TierScheduler::Dyn(b) => b.last_stats(),
         }
     }
@@ -313,6 +318,9 @@ pub struct FallbackChain {
     slot_budget: Duration,
     forced_now: Vec<TierKind>,
     skip_alap: bool,
+    /// A Postcard problem the runtime already built and checked for this
+    /// slot's batch (see [`FallbackChain::hand_over`]).
+    built: Option<PostcardProblem>,
     records: Vec<AttemptRecord>,
     last_stats: SolveStats,
 }
@@ -346,6 +354,7 @@ impl FallbackChain {
                     kind,
                     scheduler: match kind {
                         TierKind::Alap => TierScheduler::Alap(AlapTier::new()),
+                        TierKind::Postcard => TierScheduler::Postcard(Box::default()),
                         _ => TierScheduler::Dyn(kind.build(config.charging)),
                     },
                 })
@@ -354,18 +363,37 @@ impl FallbackChain {
             slot_budget: config.slot_budget(),
             forced_now: Vec::new(),
             skip_alap: false,
+            built: None,
             records: Vec::new(),
             last_stats: SolveStats::default(),
         }
     }
 
     /// Starts a slot: resets the stopwatch, attempt log, and reopt skip,
-    /// and arms the forced timeouts scheduled for this slot.
+    /// drops a problem handed over for an earlier slot, and arms the forced
+    /// timeouts scheduled for this slot.
     pub fn begin_slot(&mut self, slot: u64, forced: Vec<TierKind>) {
         self.clock.start_slot(slot);
         self.forced_now = forced;
         self.skip_alap = false;
+        self.built = None;
         self.records.clear();
+    }
+
+    /// Hands over the slot's Postcard problem, already built (with
+    /// [`PostcardConfig::default`], the Postcard tier's config) and checked
+    /// against the network and ledger the slot's batch is scheduled on, so
+    /// the Postcard tier solves it instead of building it again.
+    ///
+    /// The tier uses it at most once: for the first Postcard attempt whose
+    /// files are exactly `problem.files`, i.e. the whole-batch attempt. A
+    /// per-file retry, a different batch, or a slot whose Postcard attempt
+    /// never runs builds as usual; [`FallbackChain::begin_slot`] drops an
+    /// unused problem.
+    ///
+    /// [`PostcardConfig::default`]: postcard_core::PostcardConfig
+    pub fn hand_over(&mut self, problem: PostcardProblem) {
+        self.built = Some(problem);
     }
 
     /// Arms (or disarms) the re-optimization skip for the current slot:
@@ -445,8 +473,15 @@ impl Scheduler for FallbackChain {
                 continue;
             }
 
-            let result =
-                self.tiers[i].scheduler.as_scheduler_mut().schedule(network, files, ledger);
+            let result = match &mut self.tiers[i].scheduler {
+                TierScheduler::Postcard(tier) => {
+                    match self.built.take_if(|problem| problem.files == files) {
+                        Some(problem) => tier.schedule_built(&problem),
+                        None => tier.schedule(network, files, ledger),
+                    }
+                }
+                other => other.as_scheduler_mut().schedule(network, files, ledger),
+            };
             let stats = self.tiers[i].scheduler.last_stats();
 
             match result {
@@ -716,5 +751,82 @@ mod tests {
         assert_eq!(err, PostcardError::Infeasible);
         assert_eq!(c.records().len(), 1, "no LP attempt followed the rejection");
         assert_eq!(c.records()[0].tier, TierKind::Alap);
+    }
+
+    /// A problem for `files` built against a ledger on which the expensive
+    /// direct link 1 → 2 is already paid for, so its plan routes direct and
+    /// differs from the relay plan a rebuild on an empty ledger finds: a
+    /// decision shows which of the two the Postcard tier solved.
+    fn marked_problem(files: &[TransferRequest]) -> PostcardProblem {
+        let mut paid = TrafficLedger::new(3);
+        paid.record(d(1), d(2), 0, 10.0);
+        postcard_core::build_postcard_problem(&net(), files, &paid, &Default::default()).unwrap()
+    }
+
+    /// What a chain that builds every problem itself decides.
+    fn rebuilt(files: &[TransferRequest]) -> Decision {
+        let mut c = chain();
+        c.begin_slot(0, vec![]);
+        c.schedule(&net(), files, &TrafficLedger::new(3)).unwrap()
+    }
+
+    fn batch() -> Vec<TransferRequest> {
+        vec![file(), TransferRequest::new(FileId(2), d(1), d(2), 3.0, 2, 0)]
+    }
+
+    #[test]
+    fn a_handed_over_problem_serves_only_its_own_batch_once() {
+        let (net, ledger) = (net(), TrafficLedger::new(3));
+        let batch = batch();
+        let marked = PostcardScheduler::new().schedule_built(&marked_problem(&batch)).unwrap();
+        assert_ne!(marked, rebuilt(&batch), "the marked problem must be recognisable");
+
+        let mut c = chain();
+        c.begin_slot(0, vec![]);
+        c.hand_over(marked_problem(&batch));
+        // A per-file attempt and another batch build their own problems.
+        assert_eq!(c.schedule(&net, &batch[..1], &ledger).unwrap(), rebuilt(&batch[..1]));
+        let other = [TransferRequest::new(FileId(3), d(0), d(2), 5.0, 2, 0)];
+        assert_eq!(c.schedule(&net, &other, &ledger).unwrap(), rebuilt(&other));
+        assert!(c.built.is_some(), "still waiting for its batch");
+        // The whole-batch attempt solves it, and only once.
+        assert_eq!(c.schedule(&net, &batch, &ledger).unwrap(), marked);
+        assert!(c.built.is_none());
+        assert_eq!(c.schedule(&net, &batch, &ledger).unwrap(), rebuilt(&batch));
+    }
+
+    #[test]
+    fn a_forced_timeout_leaves_the_problem_unused_and_begin_slot_drops_it() {
+        let (net, ledger) = (net(), TrafficLedger::new(3));
+        let batch = batch();
+        let mut c = chain();
+        c.begin_slot(0, vec![TierKind::Postcard]);
+        c.hand_over(marked_problem(&batch));
+        let d = c.schedule(&net, &batch, &ledger).unwrap();
+        assert!(matches!(d, Decision::Rates(_)), "the flow LP decided");
+        assert!(c.built.is_some(), "the timed-out tier did not take it");
+        c.begin_slot(1, vec![]);
+        assert!(c.built.is_none());
+        assert_eq!(c.schedule(&net, &batch, &ledger).unwrap(), rebuilt(&batch));
+    }
+
+    #[test]
+    fn a_handed_over_problem_commits_what_a_rebuild_would() {
+        let (net, ledger) = (net(), TrafficLedger::new(3));
+        let batch = batch();
+        let mut plain = chain();
+        plain.begin_slot(0, vec![]);
+        let want = plain.schedule(&net, &batch, &ledger).unwrap();
+
+        let mut c = chain();
+        c.begin_slot(0, vec![]);
+        let problem =
+            postcard_core::build_postcard_problem(&net, &batch, &ledger, &Default::default())
+                .unwrap();
+        c.hand_over(problem);
+        assert_eq!(c.schedule(&net, &batch, &ledger).unwrap(), want);
+        assert!(c.built.is_none(), "the whole-batch attempt used it");
+        assert_eq!(c.last_stats(), plain.last_stats());
+        assert_eq!(c.records(), plain.records());
     }
 }

@@ -506,7 +506,11 @@ impl Runtime {
         // without solving and reject the batch on structural errors
         // (deadline-window violations, malformed graphs, unbounded
         // columns — see crates/analyze/LINTS.md) rather than letting a
-        // malformed model reach the simplex.
+        // malformed model reach the simplex. A clean problem is handed to
+        // an unsharded chain, whose Postcard tier then solves it for the
+        // whole-batch attempt instead of building it again: nothing is
+        // booked in between, and the tier's config is the default too.
+        let mut built = None;
         if self.config.strict_analysis && !batch.is_empty() {
             let verdict = build_postcard_problem(
                 self.controller.network(),
@@ -521,7 +525,11 @@ impl Runtime {
             let rejected = match verdict {
                 Ok(problem) => {
                     let report = check_problem(&problem);
-                    report.has_errors().then(|| (report.render_text(), true))
+                    let rejected = report.has_errors().then(|| (report.render_text(), true));
+                    if rejected.is_none() && self.shard_chains.is_empty() {
+                        built = Some(problem);
+                    }
+                    rejected
                 }
                 Err(e) => Some((format!("problem construction failed: {e}\n"), false)),
             };
@@ -558,7 +566,7 @@ impl Runtime {
         let started = WallStopwatch::start();
         let (chain, network, ledger) = self.controller.scheduler_and_state();
         let solves = if self.shard_chains.is_empty() {
-            vec![solve_shard(chain, 0, network, ledger, &batch, &directives)]
+            vec![solve_shard(chain, 0, network, ledger, &batch, &directives, built)]
         } else {
             let chains = &mut self.shard_chains;
             let batches = planner.partition(&batch);

@@ -17,7 +17,7 @@
 
 use crate::clock::WallStopwatch;
 use crate::fallback::{AttemptRecord, FallbackChain, TierKind};
-use postcard_core::{admit, Admission};
+use postcard_core::{admit, Admission, PostcardProblem};
 use postcard_net::{Network, TrafficLedger, TransferRequest};
 
 /// Per-slot solve directives shared by every shard of a slot: which slot
@@ -76,7 +76,9 @@ pub struct ShardSolve {
 /// admission: admission is all-or-nothing, so `ledger` is left as it was
 /// and the runtime requeues the whole batch. An empty batch
 /// starts the slot (so the chain's records are this slot's) but schedules
-/// nothing.
+/// nothing. `built`, when given, is the Postcard problem already built and
+/// checked for `batch` on `network` and `ledger`; it is handed to the chain
+/// once the slot has started (see [`FallbackChain::hand_over`]).
 pub fn solve_shard(
     chain: &mut FallbackChain,
     shard: usize,
@@ -84,10 +86,14 @@ pub fn solve_shard(
     ledger: &mut TrafficLedger,
     batch: &[TransferRequest],
     directives: &SlotDirectives,
+    built: Option<PostcardProblem>,
 ) -> ShardSolve {
     let started = WallStopwatch::start();
     chain.begin_slot(directives.slot, directives.forced.clone());
     chain.set_skip_alap(directives.skip_alap);
+    if let Some(problem) = built {
+        chain.hand_over(problem);
+    }
     let mut solve = ShardSolve { shard, batch_len: batch.len(), ..ShardSolve::default() };
     if batch.is_empty() {
         return solve;
@@ -132,7 +138,7 @@ pub fn solve_parallel(
                         // grid; rebase it from `base` every slot.
                         chain.mark_alap_dirty();
                         let mut overlay = base.clone();
-                        solve_shard(chain, shard, network, &mut overlay, batch, directives)
+                        solve_shard(chain, shard, network, &mut overlay, batch, directives, None)
                     })
                 })
             })
@@ -183,7 +189,7 @@ mod tests {
             .zip(&batches)
             .enumerate()
             .map(|(i, (c, b))| {
-                solve_shard(c, i, &net, &mut base.clone(), b, &SlotDirectives::plain(0))
+                solve_shard(c, i, &net, &mut base.clone(), b, &SlotDirectives::plain(0), None)
             })
             .collect();
         assert_eq!(par.len(), 2);
@@ -204,11 +210,13 @@ mod tests {
         let mut c = chain();
         let mut ledger = TrafficLedger::new(4);
         let p0 = solve_parallel(&mut chains, &net, &ledger, &slot0, &SlotDirectives::plain(0));
-        let s0 = solve_shard(&mut c, 0, &net, &mut ledger, &slot0[0], &SlotDirectives::plain(0));
+        let s0 =
+            solve_shard(&mut c, 0, &net, &mut ledger, &slot0[0], &SlotDirectives::plain(0), None);
         assert_eq!(p0[0].admission, s0.admission);
         // `ledger` now holds slot 0's booked traffic.
         let p1 = solve_parallel(&mut chains, &net, &ledger, &slot1, &SlotDirectives::plain(1));
-        let s1 = solve_shard(&mut c, 0, &net, &mut ledger, &slot1[0], &SlotDirectives::plain(1));
+        let s1 =
+            solve_shard(&mut c, 0, &net, &mut ledger, &slot1[0], &SlotDirectives::plain(1), None);
         assert_eq!(p1[0].admission, s1.admission, "second-slot decisions must be bit-identical");
     }
 
@@ -250,7 +258,8 @@ mod tests {
             TransferRequest::new(FileId(2), d(0), d(1), 2.0, 1, 0),
         ];
         let mut c = chain();
-        let solve = solve_shard(&mut c, 0, &net, &mut ledger, &batch, &SlotDirectives::plain(0));
+        let solve =
+            solve_shard(&mut c, 0, &net, &mut ledger, &batch, &SlotDirectives::plain(0), None);
         assert_eq!(solve.admission.rejected, batch[..1]);
         assert_eq!(solve.admission.accepted().copied().collect::<Vec<_>>(), batch[1..]);
         assert!(!solve.degraded);
@@ -267,7 +276,8 @@ mod tests {
             tiers: vec![TierKind::Postcard],
             ..Default::default()
         });
-        let solve = solve_shard(&mut c, 0, &net, &mut ledger, &batch, &SlotDirectives::plain(0));
+        let solve =
+            solve_shard(&mut c, 0, &net, &mut ledger, &batch, &SlotDirectives::plain(0), None);
         assert!(solve.degraded);
         assert_eq!(solve.admission, Admission::default());
         assert_eq!(ledger, TrafficLedger::new(4));

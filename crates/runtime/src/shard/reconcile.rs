@@ -142,7 +142,7 @@ pub fn reconcile(
         let shard = solve.shard;
         let chain = &mut chains[shard];
         chain.mark_alap_dirty();
-        let resolve = solve_shard(chain, shard, network, ledger, &batches[shard], directives);
+        let resolve = solve_shard(chain, shard, network, ledger, &batches[shard], directives, None);
         resolved.push(ShardSolve {
             conflicted: true,
             diagnostics,

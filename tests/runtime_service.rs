@@ -120,6 +120,64 @@ fn kill_at_any_slot_and_resume_matches_uninterrupted_run() {
 }
 
 #[test]
+fn strict_kill_at_any_slot_resumes_byte_for_byte() {
+    // Under strict analysis the runtime hands the checked Postcard problem
+    // to the chain's Postcard tier. That problem is not in the snapshot,
+    // so a resumed run must end in exactly the snapshot an uninterrupted
+    // one does. Tight capacities
+    // make whole batches fail and fall back to per-file admission, and a
+    // forced timeout at slot 2 leaves that slot's handed-over problem
+    // unused.
+    const SLOTS: u64 = 8;
+    let mut rng = StdRng::seed_from_u64(41);
+    let network = Network::complete_with_prices(4, 30.0, |_, _| rng.gen_range(1.0..=10.0));
+    let mut workload = UniformWorkload::new(
+        WorkloadConfig {
+            num_dcs: 4,
+            files_per_slot: (2, 5),
+            size_gb: (10.0, 45.0),
+            deadline_slots: (1, 3),
+        },
+        41,
+    );
+    let arrivals = Trace::generate(&mut workload, SLOTS);
+    let faults = FaultPlan::none().force_timeout(2, TierKind::Postcard);
+    let path = ckpt_path("strict_kill.json");
+    let config = RuntimeConfig {
+        strict_analysis: true,
+        checkpoint_every: 1,
+        checkpoint_path: Some(path.to_string_lossy().into_owned()),
+        ..Default::default()
+    };
+    let run = || {
+        Runtime::new(network.clone(), arrivals.clone(), faults.clone(), SLOTS, config.clone())
+            .unwrap()
+    };
+
+    let mut full = run();
+    full.run_to_end().unwrap();
+    std::fs::remove_file(&path).ok();
+    let want = full.snapshot().to_json();
+    assert!(full.metrics().counter("files_rejected") > 0, "per-file admission must run");
+    assert_eq!(full.metrics().counter("fallback_from_postcard"), 1);
+
+    for kill_at in [1, 2, 3, 5, 7] {
+        let mut victim = run();
+        for _ in 0..kill_at {
+            victim.run_slot().unwrap().expect("slot within the run");
+        }
+        drop(victim); // the crash: no final checkpoint
+
+        let mut resumed = Runtime::resume(&path).unwrap();
+        assert_eq!(resumed.next_slot(), kill_at);
+        resumed.run_to_end().unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(resumed.snapshot().to_json() == want, "kill at {kill_at}: snapshots differ");
+        assert_eq!(resumed.metrics(), full.metrics(), "kill at {kill_at}");
+    }
+}
+
+#[test]
 fn kill_with_non_empty_backlog_resumes_bit_identically() {
     // A request naming an out-of-range datacenter makes the single-tier
     // chain hard-fail at slot 1 (problem construction errors, which is not
